@@ -33,16 +33,15 @@ from .errors import (
     SpecMismatch,
     UnlabeledExample,
 )
-from .metrics import roc_auc_ovr_macro
+from .metrics import PROB_SUM_TOL, roc_auc_ovr_macro
 
 PathLike = Union[str, Path]
 
 PROBA_COLUMNS = ("call_id", "turn_index", "p0", "p1", "p2")
 MODEL_FORMAT_VERSION = 1
 
-# Sum-of-probabilities tolerances: construction demands 1e-9, file loading
-# renormalizes anything within 1e-6 and rejects the rest.
-PROB_SUM_TOL = 1e-9
+# Sum-of-probabilities tolerances: construction demands PROB_SUM_TOL (1e-9),
+# file loading renormalizes anything within 1e-6 and rejects the rest.
 PROB_FILE_TOL = 1e-6
 
 
@@ -166,9 +165,9 @@ def _featurize_many(texts: Sequence[str], spec: FeatureSpec) -> list[_Feats]:
     for text in texts:
         feats = cache.get(text)
         if feats is None:
-            counts = featurize(text, spec)
-            idx = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
-            cnt = np.array([counts[i] for i in idx], dtype=np.float64)
+            items = sorted(featurize(text, spec).items())
+            idx = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
+            cnt = np.fromiter((c for _, c in items), dtype=np.float64, count=len(items))
             feats = (idx, cnt)
             cache[text] = feats
         out.append(feats)

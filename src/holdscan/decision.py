@@ -9,9 +9,11 @@ otherwise the turn is irrelevant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+
+import numpy as np
 
 from .classifier import ProbTriple
+from .metrics import ProbsLike, as_prob_array
 
 # Threshold value unreachable by any probability sum; decides 0 everywhere.
 REJECT_ALL_THRESHOLD = 1.0 + 1e-9
@@ -34,5 +36,8 @@ def decide(p: ProbTriple, rule: DecisionRule) -> int:
     return 0
 
 
-def decide_batch(probs: Sequence[ProbTriple], rule: DecisionRule) -> list[int]:
-    return [decide(p, rule) for p in probs]
+def decide_batch(probs: ProbsLike, rule: DecisionRule) -> list[int]:
+    """decide() over an (n, 3) array or a sequence of ProbTriple, as one array expression."""
+    arr = as_prob_array(probs)
+    gate = arr[:, 1] + arr[:, 2] >= rule.threshold
+    return np.where(gate, np.where(arr[:, 1] >= arr[:, 2], 1, 2), 0).tolist()

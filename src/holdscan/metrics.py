@@ -13,20 +13,45 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch, SingleClassOnly
+from .errors import EmptyInput, LengthMismatch, ProbabilityInvariantViolation, SingleClassOnly
 
 N_CLASSES = 3
+
+# A probability row must sum to 1 within this tolerance.
+PROB_SUM_TOL = 1e-9
 
 ProbsLike = Union[np.ndarray, Sequence]  # (n, 3) array or sequence of ProbTriple
 
 
-def _as_prob_array(probs: ProbsLike) -> np.ndarray:
-    arr = np.asarray(
-        [p.as_tuple() if hasattr(p, "as_tuple") else p for p in probs], dtype=float
-    )
+def as_prob_array(probs: ProbsLike) -> np.ndarray:
+    """Validated (n, 3) float64 array from an array or a sequence of triples.
+
+    Sequence items are ProbTriple objects or plain 3-tuples. Every entry
+    must be a non-negative number and every row must sum to 1 within
+    PROB_SUM_TOL.
+    """
+    if isinstance(probs, np.ndarray):
+        arr = np.asarray(probs, dtype=np.float64)
+    elif len(probs) == 0:
+        arr = np.empty((0, N_CLASSES))
+    else:
+        arr = np.array(
+            [p.as_tuple() if hasattr(p, "as_tuple") else p for p in probs], dtype=np.float64
+        )
     if arr.ndim != 2 or arr.shape[1] != N_CLASSES:
         raise ValueError(f"expected an (n, {N_CLASSES}) probability array, got shape {arr.shape}")
+    if not (arr >= 0.0).all():
+        raise ProbabilityInvariantViolation("negative or NaN probability")
+    if (np.abs(arr.sum(axis=1) - 1.0) > PROB_SUM_TOL).any():
+        raise ProbabilityInvariantViolation("a probability row does not sum to 1")
     return arr
+
+
+def check_labels(*label_arrays: np.ndarray) -> None:
+    """Raise ValueError unless every label lies in [0, N_CLASSES)."""
+    for y in label_arrays:
+        if y.size and (y.min() < 0 or y.max() >= N_CLASSES):
+            raise ValueError(f"labels must lie in [0, {N_CLASSES})")
 
 
 def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> np.ndarray:
@@ -37,32 +62,47 @@ def confusion(y_true: Sequence[int], y_pred: Sequence[int]) -> np.ndarray:
         raise LengthMismatch(f"y_true has {yt.size} labels, y_pred has {yp.size}")
     if yt.size == 0:
         raise EmptyInput("cannot build a confusion matrix from zero examples")
-    if yt.min() < 0 or yt.max() >= N_CLASSES or yp.min() < 0 or yp.max() >= N_CLASSES:
-        raise ValueError(f"labels must lie in [0, {N_CLASSES})")
+    check_labels(yt, yp)
     cm = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(cm, (yt, yp), 1)
     return cm
 
 
-def macro_prf(cm: np.ndarray) -> tuple[float, float, float, float]:
-    """(precision_macro, recall_macro, f1_macro, balanced_accuracy) from counts."""
-    cm = np.asarray(cm)
-    if cm.sum() == 0:
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den elementwise, 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def macro_prf(cm: np.ndarray):
+    """(precision_macro, recall_macro, f1_macro, balanced_accuracy) from counts.
+
+    cm has shape (3, 3, *batch): axis 0 is the true class, axis 1 the
+    predicted class, and any trailing axes index a batch of matrices (one
+    per candidate threshold, say). Each result then has the batch shape;
+    a single 3x3 matrix gives four floats. Per class, precision is
+    tp/(tp+fp), recall tp/(tp+fn) and F1 2*p*r/(p+r), each 0 where its
+    denominator is 0; the macro values are (c0+c1+c2)/3.
+    """
+    counts = np.asarray(cm, dtype=np.float64)  # exact for counts below 2**53
+    if counts.shape[:2] != (N_CLASSES, N_CLASSES):
+        raise ValueError(
+            f"expected a ({N_CLASSES}, {N_CLASSES}, ...) count array, got {counts.shape}"
+        )
+    diag = np.arange(N_CLASSES)
+    tp = counts[diag, diag]
+    # Integer-valued, so these equal tp + fp and tp + fn bit for bit.
+    predicted = counts[0] + counts[1] + counts[2]
+    actual = counts[:, 0] + counts[:, 1] + counts[:, 2]
+    if not np.all(actual[0] + actual[1] + actual[2]):
         raise EmptyInput("confusion matrix is empty")
-    precisions, recalls, f1s = [], [], []
-    for c in range(N_CLASSES):
-        tp = float(cm[c, c])
-        fp = float(cm[:, c].sum() - cm[c, c])
-        fn = float(cm[c, :].sum() - cm[c, c])
-        p = tp / (tp + fp) if tp + fp > 0 else 0.0
-        r = tp / (tp + fn) if tp + fn > 0 else 0.0
-        f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-        precisions.append(p)
-        recalls.append(r)
-        f1s.append(f)
-    precision_macro = sum(precisions) / N_CLASSES
-    recall_macro = sum(recalls) / N_CLASSES
-    f1_macro = sum(f1s) / N_CLASSES
+    p = _ratio(tp, predicted)
+    r = _ratio(tp, actual)
+    f = _ratio(2.0 * p * r, p + r)
+    precision_macro, recall_macro, f1_macro = (
+        (x[0] + x[1] + x[2]) / N_CLASSES for x in (p, r, f)
+    )
+    if counts.ndim == 2:
+        return float(precision_macro), float(recall_macro), float(f1_macro), float(recall_macro)
     return precision_macro, recall_macro, f1_macro, recall_macro
 
 
@@ -99,7 +139,7 @@ def binary_auc(scores: Sequence[float], positives: Sequence[bool]) -> float:
 def roc_auc_ovr_macro(y_true: Sequence[int], probs: ProbsLike) -> float:
     """Macro mean of per-class one-vs-rest AUC over the classes present."""
     yt = np.asarray(y_true, dtype=np.int64)
-    arr = _as_prob_array(probs)
+    arr = as_prob_array(probs)
     if yt.size != arr.shape[0]:
         raise LengthMismatch(f"{yt.size} labels but {arr.shape[0]} probability rows")
     present = np.unique(yt)

@@ -28,10 +28,19 @@ from .classifier import (
 )
 from .corpus.model import Corpus, FoldPlan
 from .decision import REJECT_ALL_THRESHOLD, DecisionRule, decide_batch
-from .errors import EmptyFold, FoldTooSmall, UnknownAxis
-from .metrics import MetricBundle, macro_prf, mean_bundle, metric_bundle
+from .errors import EmptyFold, FoldTooSmall, LengthMismatch, UnknownAxis
+from .metrics import (
+    N_CLASSES,
+    MetricBundle,
+    ProbsLike,
+    as_prob_array,
+    check_labels,
+    macro_prf,
+    mean_bundle,
+    metric_bundle,
+)
 
-FoldPredictions = tuple[Sequence[ProbTriple], Sequence[int]]
+FoldPredictions = tuple[ProbsLike, Sequence[int]]
 
 # Default hyperparameter grids for the two supported sweep axes.
 DEFAULT_CLASS_WEIGHT_GRID: tuple[tuple[float, float, float], ...] = (
@@ -53,9 +62,21 @@ def shared_threshold_search(
 ) -> tuple[float, float]:
     """Pick one threshold maximizing mean per-fold F1-macro.
 
-    Candidates are the unique p1 + p2 values over all folds plus the
-    reject-all sentinel; ties resolve to the smallest threshold. Returns
-    (threshold, mean F1-macro at that threshold).
+    Each fold is a (probabilities, labels) pair; probabilities are an
+    (n, 3) array or a sequence of ProbTriple. Candidates are the unique
+    p1 + p2 values over all folds plus the reject-all sentinel. At
+    threshold t a row is predicted as its winner (1 if p1 >= p2, else 2)
+    when p1 + p2 >= t, and as 0 otherwise. Ties in mean F1 (exact float
+    equality) resolve to the smallest threshold. Returns (threshold, mean
+    F1-macro at that threshold).
+
+    Each fold is sorted once by p1 + p2, descending. Cumulative
+    (true class, winner) counts give the confusion matrix of every prefix
+    of that order, one macro_prf call scores them all, and a binary search
+    of each candidate into the sorted sums picks its prefix. With n rows,
+    F folds and C candidates this is O(n log n + F * C) time and
+    O(n + C) memory per fold, and the result equals scoring every
+    candidate's confusion matrix one by one, bit for bit.
     """
     if not per_fold_predictions:
         raise EmptyFold("need at least one fold of predictions")
@@ -64,31 +85,29 @@ def shared_threshold_search(
         if len(probs) == 0:
             raise EmptyFold("a fold with zero predictions cannot be scored")
         if len(probs) != len(labels):
-            raise EmptyFold(f"{len(probs)} predictions but {len(labels)} labels in a fold")
-        s = np.array([p.p1 + p.p2 for p in probs])
-        winner = np.array([1 if p.p1 >= p.p2 else 2 for p in probs])
-        folds.append((s, winner, np.asarray(labels, dtype=np.int64)))
+            raise LengthMismatch(f"{len(probs)} predictions but {len(labels)} labels in a fold")
+        arr = as_prob_array(probs)
+        y = np.asarray(labels, dtype=np.int64)
+        check_labels(y)
+        winner = np.where(arr[:, 1] >= arr[:, 2], 1, 2)
+        folds.append((arr[:, 1] + arr[:, 2], winner, y))
 
-    all_sums = np.concatenate([s for s, _, _ in folds])
-    # Descending sweep: start from the sentinel (everything rejected) and
-    # flip predictions to their positive winner as the threshold drops.
-    candidates_desc = np.unique(all_sums)[::-1]
-    n_cand = candidates_desc.size + 1  # sentinel first
-
-    f1_sum = np.zeros(n_cand)
+    candidates_desc = np.unique(np.concatenate([s for s, _, _ in folds]))[::-1]
+    f1_sum = np.zeros(candidates_desc.size + 1)  # sentinel first
     for s, winner, y in folds:
-        order = np.argsort(-s, kind="mergesort")
-        cm = np.zeros((3, 3), dtype=np.int64)
-        np.add.at(cm, (y, np.zeros_like(y)), 1)
-        f1_sum[0] += macro_prf(cm)[2]
-        ptr = 0
-        for ci, cand in enumerate(candidates_desc, start=1):
-            while ptr < s.size and s[order[ptr]] >= cand:
-                i = order[ptr]
-                cm[y[i], 0] -= 1
-                cm[y[i], winner[i]] += 1
-                ptr += 1
-            f1_sum[ci] += macro_prf(cm)[2]
+        order = np.argsort(-s, kind="stable")
+        n = s.size
+        # cm[:, :, k]: confusion matrix when the k largest sums go to their
+        # winner and every other row to class 0 (float64 counts, exact).
+        flips = np.zeros((N_CLASSES, N_CLASSES, n + 1))
+        flips[y[order], winner[order], np.arange(1, n + 1)] = 1.0
+        cm = np.cumsum(flips, axis=2)
+        cm[:, 0] = np.bincount(y, minlength=N_CLASSES)[:, None] - cm[:, 1] - cm[:, 2]
+        f1_by_prefix = macro_prf(cm)[2]
+        # Each candidate selects the rows with sum >= candidate; the
+        # sentinel selects none.
+        k = np.r_[0, np.searchsorted(-s[order], -candidates_desc, side="right")]
+        f1_sum += f1_by_prefix[k]
 
     mean_f1 = f1_sum / len(folds)
     thresholds = np.r_[REJECT_ALL_THRESHOLD, candidates_desc]

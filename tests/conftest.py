@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from holdscan.corpus import Call, Corpus, PhraseTurn, generate_synthetic
@@ -44,6 +46,15 @@ def flat_corpus(label_counts: dict[int, int], per_call: int = 50) -> Corpus:
     for i in range(0, len(labels), per_call):
         per_call_labels[f"call{i // per_call:04d}"] = labels[i : i + per_call]
     return corpus_from_labels(per_call_labels)
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    """Every file under root, keyed by its relative POSIX path."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,17 @@
 
 Everything here is deliberately written from scratch in plain Python
 (loops, no numpy) so it shares no code path with the package under test.
+The exception is `incremental_threshold_search`: the candidate-by-candidate
+sweep the package used before its vectorized search, kept verbatim (with
+the per-matrix `scalar_macro_prf` it called) as a bit-exact differential
+reference.
 """
 
 from __future__ import annotations
+
+import numpy as np
+
+from holdscan.errors import EmptyFold
 
 REJECT_ALL = 1.0 + 1e-9
 
@@ -61,6 +69,74 @@ def exhaustive_threshold_search(folds):
     best_f1 = max(f1 for _, f1 in scored)
     best_threshold = min(t for t, f1 in scored if f1 == best_f1)
     return best_threshold, best_f1
+
+
+def scalar_macro_prf(cm):
+    """(precision_macro, recall_macro, f1_macro, balanced_accuracy) from counts."""
+    cm = np.asarray(cm)
+    precisions, recalls, f1s = [], [], []
+    for c in range(3):
+        tp = float(cm[c, c])
+        fp = float(cm[:, c].sum() - cm[c, c])
+        fn = float(cm[c, :].sum() - cm[c, c])
+        p = tp / (tp + fp) if tp + fp > 0 else 0.0
+        r = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f = 2.0 * p * r / (p + r) if p + r > 0 else 0.0
+        precisions.append(p)
+        recalls.append(r)
+        f1s.append(f)
+    precision_macro = sum(precisions) / 3
+    recall_macro = sum(recalls) / 3
+    f1_macro = sum(f1s) / 3
+    return precision_macro, recall_macro, f1_macro, recall_macro
+
+
+def incremental_threshold_search(per_fold_predictions):
+    """The O(folds x candidates) sweep over sequences of ProbTriple.
+
+    Walks the candidates in descending order, flipping rows from class 0
+    to their winner as the threshold drops and scoring every confusion
+    matrix on the way. Returns (threshold, mean F1-macro), smallest
+    threshold on ties.
+    """
+    if not per_fold_predictions:
+        raise EmptyFold("need at least one fold of predictions")
+    folds = []
+    for probs, labels in per_fold_predictions:
+        if len(probs) == 0:
+            raise EmptyFold("a fold with zero predictions cannot be scored")
+        if len(probs) != len(labels):
+            raise EmptyFold(f"{len(probs)} predictions but {len(labels)} labels in a fold")
+        s = np.array([p.p1 + p.p2 for p in probs])
+        winner = np.array([1 if p.p1 >= p.p2 else 2 for p in probs])
+        folds.append((s, winner, np.asarray(labels, dtype=np.int64)))
+
+    all_sums = np.concatenate([s for s, _, _ in folds])
+    # Descending sweep: start from the sentinel (everything rejected) and
+    # flip predictions to their positive winner as the threshold drops.
+    candidates_desc = np.unique(all_sums)[::-1]
+    n_cand = candidates_desc.size + 1  # sentinel first
+
+    f1_sum = np.zeros(n_cand)
+    for s, winner, y in folds:
+        order = np.argsort(-s, kind="mergesort")
+        cm = np.zeros((3, 3), dtype=np.int64)
+        np.add.at(cm, (y, np.zeros_like(y)), 1)
+        f1_sum[0] += scalar_macro_prf(cm)[2]
+        ptr = 0
+        for ci, cand in enumerate(candidates_desc, start=1):
+            while ptr < s.size and s[order[ptr]] >= cand:
+                i = order[ptr]
+                cm[y[i], 0] -= 1
+                cm[y[i], winner[i]] += 1
+                ptr += 1
+            f1_sum[ci] += scalar_macro_prf(cm)[2]
+
+    mean_f1 = f1_sum / len(folds)
+    thresholds = np.r_[REJECT_ALL, candidates_desc]
+    best_f1 = mean_f1.max()
+    winners = thresholds[mean_f1 == best_f1]
+    return float(winners.min()), float(best_f1)
 
 
 def brute_pair_auc(scores, positives):

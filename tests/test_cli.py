@@ -6,6 +6,8 @@ from holdscan.cli import run_cli
 from holdscan.classifier import ProbTriple, write_proba
 from holdscan.corpus import generate_synthetic, ingest_transcripts, write_transcripts
 
+from conftest import tree_bytes
+
 HEADER = "call_id,turn_index,channel,start_ms,end_ms,text,label\n"
 
 
@@ -165,7 +167,9 @@ class TestPipeline:
                      "results_table.txt"):
             assert (out_a / name).exists()
         assert (out_a / "models").is_dir()
-        assert (out_a / "metrics.json").read_bytes() == (out_b / "metrics.json").read_bytes()
+        artifacts = tree_bytes(out_a)
+        assert sum(name.startswith("models/") for name in artifacts) == 3
+        assert artifacts == tree_bytes(out_b)
         payload = json.loads((out_a / "metrics.json").read_text())
         assert payload["mode"] == "trained"
         assert len(payload["per_fold_test_metrics"]) == 3
@@ -176,13 +180,17 @@ class TestPipeline:
         write_transcripts(corpus, transcripts)
         proba = tmp_path / "p.csv"
         smoothed_gold_proba(corpus, proba)
-        out = tmp_path / "ext"
-        code = run(["pipeline", "--transcripts", str(transcripts), "--external-proba",
-                    str(proba), "--folds", "4", "--seed", "9", "--out-dir", str(out)])
-        assert code == 0
-        payload = json.loads((out / "metrics.json").read_text())
+        for out in (tmp_path / "ext", tmp_path / "ext_again"):
+            code = run(["pipeline", "--transcripts", str(transcripts), "--external-proba",
+                        str(proba), "--folds", "4", "--seed", "9", "--out-dir", str(out)])
+            assert code == 0
+        payload = json.loads((tmp_path / "ext" / "metrics.json").read_text())
         assert payload["mode"] == "external"
         assert payload["mean_test_metrics"]["f1_macro"] == pytest.approx(1.0)
+        artifacts = tree_bytes(tmp_path / "ext")
+        assert set(artifacts) == {"fold_plan.json", "shared_threshold.json", "metrics.json",
+                                  "results_table.txt"}
+        assert artifacts == tree_bytes(tmp_path / "ext_again")
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert run(["pipeline", "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 1

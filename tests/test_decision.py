@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -37,7 +38,10 @@ def test_boundary_is_inclusive():
 def test_batch_is_elementwise():
     probs = [triple(0.8, 0.1, 0.1), triple(0.1, 0.2, 0.7), triple(0.3, 0.4, 0.3)]
     rule = DecisionRule(0.45)
-    assert decide_batch(probs, rule) == [decide(p, rule) for p in probs]
+    decided = decide_batch(probs, rule)
+    assert decided == [decide(p, rule) for p in probs]
+    assert all(type(label) is int for label in decided)
+    assert decide_batch(np.array([p.as_tuple() for p in probs]), rule) == decided
     assert decide_batch([], rule) == []
 
 
@@ -94,3 +98,13 @@ def test_positive_scaling_keeps_the_winner(p, factor):
     scaled = ProbTriple(max(0.0, 1.0 - factor * s), factor * p.p1, factor * p.p2)
     rule = DecisionRule(0.0)  # gate always passes at zero threshold
     assert decide(p, rule) == decide(scaled, rule)
+
+
+@given(st.lists(prob_triples(), max_size=20), st.floats(min_value=0.0, max_value=1.0))
+def test_batch_matches_reference_restatement(probs, threshold):
+    want = [reference_decide(p.as_tuple(), threshold) for p in probs]
+    assert decide_batch(probs, DecisionRule(threshold)) == want
+    # exactly at each row's own sum, the >= boundary must let it through
+    for p in probs:
+        at_sum = p.p1 + p.p2
+        assert decide_batch([p], DecisionRule(at_sum)) == [reference_decide(p.as_tuple(), at_sum)]

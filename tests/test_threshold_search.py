@@ -3,10 +3,10 @@ import pytest
 
 from holdscan.classifier import ProbTriple
 from holdscan.decision import REJECT_ALL_THRESHOLD
-from holdscan.errors import EmptyFold
+from holdscan.errors import EmptyFold, LengthMismatch
 from holdscan.tuning import shared_threshold_search
 
-from oracles import exhaustive_threshold_search, random_prob_triple
+from oracles import exhaustive_threshold_search, incremental_threshold_search, random_prob_triple
 
 WORKED_TRIPLES = [
     ProbTriple(0.8, 0.15, 0.05),
@@ -97,3 +97,92 @@ def test_returned_threshold_never_beaten_by_any_candidate():
     _, best_f1 = shared_threshold_search([(triples, labels)])
     _, oracle_best = exhaustive_threshold_search([(probs, labels)])
     assert best_f1 >= oracle_best - 1e-12
+
+
+def test_length_mismatch_rejected():
+    with pytest.raises(LengthMismatch):
+        shared_threshold_search([(WORKED_TRIPLES, WORKED_LABELS[:3])])
+
+
+def test_out_of_range_labels_rejected_like_confusion():
+    for bad in (3, -1):
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            shared_threshold_search([(WORKED_TRIPLES, WORKED_LABELS[:3] + [bad])])
+
+
+def test_array_and_triple_inputs_agree():
+    array = np.array([p.as_tuple() for p in WORKED_TRIPLES])
+    assert shared_threshold_search([(array, WORKED_LABELS)]) == shared_threshold_search(
+        [(WORKED_TRIPLES, WORKED_LABELS)]
+    )
+
+
+# --- differential test against the retired incremental sweep ---------------
+
+
+def _eighths(rng, n):
+    """Triples on the 1/8 grid: sums repeat within and across folds, p1 == p2 often."""
+    out = []
+    for _ in range(n):
+        a = int(rng.integers(0, 9))
+        b = int(rng.integers(0, 9 - a))
+        out.append(ProbTriple(a / 8, b / 8, (8 - a - b) / 8))
+    return out
+
+
+def _equal_winner_rows(rng, n):
+    out = []
+    for _ in range(n):
+        half = float(rng.random()) / 2
+        out.append(ProbTriple(1.0 - 2 * half, half, half))
+    return out
+
+
+def _assert_bit_equal(folds):
+    got = shared_threshold_search(folds)
+    want = incremental_threshold_search(folds)
+    assert got == want, (got, want)
+
+
+def test_bit_equal_to_incremental_sweep_on_eighths():
+    rng = np.random.default_rng(808)
+    for _ in range(150):
+        folds = []
+        for _ in range(int(rng.integers(1, 7))):
+            n = int(rng.integers(1, 40))
+            folds.append((_eighths(rng, n), rng.integers(0, 3, size=n).tolist()))
+        _assert_bit_equal(folds)
+
+
+def test_bit_equal_to_incremental_sweep_on_equal_winners():
+    rng = np.random.default_rng(909)
+    for _ in range(60):
+        folds = []
+        for _ in range(int(rng.integers(1, 5))):
+            n = int(rng.integers(1, 30))
+            probs = _equal_winner_rows(rng, n) + _eighths(rng, n)
+            folds.append((probs, rng.integers(0, 3, size=2 * n).tolist()))
+        _assert_bit_equal(folds)
+
+
+def test_bit_equal_to_incremental_sweep_on_tiny_and_single_class_folds():
+    rng = np.random.default_rng(1010)
+    for _ in range(100):
+        folds = []
+        for _ in range(int(rng.integers(1, 6))):
+            n = int(rng.choice([1, 1, 2, 5]))
+            label = int(rng.integers(0, 3))
+            probs = [ProbTriple(*random_prob_triple(rng)) for _ in range(n)]
+            if rng.random() < 0.5:
+                probs = _eighths(rng, n)
+            folds.append((probs, [label] * n))
+        _assert_bit_equal(folds)
+
+
+def test_bit_equal_to_incremental_sweep_on_nine_large_folds():
+    rng = np.random.default_rng(1200)
+    folds = []
+    for _ in range(9):
+        probs = [ProbTriple(*random_prob_triple(rng)) for _ in range(1200)]
+        folds.append((probs, rng.integers(0, 3, size=1200).tolist()))
+    _assert_bit_equal(folds)
