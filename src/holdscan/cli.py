@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -26,19 +27,21 @@ from .classifier import (
     predict_proba,
     save_checkpoint,
     select_best_checkpoint,
-    train,
     write_proba,
 )
-from .compliance import audit_corpus, gold_predictions
+from .compliance import HoldVerdict, audit_corpus, gold_predictions
 from .config import RunConfig, config_hash, load_run_config, with_overrides
 from .corpus import (
     Corpus,
     FoldPlan,
+    TurnKey,
     attach_holds,
     corpus_stats,
+    fold_plan_payload,
     generate_synthetic,
     ingest_holds,
     ingest_transcripts,
+    load_fold_plan,
     load_profile,
     stratified_split,
     validate_transcripts,
@@ -48,16 +51,27 @@ from .corpus import (
 from .corpus.synthetic import DEFAULT_PROFILE
 from .decision import DecisionRule, decide_batch
 from .errors import DataValidationError, HoldscanError, MissingPredictions
-from .metrics import MetricBundle, metric_bundle
+from .metrics import MetricBundle
 from .tuning import (
     DEFAULT_CLASS_WEIGHT_GRID,
     DEFAULT_LEARNING_RATE_GRID,
     run_cross_validation,
+    score_at,
     shared_threshold_search,
     sweep as run_sweep,
+    train_fold,
+    tune_and_test,
 )
 
-TABLE_COLUMNS = ("ROC AUC", "Best threshold", "Recall", "Precision", "Balanced Accuracy", "F1")
+# Results-table header -> MetricBundle field.
+TABLE_COLUMNS = {
+    "ROC AUC": "roc_auc_macro_ovr",
+    "Best threshold": "threshold_used",
+    "Recall": "recall_macro",
+    "Precision": "precision_macro",
+    "Balanced Accuracy": "balanced_accuracy",
+    "F1": "f1_macro",
+}
 
 
 # --- shared helpers --------------------------------------------------------
@@ -78,32 +92,19 @@ def _stamp(cfg: RunConfig) -> str:
     return f"holdscan {__version__} config={config_hash(cfg)}"
 
 
+def _stamp_meta(cfg: RunConfig) -> dict:
+    return {"tool_version": __version__, "config_hash": config_hash(cfg)}
+
+
 def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
-    payload = {"tool_version": __version__, "config_hash": config_hash(cfg), **payload}
+    payload = {**_stamp_meta(cfg), **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _load_corpus(transcripts: str, holds: str | None) -> Corpus:
-    corpus = ingest_transcripts(transcripts)
-    if holds:
-        corpus = attach_holds(corpus, ingest_holds(holds))
-    return corpus
-
-
-def _bundle_row(bundle: MetricBundle) -> list[str]:
-    return [
-        f"{bundle.roc_auc_macro_ovr:.4f}",
-        f"{bundle.threshold_used:.4f}",
-        f"{bundle.recall_macro:.4f}",
-        f"{bundle.precision_macro:.4f}",
-        f"{bundle.balanced_accuracy:.4f}",
-        f"{bundle.f1_macro:.4f}",
-    ]
 
 
 def _format_table(value_header: str, rows: list[tuple[str, MetricBundle]]) -> str:
     header = [value_header, *TABLE_COLUMNS]
-    body = [[label, *_bundle_row(bundle)] for label, bundle in rows]
+    body = [[label, *(f"{getattr(b, name):.4f}" for name in TABLE_COLUMNS.values())]
+            for label, b in rows]
     widths = [max(len(header[i]), *(len(r[i]) for r in body)) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for row in body:
@@ -111,39 +112,29 @@ def _format_table(value_header: str, rows: list[tuple[str, MetricBundle]]) -> st
     return "\n".join(lines) + "\n"
 
 
-def _fold_plan_payload(plan: FoldPlan) -> dict:
-    assignment = [[cid, idx, fold] for (cid, idx), fold in sorted(plan.assignment.items())]
-    return {"k": plan.k, "test_fold": plan.test_fold, "assignment": assignment}
-
-
-def _load_fold_plan(path: str) -> FoldPlan:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    assignment = {(cid, int(idx)): int(fold) for cid, idx, fold in data["assignment"]}
-    return FoldPlan(k=int(data["k"]), assignment=assignment, test_fold=int(data["test_fold"]))
-
-
-def _plan_for(cfg: RunConfig, corpus: Corpus, fold_plan_path: str | None) -> FoldPlan:
+def _plan_for(cfg: RunConfig, corpus: Corpus, fold_plan_path: str | None = None) -> FoldPlan:
     if fold_plan_path:
-        plan = _load_fold_plan(fold_plan_path)
+        plan = load_fold_plan(fold_plan_path)
         plan.validate_against(corpus)
         return plan
-    seed = _require_seed(cfg)
-    return stratified_split(corpus, cfg.folds, seed, cfg.split_mode, cfg.test_fold)
+    return stratified_split(corpus, cfg.folds, _require_seed(cfg), cfg.split_mode, cfg.test_fold)
+
+
+def _lookup(proba: dict[TurnKey, ProbTriple], keys: list[TurnKey]) -> list[ProbTriple]:
+    """The predictions for keys, in order; MissingPredictions names the first gap."""
+    for key in keys:
+        if key not in proba:
+            raise MissingPredictions(key[0])
+    return [proba[key] for key in keys]
 
 
 def _proba_by_fold(
-    corpus: Corpus, plan: FoldPlan, proba: dict[tuple[str, int], ProbTriple]
+    corpus: Corpus, plan: FoldPlan, proba: dict[TurnKey, ProbTriple]
 ) -> list[tuple[list[ProbTriple], list[int]]]:
-    folds: list[tuple[list[ProbTriple], list[int]]] = []
-    for keys in plan.keys_by_fold():
-        probs, labels = [], []
-        for key in keys:
-            if key not in proba:
-                raise MissingPredictions(key[0])
-            probs.append(proba[key])
-            labels.append(corpus.turn(key).label)
-        folds.append((probs, labels))
-    return folds
+    return [
+        (_lookup(proba, keys), [corpus.turn(key).label for key in keys])
+        for keys in plan.keys_by_fold()
+    ]
 
 
 # --- command group ----------------------------------------------------------
@@ -226,9 +217,9 @@ def stats(config_file, transcripts, out_dir):
 @click.option("--seed", type=int, default=None)
 @click.option("--profile", "profile_file", type=click.Path(exists=True), default=None)
 @click.option("--out-dir", type=click.Path(), required=True)
-def generate(config_file, calls, seed, profile_file, out_dir):
+def generate(config_file, profile_file, out_dir, **flags):
     """Generate a synthetic labeled corpus with holds and a violation ledger."""
-    cfg = _merged(config_file, calls=calls, seed=seed)
+    cfg = _merged(config_file, **flags)
     seed = _require_seed(cfg)
     profile = load_profile(profile_file) if profile_file else DEFAULT_PROFILE
     corpus, ledger = generate_synthetic(cfg.calls, seed, profile)
@@ -254,12 +245,12 @@ def generate(config_file, calls, seed, profile_file, out_dir):
 @click.option("--split-mode", type=click.Choice(["row", "call_grouped"]), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_file", type=click.Path(), required=True)
-def split(config_file, transcripts, folds, test_fold, split_mode, seed, out_file):
+def split(config_file, transcripts, out_file, **flags):
     """Write a stratified fold plan for a labeled transcript file."""
-    cfg = _merged(config_file, folds=folds, test_fold=test_fold, split_mode=split_mode, seed=seed)
+    cfg = _merged(config_file, **flags)
     corpus = ingest_transcripts(transcripts)
-    plan = stratified_split(corpus, cfg.folds, _require_seed(cfg), cfg.split_mode, cfg.test_fold)
-    _write_json(Path(out_file), _fold_plan_payload(plan), cfg)
+    plan = _plan_for(cfg, corpus)
+    _write_json(Path(out_file), fold_plan_payload(plan), cfg)
     click.echo(f"assigned {len(plan.assignment)} turns to {plan.k} folds (test fold {plan.test_fold})")
 
 
@@ -291,32 +282,18 @@ def _add_options(options):
 @click.option("--seed", type=int, default=None)
 @_add_options(_train_opts)
 @click.option("--model-out", type=click.Path(), required=True)
-def train_cmd(config_file, transcripts, folds, test_fold, val_fold, seed, epochs, batch_size,
-              learning_rate, weight_decay, class_weights, hash_dim, max_tokens, model_out):
+def train_cmd(config_file, transcripts, val_fold, model_out, **flags):
     """Train one model on all folds except the validation and test folds."""
-    cfg = _merged(config_file, folds=folds, test_fold=test_fold, seed=seed, epochs=epochs,
-                  batch_size=batch_size, learning_rate=learning_rate, weight_decay=weight_decay,
-                  class_weights=class_weights, hash_dim=hash_dim, max_tokens=max_tokens)
+    cfg = _merged(config_file, **flags)
     corpus = ingest_transcripts(transcripts)
-    plan = stratified_split(corpus, cfg.folds, _require_seed(cfg), cfg.split_mode, cfg.test_fold)
+    plan = _plan_for(cfg, corpus)
     if not 0 <= val_fold < plan.k or val_fold == plan.test_fold:
         raise click.UsageError(f"--val-fold must be a non-test fold in [0, {plan.k})")
-    keys_by_fold = plan.keys_by_fold()
-    train_examples = [
-        (corpus.turn(key).text, corpus.turn(key).label)
-        for f in range(plan.k)
-        if f not in (val_fold, plan.test_fold)
-        for key in keys_by_fold[f]
-    ]
-    val_examples = [
-        (corpus.turn(key).text, corpus.turn(key).label) for key in keys_by_fold[val_fold]
-    ]
-    checkpoints = train(train_examples, cfg.train_config(), cfg.feature_spec(), val_examples)
+    checkpoints = train_fold(corpus, plan, val_fold, cfg.train_config(), cfg.feature_spec())
     for ckpt in checkpoints:
         click.echo(f"epoch {ckpt.epoch}: validation ROC AUC {ckpt.validation_auc:.4f}")
     best = select_best_checkpoint(checkpoints)
-    save_checkpoint(model_out, best,
-                    extra_meta={"tool_version": __version__, "config_hash": config_hash(cfg)})
+    save_checkpoint(model_out, best, extra_meta=_stamp_meta(cfg))
     click.echo(f"saved epoch-{best.epoch} checkpoint to {model_out}")
 
 
@@ -349,15 +326,14 @@ def predict(config_file, model_file, transcripts, out_file):
 @click.option("--test-fold", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_file", type=click.Path(), default=None)
-def tune_threshold(config_file, transcripts, proba_file, fold_plan_file, folds, test_fold, seed, out_file):
+def tune_threshold(config_file, transcripts, proba_file, fold_plan_file, out_file, **flags):
     """Choose the shared threshold over the non-test folds of a predictions file."""
-    cfg = _merged(config_file, folds=folds, test_fold=test_fold, seed=seed)
+    cfg = _merged(config_file, **flags)
     corpus = ingest_transcripts(transcripts)
     plan = _plan_for(cfg, corpus, fold_plan_file)
-    proba = load_external_proba(proba_file)
-    by_fold = _proba_by_fold(corpus, plan, proba)
-    val_folds = [by_fold[f] for f in range(plan.k) if f != plan.test_fold]
-    threshold, mean_f1 = shared_threshold_search(val_folds)
+    by_fold = _proba_by_fold(corpus, plan, load_external_proba(proba_file))
+    by_fold.pop(plan.test_fold)
+    threshold, mean_f1 = shared_threshold_search(by_fold)
     click.echo(f"shared threshold: {threshold!r}")
     click.echo(f"mean validation F1-macro: {mean_f1:.4f}")
     if out_file:
@@ -375,25 +351,21 @@ def tune_threshold(config_file, transcripts, proba_file, fold_plan_file, folds, 
 @click.option("--test-fold", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_file", type=click.Path(), default=None)
-def evaluate(config_file, transcripts, proba_file, threshold, fold_plan_file, fold, folds,
-             test_fold, seed, out_file):
+def evaluate(config_file, transcripts, proba_file, threshold, fold_plan_file, fold, out_file,
+             **flags):
     """Compute the metric row for a predictions file at a fixed threshold."""
-    cfg = _merged(config_file, folds=folds, test_fold=test_fold, seed=seed, threshold=threshold)
+    cfg = _merged(config_file, threshold=threshold, **flags)
     corpus = ingest_transcripts(transcripts)
     proba = load_external_proba(proba_file)
     if fold is not None:
         plan = _plan_for(cfg, corpus, fold_plan_file)
+        if not 0 <= fold < plan.k:
+            raise click.UsageError(f"--fold must be in [0, {plan.k})")
         keys = plan.keys_by_fold()[fold]
     else:
         keys = corpus.labeled_keys()
-    probs, labels = [], []
-    for key in keys:
-        if key not in proba:
-            raise MissingPredictions(key[0])
-        probs.append(proba[key])
-        labels.append(corpus.turn(key).label)
-    y_pred = decide_batch(probs, DecisionRule(threshold))
-    bundle = metric_bundle(labels, probs, y_pred, threshold)
+    labels = [corpus.turn(key).label for key in keys]
+    bundle = score_at(_lookup(proba, keys), labels, threshold)
     for name, value in bundle.as_dict().items():
         click.echo(f"{name}: {value:.6f}")
     if out_file:
@@ -412,14 +384,9 @@ def evaluate(config_file, transcripts, proba_file, threshold, fold_plan_file, fo
 @click.option("--seed", type=int, default=None)
 @_add_options(_train_opts)
 @click.option("--out-dir", type=click.Path(), required=True)
-def sweep(config_file, transcripts, synthetic_calls, axis, values, folds, test_fold, seed,
-          epochs, batch_size, learning_rate, weight_decay, class_weights, hash_dim, max_tokens,
-          out_dir):
+def sweep(config_file, transcripts, synthetic_calls, axis, values, out_dir, **flags):
     """Run one cross-validation per grid value and tabulate the results."""
-    cfg = _merged(config_file, calls=synthetic_calls, folds=folds, test_fold=test_fold, seed=seed,
-                  epochs=epochs, batch_size=batch_size, learning_rate=learning_rate,
-                  weight_decay=weight_decay, class_weights=class_weights, hash_dim=hash_dim,
-                  max_tokens=max_tokens)
+    cfg = _merged(config_file, calls=synthetic_calls, **flags)
     corpus = _pipeline_corpus(cfg, transcripts, synthetic_calls is not None)
     if values:
         if axis == "class_weights":
@@ -428,7 +395,7 @@ def sweep(config_file, transcripts, synthetic_calls, axis, values, folds, test_f
             grid = [float(chunk) for chunk in values.replace(";", ",").split(",") if chunk]
     else:
         grid = list(DEFAULT_CLASS_WEIGHT_GRID if axis == "class_weights" else DEFAULT_LEARNING_RATE_GRID)
-    plan = stratified_split(corpus, cfg.folds, _require_seed(cfg), cfg.split_mode, cfg.test_fold)
+    plan = _plan_for(cfg, corpus)
     result = run_sweep(corpus, plan, cfg.train_config(), axis, grid, cfg.feature_spec())
 
     out = Path(out_dir)
@@ -436,20 +403,14 @@ def sweep(config_file, transcripts, synthetic_calls, axis, values, folds, test_f
     rows = [(str(v), b) for v, b in result.rows()]
     table = _format_table(axis, rows)
     (out / "sweep_table.txt").write_text(f"# {_stamp(cfg)}\n{table}", encoding="utf-8")
+    # json writes the class-weight tuples as arrays.
     _write_json(
         out / "sweep.json",
         {
             "axis": axis,
-            "rows": [
-                {"value": list(v) if isinstance(v, tuple) else v, "metrics": b.as_dict()}
-                for v, b in result.rows()
-            ],
+            "rows": [{"value": v, "metrics": b.as_dict()} for v, b in result.rows()],
             "best_index": result.best_index,
-            "best_value": (
-                list(result.values[result.best_index])
-                if isinstance(result.values[result.best_index], tuple)
-                else result.values[result.best_index]
-            ),
+            "best_value": result.values[result.best_index],
         },
         cfg,
     )
@@ -469,25 +430,18 @@ def sweep(config_file, transcripts, synthetic_calls, axis, values, folds, test_f
 @click.option("--post-window-ms", type=int, default=None)
 @click.option("--grace-ms", type=int, default=None)
 @click.option("--out", "out_file", type=click.Path(), default=None)
-def audit(config_file, transcripts, holds_file, proba_file, threshold, gold,
-          pre_window_ms, post_window_ms, grace_ms, out_file):
+def audit(config_file, transcripts, holds_file, proba_file, gold, out_file, **flags):
     """Audit detected scripts against registered holds, call by call."""
-    cfg = _merged(config_file, threshold=threshold, pre_window_ms=pre_window_ms,
-                  post_window_ms=post_window_ms, grace_ms=grace_ms)
-    corpus = _load_corpus(transcripts, holds_file)
+    cfg = _merged(config_file, **flags)
+    corpus = attach_holds(ingest_transcripts(transcripts), ingest_holds(holds_file))
     if gold:
         predictions = gold_predictions(corpus)
     else:
         if not proba_file or cfg.threshold is None:
             raise click.UsageError("need --proba and --threshold, or --gold")
-        proba = load_external_proba(proba_file)
-        turns = list(corpus.iter_turns())
-        missing = [t.call_id for t in turns if t.key not in proba]
-        if missing:
-            raise MissingPredictions(missing[0])
-        rule = DecisionRule(cfg.threshold)
-        labels = decide_batch([proba[t.key] for t in turns], rule)
-        predictions = {t.key: label for t, label in zip(turns, labels)}
+        keys = [t.key for t in corpus.iter_turns()]
+        probs = _lookup(load_external_proba(proba_file), keys)
+        predictions = dict(zip(keys, decide_batch(probs, DecisionRule(cfg.threshold))))
 
     reports, summary = audit_corpus(corpus, predictions, cfg.audit_config())
     for report in reports:
@@ -506,30 +460,24 @@ def audit(config_file, transcripts, holds_file, proba_file, threshold, gold,
         "unregistered_hold={unregistered_hold}".format(**summary)
     )
     if out_file:
-        payload = {
-            "summary": summary,
-            "calls": [
-                {
-                    "call_id": r.call_id,
-                    "holds": [
-                        {
-                            "hold_start_ms": v.hold.hold_start_ms,
-                            "hold_end_ms": v.hold.hold_end_ms,
-                            "opening_ok": v.opening_ok,
-                            "opening_turn_index": v.opening_turn_index,
-                            "closing_ok": v.closing_ok,
-                            "closing_turn_index": v.closing_turn_index,
-                        }
-                        for v in r.verdicts
-                    ],
-                    "unregistered": [
-                        {"turn_index": idx, "predicted_class": label} for idx, label in r.unregistered
-                    ],
-                }
-                for r in reports
-            ],
-        }
-        _write_json(Path(out_file), payload, cfg)
+        calls = [
+            {
+                "call_id": r.call_id,
+                "holds": [_verdict_json(v) for v in r.verdicts],
+                "unregistered": [
+                    {"turn_index": idx, "predicted_class": label} for idx, label in r.unregistered
+                ],
+            }
+            for r in reports
+        ]
+        _write_json(Path(out_file), {"summary": summary, "calls": calls}, cfg)
+
+
+def _verdict_json(verdict: HoldVerdict) -> dict:
+    """A verdict's fields with the hold's bounds flattened into it."""
+    row = asdict(verdict)
+    row.update(row.pop("hold"))
+    return row
 
 
 def _pipeline_corpus(cfg: RunConfig, transcripts: str | None, synthetic: bool) -> Corpus:
@@ -553,14 +501,9 @@ def _pipeline_corpus(cfg: RunConfig, transcripts: str | None, synthetic: bool) -
 @click.option("--seed", type=int, default=None)
 @_add_options(_train_opts)
 @click.option("--out-dir", type=click.Path(), required=True)
-def pipeline(config_file, transcripts, synthetic_calls, external_proba_file, folds, test_fold,
-             split_mode, seed, epochs, batch_size, learning_rate, weight_decay, class_weights,
-             hash_dim, max_tokens, out_dir):
+def pipeline(config_file, transcripts, synthetic_calls, external_proba_file, out_dir, **flags):
     """Split, cross-validate, pick the shared threshold and evaluate the test fold."""
-    cfg = _merged(config_file, calls=synthetic_calls, folds=folds, test_fold=test_fold,
-                  split_mode=split_mode, seed=seed, epochs=epochs, batch_size=batch_size,
-                  learning_rate=learning_rate, weight_decay=weight_decay,
-                  class_weights=class_weights, hash_dim=hash_dim, max_tokens=max_tokens)
+    cfg = _merged(config_file, calls=synthetic_calls, **flags)
     corpus = _pipeline_corpus(cfg, transcripts, synthetic_calls is not None)
     summary = run_pipeline(cfg, corpus, Path(out_dir),
                            external_proba_file=external_proba_file)
@@ -578,56 +521,43 @@ def run_pipeline(
     """Programmatic pipeline entry; returns the metrics payload it writes."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    plan = stratified_split(corpus, cfg.folds, _require_seed(cfg), cfg.split_mode, cfg.test_fold)
-    _write_json(out_dir / "fold_plan.json", _fold_plan_payload(plan), cfg)
+    plan = _plan_for(cfg, corpus)
+    _write_json(out_dir / "fold_plan.json", fold_plan_payload(plan), cfg)
 
     if external_proba_file:
-        proba = load_external_proba(external_proba_file)
-        by_fold = _proba_by_fold(corpus, plan, proba)
-        val_folds = [by_fold[f] for f in range(plan.k) if f != plan.test_fold]
-        threshold, mean_f1 = shared_threshold_search(val_folds)
-        test_probs, test_labels = by_fold[plan.test_fold]
-        y_pred = decide_batch(test_probs, DecisionRule(threshold))
-        bundle = metric_bundle(test_labels, test_probs, y_pred, threshold)
-        payload = {
-            "mode": "external",
-            "k": plan.k,
-            "test_fold": plan.test_fold,
-            "shared_threshold": threshold,
-            "validation_mean_f1": mean_f1,
-            "per_fold_test_metrics": [bundle.as_dict()],
-            "mean_test_metrics": bundle.as_dict(),
-        }
-        table_rows = [("external", bundle)]
+        by_fold = _proba_by_fold(corpus, plan, load_external_proba(external_proba_file))
+        test_probs, test_labels = by_fold.pop(plan.test_fold)
+        run = tune_and_test(by_fold, [test_probs], test_labels)
+        mode, table_label = "external", "external"
     else:
         run = run_cross_validation(corpus, plan, cfg.train_config(), cfg.feature_spec())
+        mode, table_label = "trained", "mean of folds"
         models_dir = out_dir / "models"
         models_dir.mkdir(exist_ok=True)
-        stamp_meta = {"tool_version": __version__, "config_hash": config_hash(cfg)}
         for result in run.folds:
             save_checkpoint(models_dir / f"fold_{result.fold_index}.npz", result.checkpoint,
-                            extra_meta=stamp_meta)
-        threshold = run.shared_threshold
-        payload = {
-            "mode": "trained",
-            "k": plan.k,
-            "test_fold": plan.test_fold,
-            "shared_threshold": run.shared_threshold,
-            "validation_mean_f1": run.shared_threshold_mean_f1,
-            "per_fold_validation_auc": {
-                str(r.fold_index): r.checkpoint.validation_auc for r in run.folds
-            },
-            "per_fold_test_metrics": [b.as_dict() for b in run.test_bundles],
-            "mean_test_metrics": run.mean_test_bundle.as_dict(),
-        }
-        table_rows = [("mean of folds", run.mean_test_bundle)]
+                            extra_meta=_stamp_meta(cfg))
 
+    payload = {
+        "mode": mode,
+        "k": plan.k,
+        "test_fold": plan.test_fold,
+        "shared_threshold": run.shared_threshold,
+        "validation_mean_f1": run.shared_threshold_mean_f1,
+        "per_fold_test_metrics": [b.as_dict() for b in run.test_bundles],
+        "mean_test_metrics": run.mean_test_bundle.as_dict(),
+    }
+    if run.folds:
+        payload["per_fold_validation_auc"] = {
+            str(r.fold_index): r.checkpoint.validation_auc for r in run.folds
+        }
     _write_json(out_dir / "shared_threshold.json",
-                {"shared_threshold": threshold,
-                 "mean_f1_macro": payload["validation_mean_f1"]}, cfg)
+                {"shared_threshold": run.shared_threshold,
+                 "mean_f1_macro": run.shared_threshold_mean_f1}, cfg)
     _write_json(out_dir / "metrics.json", payload, cfg)
     (out_dir / "results_table.txt").write_text(
-        f"# {_stamp(cfg)}\n{_format_table('Run', table_rows)}", encoding="utf-8"
+        f"# {_stamp(cfg)}\n{_format_table('Run', [(table_label, run.mean_test_bundle)])}",
+        encoding="utf-8",
     )
     return payload
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .classifier import FeatureSpec, TrainConfig
 from .compliance import AuditConfig
@@ -63,73 +63,57 @@ class RunConfig:
     # synthetic generation
     calls: int = 1000
 
+    def _project(self, cls):
+        """A cls built from the fields of the same names."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
+
     def train_config(self) -> TrainConfig:
         if self.seed is None:
             raise ValueError("seed is required for training")
-        return TrainConfig(
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            weight_decay=self.weight_decay,
-            class_weights=tuple(self.class_weights),
-            seed=self.seed,
-        )
+        return self._project(TrainConfig)
 
     def feature_spec(self) -> FeatureSpec:
-        return FeatureSpec(
-            hash_dim=self.hash_dim,
-            char_ngram_min=self.char_ngram_min,
-            char_ngram_max=self.char_ngram_max,
-            word_unigrams=self.word_unigrams,
-            lowercase=self.lowercase,
-            max_tokens=self.max_tokens,
-        )
+        return self._project(FeatureSpec)
 
     def audit_config(self) -> AuditConfig:
-        return AuditConfig(
-            pre_window_ms=self.pre_window_ms,
-            post_window_ms=self.post_window_ms,
-            grace_ms=self.grace_ms,
-        )
+        return self._project(AuditConfig)
+
+
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def _convert(name: str, value: str, target_type) -> object:
-    if name == "class_weights":
+def _convert(name: str, value: str) -> object:
+    """Parse a raw config value into the type RunConfig declares for it."""
+    if name not in _FIELD_TYPES:
+        raise ValueError(f"unknown config key {name!r}")
+    target = _FIELD_TYPES[name]
+    if get_origin(target) is Union:  # Optional[X]
+        (target,) = [t for t in get_args(target) if t is not type(None)]
+    if get_origin(target) is tuple:
         parts = [float(x) for x in value.replace(";", ",").split(",") if x.strip()]
-        if len(parts) != 3:
-            raise ValueError(f"class_weights needs 3 values, got {len(parts)}")
+        if len(parts) != len(get_args(target)):
+            raise ValueError(f"{name} needs {len(get_args(target))} values, got {len(parts)}")
         return tuple(parts)
-    if target_type is bool or name in ("word_unigrams", "lowercase"):
+    if target is bool:
         lowered = value.lower()
         if lowered not in _BOOL_VALUES:
             raise ValueError(f"{name}: expected a boolean, got {value!r}")
         return _BOOL_VALUES[lowered]
-    if name in ("threshold", "learning_rate", "weight_decay"):
-        return float(value)
-    if name == "split_mode":
-        return value
-    return int(value)
+    return target(value)
 
 
 def load_run_config(path: PathLike) -> RunConfig:
-    raw = parse_kv_file(path)
-    known = {f.name: f.type for f in fields(RunConfig)}
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = _convert(key, value, known[key])
-    return RunConfig(**kwargs)
+    return RunConfig(**{key: _convert(key, value) for key, value in parse_kv_file(path).items()})
 
 
 def with_overrides(config: RunConfig, **overrides) -> RunConfig:
     """Apply non-None overrides (CLI flags beat file values)."""
     changes = {k: v for k, v in overrides.items() if v is not None}
-    if "class_weights" in changes and isinstance(changes["class_weights"], str):
-        changes["class_weights"] = _convert("class_weights", changes["class_weights"], tuple)
+    if isinstance(changes.get("class_weights"), str):
+        changes["class_weights"] = _convert("class_weights", changes["class_weights"])
     return replace(config, **changes)
 
 

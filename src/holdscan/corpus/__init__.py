@@ -14,12 +14,12 @@ from .model import (
     TurnKey,
 )
 from .io import (
-    ColumnSchema,
-    DEFAULT_SCHEMA,
     Diagnostic,
     attach_holds,
+    fold_plan_payload,
     ingest_holds,
     ingest_transcripts,
+    load_fold_plan,
     validate_transcripts,
     write_holds,
     write_transcripts,
@@ -40,11 +40,9 @@ __all__ = [
     "LABELS",
     "OPENING",
     "Call",
-    "ColumnSchema",
     "Corpus",
     "CorpusStats",
     "DEFAULT_PROFILE",
-    "DEFAULT_SCHEMA",
     "Diagnostic",
     "FoldPlan",
     "GeneratorProfile",
@@ -53,9 +51,11 @@ __all__ = [
     "TurnKey",
     "attach_holds",
     "corpus_stats",
+    "fold_plan_payload",
     "generate_synthetic",
     "ingest_holds",
     "ingest_transcripts",
+    "load_fold_plan",
     "load_profile",
     "stratified_split",
     "validate_transcripts",

@@ -7,11 +7,15 @@ to "unknown". Lines starting with '#' are treated as comments.
 
 Holds CSV:
     call_id,hold_start_ms,hold_end_ms
+
+Fold plan JSON:
+    {"k": k, "test_fold": t, "assignment": [[call_id, turn_index, fold], ...]}
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
@@ -23,29 +27,13 @@ from ..errors import (
     NonMonotonicTimestamps,
     UnknownCall,
 )
-from .model import CHANNELS, Call, Corpus, HoldInterval, PhraseTurn
+from .model import CHANNELS, Call, Corpus, FoldPlan, HoldInterval, PhraseTurn
 
 PathLike = Union[str, Path]
 
 TRANSCRIPT_COLUMNS = ("call_id", "turn_index", "channel", "start_ms", "end_ms", "text", "label")
 REQUIRED_COLUMNS = ("call_id", "turn_index", "start_ms", "end_ms", "text")
 HOLD_COLUMNS = ("call_id", "hold_start_ms", "hold_end_ms")
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Maps canonical transcript column names to the names used in a file."""
-
-    call_id: str = "call_id"
-    turn_index: str = "turn_index"
-    channel: str = "channel"
-    start_ms: str = "start_ms"
-    end_ms: str = "end_ms"
-    text: str = "text"
-    label: str = "label"
-
-
-DEFAULT_SCHEMA = ColumnSchema()
 
 
 @dataclass(frozen=True)
@@ -104,7 +92,7 @@ def _parse_turn(line_no: int, row: list[str], positions: dict[str, int]) -> Phra
         raise MalformedRow(line_no, str(exc)) from None
 
 
-def _scan_transcripts(path: PathLike, schema: ColumnSchema) -> Iterator[PhraseTurn | MalformedRow]:
+def _scan_transcripts(path: PathLike) -> Iterator[PhraseTurn | MalformedRow]:
     """Yield a PhraseTurn per data row, or the MalformedRow error describing it.
 
     Yielding errors instead of raising lets validate_transcripts keep going
@@ -117,12 +105,8 @@ def _scan_transcripts(path: PathLike, schema: ColumnSchema) -> Iterator[PhraseTu
     except StopIteration:
         raise MalformedRow(0, "file has no header row") from None
 
-    name_for = {canon: getattr(schema, canon) for canon in TRANSCRIPT_COLUMNS}
-    positions: dict[str, int] = {}
-    for canon, actual in name_for.items():
-        if actual in header:
-            positions[canon] = header.index(actual)
-    missing = [name_for[c] for c in REQUIRED_COLUMNS if c not in positions]
+    positions = {name: header.index(name) for name in TRANSCRIPT_COLUMNS if name in header}
+    missing = [c for c in REQUIRED_COLUMNS if c not in positions]
     if missing:
         raise MissingColumn(missing)
     width = max(positions.values()) + 1
@@ -138,7 +122,7 @@ def _scan_transcripts(path: PathLike, schema: ColumnSchema) -> Iterator[PhraseTu
             yield exc
 
 
-def _build_corpus(turns: Iterable[PhraseTurn], provenance: str = "ingested") -> Corpus:
+def _build_corpus(turns: Iterable[PhraseTurn]) -> Corpus:
     by_call: dict[str, list[PhraseTurn]] = {}
     for turn in turns:
         by_call.setdefault(turn.call_id, []).append(turn)
@@ -155,10 +139,10 @@ def _build_corpus(turns: Iterable[PhraseTurn], provenance: str = "ingested") -> 
                 raise NonMonotonicTimestamps(call_id)
             prev_start = turn.start_ms
         calls.append(Call(call_id=call_id, turns=tuple(call_turns)))
-    return Corpus(calls=tuple(calls), provenance=provenance)
+    return Corpus(calls=tuple(calls))
 
 
-def ingest_transcripts(path: PathLike, schema: ColumnSchema = DEFAULT_SCHEMA) -> Corpus:
+def ingest_transcripts(path: PathLike) -> Corpus:
     """Parse a transcript CSV into a Corpus.
 
     Row order within a call is normalized by turn_index. Raises
@@ -166,7 +150,7 @@ def ingest_transcripts(path: PathLike, schema: ColumnSchema = DEFAULT_SCHEMA) ->
     NonMonotonicTimestamps on the first problem found.
     """
     def rows():
-        for item in _scan_transcripts(path, schema):
+        for item in _scan_transcripts(path):
             if isinstance(item, MalformedRow):
                 raise item
             yield item
@@ -174,7 +158,7 @@ def ingest_transcripts(path: PathLike, schema: ColumnSchema = DEFAULT_SCHEMA) ->
     return _build_corpus(rows())
 
 
-def validate_transcripts(path: PathLike, schema: ColumnSchema = DEFAULT_SCHEMA) -> list[Diagnostic]:
+def validate_transcripts(path: PathLike) -> list[Diagnostic]:
     """Collect per-row diagnostics instead of failing on the first bad row.
 
     Returns an empty list when the file would ingest cleanly.
@@ -182,7 +166,7 @@ def validate_transcripts(path: PathLike, schema: ColumnSchema = DEFAULT_SCHEMA) 
     diagnostics: list[Diagnostic] = []
     turns: list[PhraseTurn] = []
     try:
-        for item in _scan_transcripts(path, schema):
+        for item in _scan_transcripts(path):
             if isinstance(item, MalformedRow):
                 diagnostics.append(Diagnostic(item.line_no, item.reason))
             else:
@@ -269,3 +253,33 @@ def write_holds(corpus: Corpus, path: PathLike, header_comment: str | None = Non
         for call in corpus.calls:
             for hold in call.holds:
                 writer.writerow([call.call_id, hold.hold_start_ms, hold.hold_end_ms])
+
+
+def fold_plan_payload(plan: FoldPlan) -> dict:
+    """The JSON form of a fold plan, assignment rows sorted by turn key."""
+    assignment = [[cid, idx, fold] for (cid, idx), fold in sorted(plan.assignment.items())]
+    return {"k": plan.k, "test_fold": plan.test_fold, "assignment": assignment}
+
+
+def load_fold_plan(path: PathLike) -> FoldPlan:
+    """Read a fold plan in the fold_plan_payload form; other keys are ignored.
+
+    Raises MalformedRow when the file is not such a JSON object: a missing
+    field, an assignment row that is not [call_id, turn_index, fold], a
+    turn assigned twice, a non-integer or an out-of-range fold.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        assignment = {}
+        for row in data["assignment"]:
+            if not isinstance(row, list) or len(row) != 3:
+                raise ValueError(f"assignment row {row!r} is not [call_id, turn_index, fold]")
+            key, fold = (row[0], int(row[1])), int(row[2])
+            if key in assignment:
+                raise ValueError(f"turn {key!r} is assigned twice")
+            assignment[key] = fold
+        return FoldPlan(k=int(data["k"]), assignment=assignment, test_fold=int(data["test_fold"]))
+    except KeyError as exc:
+        raise MalformedRow(0, f"fold plan {str(path)!r}: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise MalformedRow(0, f"fold plan {str(path)!r}: {exc}") from None

@@ -158,9 +158,6 @@ class Corpus:
         """Keys of all labeled turns, sorted by (call_id, turn_index)."""
         return sorted(t.key for t in self.iter_turns() if t.label is not None)
 
-    def fully_labeled(self) -> bool:
-        return all(t.label is not None for t in self.iter_turns())
-
 
 @dataclass
 class FoldPlan:

@@ -12,7 +12,7 @@ shared threshold and the reported test metrics are the per-fold mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .classifier import (
     select_best_checkpoint,
     train,
 )
-from .corpus.model import Corpus, FoldPlan
+from .corpus.model import Corpus, FoldPlan, TurnKey
 from .decision import REJECT_ALL_THRESHOLD, DecisionRule, decide_batch
 from .errors import EmptyFold, FoldTooSmall, LengthMismatch, UnknownAxis
 from .metrics import (
@@ -116,6 +116,12 @@ def shared_threshold_search(
     return float(winners.min()), float(best_f1)
 
 
+def score_at(probs: ProbsLike, labels: Sequence[int], threshold: float) -> MetricBundle:
+    """Decide every row at the threshold and score the decisions."""
+    y_pred = decide_batch(probs, DecisionRule(threshold))
+    return metric_bundle(labels, probs, y_pred, threshold)
+
+
 @dataclass
 class FoldResult:
     """Outcome of one validation fold inside a cross-validation run."""
@@ -124,17 +130,68 @@ class FoldResult:
     checkpoint: Checkpoint
     val_probs: list[ProbTriple]
     val_labels: list[int]
-    test_bundle: MetricBundle | None = None
 
 
 @dataclass
 class CvRun:
-    fold_plan: FoldPlan
-    folds: list[FoldResult]
+    """Shared threshold and test metrics; folds is empty for external probabilities."""
+
     shared_threshold: float
     shared_threshold_mean_f1: float
     test_bundles: list[MetricBundle]
     mean_test_bundle: MetricBundle
+    folds: list[FoldResult] = field(default_factory=list)
+
+
+def tune_and_test(
+    val_folds: Sequence[FoldPredictions],
+    test_prob_sets: Sequence[ProbsLike],
+    test_labels: Sequence[int],
+) -> CvRun:
+    """The protocol's tail, the same for trained and external probabilities.
+
+    Picks the shared threshold on the validation folds, scores each test
+    probability set against the test labels at it, and averages the rows.
+    """
+    threshold, mean_f1 = shared_threshold_search(val_folds)
+    test_bundles = [score_at(probs, test_labels, threshold) for probs in test_prob_sets]
+    return CvRun(
+        shared_threshold=threshold,
+        shared_threshold_mean_f1=mean_f1,
+        test_bundles=test_bundles,
+        mean_test_bundle=mean_bundle(test_bundles),
+    )
+
+
+def _examples(corpus: Corpus, keys: Sequence[TurnKey]) -> list[tuple[str, int]]:
+    return [(t.text, t.label) for t in map(corpus.turn, keys)]
+
+
+def train_fold(
+    corpus: Corpus,
+    fold_plan: FoldPlan,
+    v: int,
+    config: TrainConfig,
+    feature_spec: FeatureSpec,
+) -> list[Checkpoint]:
+    """Train on every fold but v and the test fold; validate each epoch on v.
+
+    The seed is config.seed + v, so a fold's model does not depend on which
+    other folds are trained or in what order.
+    """
+    keys_by_fold = fold_plan.keys_by_fold()
+    train_keys = [
+        key
+        for f in range(fold_plan.k)
+        if f not in (v, fold_plan.test_fold)
+        for key in keys_by_fold[f]
+    ]
+    return train(
+        _examples(corpus, train_keys),
+        replace(config, seed=config.seed + v),
+        feature_spec,
+        _examples(corpus, keys_by_fold[v]),
+    )
 
 
 def run_cross_validation(
@@ -147,67 +204,39 @@ def run_cross_validation(
 
     The test fold influences nothing upstream: models see only the other
     folds and the threshold is chosen on validation predictions alone.
-    Per-fold training seeds are train_config.seed + fold_index, so fold
-    jobs are reproducible independently of execution order.
     """
     if fold_plan.k < 3:
         raise FoldTooSmall(f"k={fold_plan.k}: need separate train, validation and test folds")
     fold_plan.validate_against(corpus)
 
     keys_by_fold = fold_plan.keys_by_fold()
-    texts_labels = {
-        key: (corpus.turn(key).text, corpus.turn(key).label) for key in fold_plan.assignment
-    }
-    test_fold = fold_plan.test_fold
-    val_folds = [f for f in range(fold_plan.k) if f != test_fold]
-
     results: list[FoldResult] = []
-    for v in val_folds:
-        train_keys = [
-            key
-            for f in val_folds
-            if f != v
-            for key in keys_by_fold[f]
-        ]
-        train_examples = [texts_labels[key] for key in train_keys]
-        val_examples = [texts_labels[key] for key in keys_by_fold[v]]
-        config = replace(train_config, seed=train_config.seed + v)
-        checkpoints = train(train_examples, config, feature_spec, val_examples)
+    for v in range(fold_plan.k):
+        if v == fold_plan.test_fold:
+            continue
+        # Kept until the next fold's list replaces it: freed sooner, the unselected
+        # weights are trimmed by malloc and the next fold page-faults them back in.
+        checkpoints = train_fold(corpus, fold_plan, v, train_config, feature_spec)
         best = select_best_checkpoint(checkpoints)
-        val_probs = predict_proba(best, [t for t, _ in val_examples], feature_spec)
+        val_examples = _examples(corpus, keys_by_fold[v])
         results.append(
             FoldResult(
                 fold_index=v,
                 checkpoint=best,
-                val_probs=val_probs,
+                val_probs=predict_proba(best, [t for t, _ in val_examples], feature_spec),
                 val_labels=[label for _, label in val_examples],
             )
         )
 
-    threshold, mean_f1 = shared_threshold_search(
-        [(r.val_probs, r.val_labels) for r in results]
+    test_examples = _examples(corpus, keys_by_fold[fold_plan.test_fold])
+    test_texts = [t for t, _ in test_examples]
+    run = tune_and_test(
+        [(r.val_probs, r.val_labels) for r in results],
+        [predict_proba(r.checkpoint, test_texts, feature_spec) for r in results],
+        [label for _, label in test_examples],
     )
-
-    rule = DecisionRule(threshold)
-    test_keys = keys_by_fold[test_fold]
-    test_texts = [texts_labels[key][0] for key in test_keys]
-    test_labels = [texts_labels[key][1] for key in test_keys]
-    test_bundles: list[MetricBundle] = []
-    for result in results:
-        probs = predict_proba(result.checkpoint, test_texts, feature_spec)
-        y_pred = decide_batch(probs, rule)
-        bundle = metric_bundle(test_labels, probs, y_pred, threshold)
-        result.test_bundle = bundle
-        test_bundles.append(bundle)
-
-    return CvRun(
-        fold_plan=fold_plan,
-        folds=results,
-        shared_threshold=threshold,
-        shared_threshold_mean_f1=mean_f1,
-        test_bundles=test_bundles,
-        mean_test_bundle=mean_bundle(test_bundles),
-    )
+    run.folds = results
+    return run
 
 
 @dataclass
@@ -227,7 +256,7 @@ def sweep(
     base_config: TrainConfig,
     axis: str,
     values: Sequence,
-    feature_spec: FeatureSpec | None = None,
+    feature_spec: FeatureSpec,
 ) -> SweepResult:
     """One cross-validation run per grid value along a single axis.
 
@@ -238,16 +267,12 @@ def sweep(
         raise UnknownAxis(axis)
     if not values:
         raise ValueError("sweep needs at least one grid value")
-    spec = feature_spec if feature_spec is not None else FeatureSpec()
 
     bundles: list[MetricBundle] = []
     for value in values:
-        if axis == "class_weights":
-            config = replace(base_config, class_weights=tuple(value))
-        else:
-            config = replace(base_config, learning_rate=float(value))
-        run = run_cross_validation(corpus, fold_plan, config, spec)
-        bundles.append(run.mean_test_bundle)
+        value = tuple(value) if axis == "class_weights" else float(value)
+        config = replace(base_config, **{axis: value})
+        bundles.append(run_cross_validation(corpus, fold_plan, config, feature_spec).mean_test_bundle)
 
     best_index = max(range(len(bundles)), key=lambda i: (bundles[i].f1_macro, -i))
     return SweepResult(axis=axis, values=list(values), bundles=bundles, best_index=best_index)

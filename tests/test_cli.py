@@ -129,6 +129,25 @@ class TestSplitTrainPredict:
         metrics = json.loads(metrics_file.read_text())["metrics"]
         assert 0.0 <= metrics["f1_macro"] <= 1.0
 
+    def test_train_writes_the_pipeline_fold_model(self, corpus_dir, tmp_path):
+        transcripts = str(corpus_dir / "transcripts.csv")
+        flags = ["--transcripts", transcripts, "--folds", "4", "--seed", "3",
+                 "--hash-dim", "2048", "--epochs", "2"]
+        model = tmp_path / "model.npz"
+        assert run(["train", *flags, "--val-fold", "1", "--model-out", str(model)]) == 0
+        assert run(["pipeline", *flags, "--out-dir", str(tmp_path / "run")]) == 0
+        assert model.read_bytes() == (tmp_path / "run" / "models" / "fold_1.npz").read_bytes()
+
+    @pytest.mark.parametrize("fold", ["99", "-1"])
+    def test_evaluate_rejects_fold_outside_plan(self, corpus_dir, tmp_path, fold, capsys):
+        transcripts = str(corpus_dir / "transcripts.csv")
+        proba = tmp_path / "proba.csv"
+        smoothed_gold_proba(ingest_transcripts(transcripts), proba)
+        code = run(["evaluate", "--transcripts", transcripts, "--proba", str(proba),
+                    "--threshold", "0.5", "--folds", "4", "--seed", "3", "--fold", fold])
+        assert code == 1
+        assert "--fold must be in [0, 4)" in capsys.readouterr().err
+
 
 class TestAudit:
     def test_gold_audit_matches_ledger(self, corpus_dir, tmp_path, capsys):
@@ -224,6 +243,33 @@ class TestFoldPlanReuse:
                     "--fold-plan", str(plan_file), "--out", str(out_file)])
         assert code == 0
         assert 0.0 <= json.loads(out_file.read_text())["shared_threshold"] <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("damage", ["no_assignment", "two_element_rows", "non_integer_fold",
+                                        "duplicate_row", "not_an_object"])
+    def test_malformed_plan_exits_two(self, corpus_dir, tmp_path, damage, capsys):
+        transcripts = str(corpus_dir / "transcripts.csv")
+        plan_file = tmp_path / "plan.json"
+        assert run(["split", "--transcripts", transcripts, "--folds", "4", "--seed", "3",
+                    "--out", str(plan_file)]) == 0
+        plan = json.loads(plan_file.read_text())
+        if damage == "no_assignment":
+            del plan["assignment"]
+        elif damage == "two_element_rows":
+            plan["assignment"] = [row[:2] for row in plan["assignment"]]
+        elif damage == "non_integer_fold":
+            plan["assignment"][0][2] = "first"
+        elif damage == "duplicate_row":
+            cid, idx, fold = plan["assignment"][0]
+            plan["assignment"].append([cid, idx, (fold + 1) % 4])
+        else:
+            plan = plan["assignment"]
+        plan_file.write_text(json.dumps(plan))
+        proba = tmp_path / "proba.csv"
+        smoothed_gold_proba(ingest_transcripts(transcripts), proba)
+        code = run(["tune-threshold", "--transcripts", transcripts, "--proba", str(proba),
+                    "--fold-plan", str(plan_file)])
+        assert code == 2
+        assert "fold plan" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -71,7 +71,7 @@ def test_deterministic_rerun(separable_run):
     for a, b in zip(run.folds, again.folds):
         assert np.array_equal(a.checkpoint.weights, b.checkpoint.weights)
         assert a.checkpoint.validation_auc == b.checkpoint.validation_auc
-        assert a.test_bundle == b.test_bundle
+    assert again.test_bundles == run.test_bundles
 
 
 def test_test_fold_labels_cannot_leak(separable_run):

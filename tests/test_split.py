@@ -1,9 +1,10 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from holdscan.corpus import stratified_split
+from holdscan.corpus import fold_plan_payload, load_fold_plan, stratified_split
 from holdscan.errors import ClassTooSmall, Unlabeled
 
 from conftest import corpus_from_labels, flat_corpus
@@ -119,3 +120,12 @@ def test_bad_mode_rejected():
     corpus = flat_corpus({0: 10, 1: 10, 2: 10})
     with pytest.raises(ValueError, match="mode"):
         stratified_split(corpus, 2, seed=0, mode="diagonal")
+
+
+def test_fold_plan_json_round_trip(tmp_path):
+    corpus = flat_corpus({0: 40, 1: 8, 2: 8})
+    plan = stratified_split(corpus, 4, seed=5, test_fold=2)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(fold_plan_payload(plan)))
+    again = load_fold_plan(path)
+    assert (again.k, again.test_fold, dict(again.assignment)) == (4, 2, dict(plan.assignment))
