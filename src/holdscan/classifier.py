@@ -8,8 +8,10 @@ load_external_proba and flow through the identical downstream machinery.
 Training is plain mini-batch gradient descent on class-weighted
 cross-entropy with decoupled weight decay and a step size that decays
 linearly to zero. Internally the weight matrix is kept as scale * V so the
-decay multiplies a scalar instead of the full matrix each step; gradients
-touch only the feature rows present in a batch.
+decay multiplies a scalar instead of the full matrix each step. Features
+are one CSR matrix, one row per turn; training, prediction and the loss
+share one gather (logits), one softmax-gradient function and one in-order
+scatter (gradients, touching only the feature rows present in a batch).
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -126,17 +128,40 @@ class Checkpoint:
     def __post_init__(self):
         if self.epoch < 1:
             raise ValueError(f"epoch must be >= 1, got {self.epoch}")
+        if self.weights.shape != (self.feature_spec.hash_dim, 3) or self.bias.shape != (3,):
+            raise ValueError(f"weights {self.weights.shape} and bias {self.bias.shape} do not "
+                             f"have shapes ({self.feature_spec.hash_dim}, 3) and (3,)")
 
 
-SparseCounts = dict[int, int]
-_Feats = tuple[np.ndarray, np.ndarray]  # (bucket indices, counts)
+class _Csr(NamedTuple):
+    """Sparse count rows in CSR form.
+
+    Row i has counts data[indptr[i]:indptr[i + 1]] in the buckets
+    indices[indptr[i]:indptr[i + 1]], buckets ascending within a row.
+    """
+
+    indptr: np.ndarray   # (n + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    data: np.ndarray     # (nnz,) float64
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(len(self.indptr) - 1), self.indptr[1:] - self.indptr[:-1])
+
+    def take(self, rows: np.ndarray) -> "_Csr":
+        """The given rows, in the given order."""
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        pos = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], lengths)
+        return _Csr(indptr, self.indices[pos], self.data[pos])
 
 
 def _bucket(tag: str, token: str, hash_dim: int) -> int:
     return zlib.crc32(f"{tag}\x00{token}".encode("utf-8")) % hash_dim
 
 
-def featurize(text: str, spec: FeatureSpec) -> SparseCounts:
+def featurize(text: str, spec: FeatureSpec) -> dict[int, int]:
     """Sparse count vector of dimension spec.hash_dim, as {bucket: count}.
 
     Deterministic (crc32 hashing, no process salt). Empty text maps to the
@@ -145,7 +170,7 @@ def featurize(text: str, spec: FeatureSpec) -> SparseCounts:
     if spec.lowercase:
         text = text.lower()
     tokens = text.split()[: spec.max_tokens]
-    counts: SparseCounts = {}
+    counts: dict[int, int] = {}
     if spec.word_unigrams:
         for token in tokens:
             b = _bucket("w", token, spec.hash_dim)
@@ -159,19 +184,17 @@ def featurize(text: str, spec: FeatureSpec) -> SparseCounts:
     return counts
 
 
-def _featurize_many(texts: Sequence[str], spec: FeatureSpec) -> list[_Feats]:
-    cache: dict[str, _Feats] = {}
-    out = []
-    for text in texts:
-        feats = cache.get(text)
-        if feats is None:
-            items = sorted(featurize(text, spec).items())
-            idx = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
-            cnt = np.fromiter((c for _, c in items), dtype=np.float64, count=len(items))
-            feats = (idx, cnt)
-            cache[text] = feats
-        out.append(feats)
-    return out
+def _featurize_many(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
+    """One CSR row per text; each distinct text is featurized once."""
+    first: dict[str, int] = {}  # distinct text -> its row among the distinct texts
+    rows = np.array([first.setdefault(text, len(first)) for text in texts], dtype=np.int64)
+    idx, cnt = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for text in first:
+        items = sorted(featurize(text, spec).items())
+        idx.append(np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items)))
+        cnt.append(np.fromiter((c for _, c in items), dtype=np.float64, count=len(items)))
+    indptr = np.cumsum([0, *map(len, idx[1:])])
+    return _Csr(indptr, np.concatenate(idx), np.concatenate(cnt)).take(rows)
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -180,55 +203,62 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _batch_logits(feats: Sequence[_Feats], weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    n = len(feats)
-    logits = np.tile(bias, (n, 1))
-    if n == 0:
-        return logits
-    lengths = np.array([len(f[0]) for f in feats])
-    if lengths.sum() == 0:
-        return logits
-    rows = np.concatenate([f[0] for f in feats])
-    vals = np.concatenate([f[1] for f in feats])
-    seg = np.repeat(np.arange(n), lengths)
-    contrib = vals[:, None] * weights[rows]
+def _gather(feats: _Csr, weights: np.ndarray) -> np.ndarray:
+    """feats @ weights as an (n, 3) array; each row sums its terms in order."""
+    n = len(feats.indptr) - 1
+    seg = feats.row_ids()
+    terms = np.take(weights, feats.indices, axis=0)
+    terms *= feats.data[:, None]
+    return np.stack([np.bincount(seg, weights=terms[:, c], minlength=n) for c in range(3)], axis=1)
+
+
+def _scatter(out: np.ndarray, feats: _Csr, g: np.ndarray, coef: float) -> None:
+    """out += coef * feats.T @ g, in place, one (row, bucket) term at a time.
+
+    Terms are (coef * count) * g[row], added unbuffered in row order, so a
+    bucket shared by several rows accumulates exactly as a per-row loop of
+    out[idx] += (coef * cnt)[:, None] * g[row] would.
+    """
+    terms = (coef * feats.data)[:, None] * np.take(g, feats.row_ids(), axis=0)
     for c in range(3):
-        logits[:, c] += np.bincount(seg, weights=contrib[:, c], minlength=n)
-    return logits
+        np.add.at(out[:, c], feats.indices, terms[:, c])
+
+
+def _ce_logit_grad(probs: np.ndarray, y: np.ndarray, class_weights: Sequence[float]) -> np.ndarray:
+    """Gradient of the batch-mean class-weighted cross-entropy w.r.t. the logits."""
+    n = len(y)
+    g = probs.copy()
+    g[np.arange(n), y] -= 1.0
+    g *= (np.asarray(class_weights, dtype=float)[y] / n)[:, None]
+    return g
 
 
 def weighted_ce_loss_and_grad(
     weights: np.ndarray,
     bias: np.ndarray,
-    feats: Sequence[_Feats],
+    feats: _Csr,
     y: Sequence[int],
     class_weights: Sequence[float],
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch-mean class-weighted cross-entropy with analytic gradients.
 
-    The loss term of an example with true class y is multiplied by
+    feats holds one CSR row per example, as built by _featurize_many. The
+    loss term of an example with true class y is multiplied by
     class_weights[y]; the batch loss is the plain mean of the weighted
     terms (so scaling all weights scales the loss by the same factor).
     Returns (loss, grad_weights, grad_bias); grad_weights is dense.
     """
     y = np.asarray(y)
-    n = len(feats)
+    n = len(feats.indptr) - 1
     if n == 0:
         raise EmptyInput("cannot evaluate the loss on an empty batch")
     cw = np.asarray(class_weights, dtype=float)
-    probs = _softmax_rows(_batch_logits(feats, weights, bias))
-    picked = probs[np.arange(n), y]
-    loss = float(np.mean(cw[y] * -np.log(picked)))
-
-    g_logits = probs.copy()
-    g_logits[np.arange(n), y] -= 1.0
-    g_logits *= (cw[y] / n)[:, None]
-    grad_w = np.zeros_like(weights)
-    for i, (idx, cnt) in enumerate(feats):
-        if len(idx):
-            grad_w[idx] += cnt[:, None] * g_logits[i]
-    grad_b = g_logits.sum(axis=0)
-    return loss, grad_w, grad_b
+    probs = _softmax_rows(_gather(feats, weights) + bias)
+    loss = float(np.mean(cw[y] * -np.log(probs[np.arange(n), y])))
+    g = _ce_logit_grad(probs, y, cw)
+    grad_w = np.zeros(weights.shape)
+    _scatter(grad_w, feats, g, 1.0)
+    return loss, grad_w, g.sum(axis=0)
 
 
 def train(
@@ -257,7 +287,6 @@ def train(
     y_val = np.array([label for _, label in validation])
 
     n = len(examples)
-    cw = np.asarray(config.class_weights, dtype=float)
     rng = np.random.default_rng(config.seed)
 
     # weights = scale * v; the decoupled decay multiplies the scalar only.
@@ -276,30 +305,19 @@ def train(
             lr = config.learning_rate * (1.0 - step / total_steps)
             step += 1
 
-            bsz = len(batch)
-            logits = np.empty((bsz, 3))
-            for j, i in enumerate(batch):
-                idx, cnt = train_feats[int(i)]
-                logits[j] = scale * (cnt @ v[idx]) + bias if len(idx) else bias
-            probs = _softmax_rows(logits)
-            yb = y_train[batch]
-            g = probs
-            g[np.arange(bsz), yb] -= 1.0
-            g *= (cw[yb] / bsz)[:, None]
+            feats = train_feats.take(batch)
+            probs = _softmax_rows(scale * _gather(feats, v) + bias)
+            g = _ce_logit_grad(probs, y_train[batch], config.class_weights)
 
             scale *= 1.0 - lr * config.weight_decay
             if scale < 1e-100:  # refold to keep v representable
                 v *= scale
                 scale = 1.0
-            coef = lr / scale
-            for j, i in enumerate(batch):
-                idx, cnt = train_feats[int(i)]
-                if len(idx):
-                    v[idx] -= coef * cnt[:, None] * g[j]
+            _scatter(v, feats, g, -lr / scale)
             bias -= lr * g.sum(axis=0)
 
         weights = scale * v
-        val_probs = _softmax_rows(_batch_logits(val_feats, weights, bias))
+        val_probs = _softmax_rows(_gather(val_feats, weights) + bias)
         auc = roc_auc_ovr_macro(y_val, val_probs)
         checkpoints.append(
             Checkpoint(
@@ -317,11 +335,7 @@ def select_best_checkpoint(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
     """Checkpoint with maximal validation AUC; ties go to the earliest epoch."""
     if not checkpoints:
         raise EmptyInput("no checkpoints to select from")
-    best = checkpoints[0]
-    for ckpt in checkpoints[1:]:
-        if ckpt.validation_auc > best.validation_auc:
-            best = ckpt
-    return best
+    return max(checkpoints, key=lambda ckpt: ckpt.validation_auc)
 
 
 def predict_proba(
@@ -331,7 +345,7 @@ def predict_proba(
     if spec != model.feature_spec:
         raise SpecMismatch("supplied FeatureSpec differs from the one the model was trained with")
     feats = _featurize_many(turns, spec)
-    probs = _softmax_rows(_batch_logits(feats, model.weights, model.bias))
+    probs = _softmax_rows(_gather(feats, model.weights) + model.bias)
     return [ProbTriple(float(p[0]), float(p[1]), float(p[2])) for p in probs]
 
 
@@ -348,14 +362,7 @@ def save_checkpoint(path: PathLike, model: Checkpoint, extra_meta: dict | None =
         "format_version": MODEL_FORMAT_VERSION,
         "epoch": model.epoch,
         "validation_auc": model.validation_auc,
-        "feature_spec": {
-            "hash_dim": model.feature_spec.hash_dim,
-            "char_ngram_min": model.feature_spec.char_ngram_min,
-            "char_ngram_max": model.feature_spec.char_ngram_max,
-            "word_unigrams": model.feature_spec.word_unigrams,
-            "lowercase": model.feature_spec.lowercase,
-            "max_tokens": model.feature_spec.max_tokens,
-        },
+        "feature_spec": asdict(model.feature_spec),
         **(extra_meta or {}),
     }
     np.savez_compressed(
@@ -368,6 +375,8 @@ def save_checkpoint(path: PathLike, model: Checkpoint, extra_meta: dict | None =
 
 def load_checkpoint(path: PathLike) -> Checkpoint:
     with np.load(path) as bundle:
+        if not {"meta", "weights", "bias"} <= set(bundle.files):
+            raise ValueError(f"model file {path} needs meta, weights and bias arrays")
         meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {meta.get('format_version')!r}")

@@ -149,6 +149,32 @@ def cli():
 _config_opt = click.option("--config", "config_file", type=click.Path(exists=True), default=None,
                            help="key=value config file; flags override it")
 
+# Every command that builds a fold plan takes these.
+_split_opts = [
+    click.option("--folds", type=int, default=None),
+    click.option("--test-fold", type=int, default=None),
+    click.option("--split-mode", type=click.Choice(["row", "call_grouped"]), default=None),
+    click.option("--seed", type=int, default=None),
+]
+
+_train_opts = [
+    click.option("--epochs", type=int, default=None),
+    click.option("--batch-size", type=int, default=None),
+    click.option("--learning-rate", type=float, default=None),
+    click.option("--weight-decay", type=float, default=None),
+    click.option("--class-weights", type=str, default=None, help="w0,w1,w2"),
+    click.option("--hash-dim", type=int, default=None),
+    click.option("--max-tokens", type=int, default=None),
+]
+
+
+def _add_options(options):
+    def wrap(fn):
+        for option in reversed(options):
+            fn = option(fn)
+        return fn
+    return wrap
+
 
 @cli.command()
 @click.argument("transcripts", type=click.Path(exists=True))
@@ -240,10 +266,7 @@ def generate(config_file, profile_file, out_dir, **flags):
 @cli.command()
 @_config_opt
 @click.option("--transcripts", type=click.Path(exists=True), required=True)
-@click.option("--folds", type=int, default=None)
-@click.option("--test-fold", type=int, default=None)
-@click.option("--split-mode", type=click.Choice(["row", "call_grouped"]), default=None)
-@click.option("--seed", type=int, default=None)
+@_add_options(_split_opts)
 @click.option("--out", "out_file", type=click.Path(), required=True)
 def split(config_file, transcripts, out_file, **flags):
     """Write a stratified fold plan for a labeled transcript file."""
@@ -254,32 +277,11 @@ def split(config_file, transcripts, out_file, **flags):
     click.echo(f"assigned {len(plan.assignment)} turns to {plan.k} folds (test fold {plan.test_fold})")
 
 
-_train_opts = [
-    click.option("--epochs", type=int, default=None),
-    click.option("--batch-size", type=int, default=None),
-    click.option("--learning-rate", type=float, default=None),
-    click.option("--weight-decay", type=float, default=None),
-    click.option("--class-weights", type=str, default=None, help="w0,w1,w2"),
-    click.option("--hash-dim", type=int, default=None),
-    click.option("--max-tokens", type=int, default=None),
-]
-
-
-def _add_options(options):
-    def wrap(fn):
-        for option in reversed(options):
-            fn = option(fn)
-        return fn
-    return wrap
-
-
 @cli.command(name="train")
 @_config_opt
 @click.option("--transcripts", type=click.Path(exists=True), required=True)
-@click.option("--folds", type=int, default=None)
-@click.option("--test-fold", type=int, default=None)
+@_add_options(_split_opts)
 @click.option("--val-fold", type=int, required=True, help="fold held out for checkpoint selection")
-@click.option("--seed", type=int, default=None)
 @_add_options(_train_opts)
 @click.option("--model-out", type=click.Path(), required=True)
 def train_cmd(config_file, transcripts, val_fold, model_out, **flags):
@@ -322,9 +324,7 @@ def predict(config_file, model_file, transcripts, out_file):
 @click.option("--transcripts", type=click.Path(exists=True), required=True)
 @click.option("--proba", "proba_file", type=click.Path(exists=True), required=True)
 @click.option("--fold-plan", "fold_plan_file", type=click.Path(exists=True), default=None)
-@click.option("--folds", type=int, default=None)
-@click.option("--test-fold", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@_add_options(_split_opts)
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def tune_threshold(config_file, transcripts, proba_file, fold_plan_file, out_file, **flags):
     """Choose the shared threshold over the non-test folds of a predictions file."""
@@ -347,9 +347,7 @@ def tune_threshold(config_file, transcripts, proba_file, fold_plan_file, out_fil
 @click.option("--threshold", type=float, required=True)
 @click.option("--fold-plan", "fold_plan_file", type=click.Path(exists=True), default=None)
 @click.option("--fold", type=int, default=None, help="evaluate only this fold of the plan")
-@click.option("--folds", type=int, default=None)
-@click.option("--test-fold", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@_add_options(_split_opts)
 @click.option("--out", "out_file", type=click.Path(), default=None)
 def evaluate(config_file, transcripts, proba_file, threshold, fold_plan_file, fold, out_file,
              **flags):
@@ -379,9 +377,7 @@ def evaluate(config_file, transcripts, proba_file, threshold, fold_plan_file, fo
 @click.option("--axis", type=click.Choice(["class_weights", "learning_rate"]), required=True)
 @click.option("--values", type=str, default=None,
               help="grid values; ';'-separated (class weight triples use commas inside)")
-@click.option("--folds", type=int, default=None)
-@click.option("--test-fold", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@_add_options(_split_opts)
 @_add_options(_train_opts)
 @click.option("--out-dir", type=click.Path(), required=True)
 def sweep(config_file, transcripts, synthetic_calls, axis, values, out_dir, **flags):
@@ -495,10 +491,7 @@ def _pipeline_corpus(cfg: RunConfig, transcripts: str | None, synthetic: bool) -
 @click.option("--synthetic-calls", type=int, default=None)
 @click.option("--external-proba", "external_proba_file", type=click.Path(exists=True), default=None,
               help="skip training and tune/evaluate these probabilities")
-@click.option("--folds", type=int, default=None)
-@click.option("--test-fold", type=int, default=None)
-@click.option("--split-mode", type=click.Choice(["row", "call_grouped"]), default=None)
-@click.option("--seed", type=int, default=None)
+@_add_options(_split_opts)
 @_add_options(_train_opts)
 @click.option("--out-dir", type=click.Path(), required=True)
 def pipeline(config_file, transcripts, synthetic_calls, external_proba_file, out_dir, **flags):
@@ -576,10 +569,7 @@ def run_cli(argv: list[str] | None = None) -> None:
         sys.exit(exc.exit_code)
     except click.Abort:
         sys.exit(1)
-    except DataValidationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    except ValueError as exc:
+    except (DataValidationError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     except HoldscanError as exc:

@@ -2,17 +2,24 @@
 
 Everything here is deliberately written from scratch in plain Python
 (loops, no numpy) so it shares no code path with the package under test.
-The exception is `incremental_threshold_search`: the candidate-by-candidate
-sweep the package used before its vectorized search, kept verbatim (with
-the per-matrix `scalar_macro_prf` it called) as a bit-exact differential
-reference.
+The exceptions are differential references kept verbatim from earlier
+versions of the package:
+
+- `incremental_threshold_search`: the candidate-by-candidate sweep used
+  before the vectorized search, with the per-matrix `scalar_macro_prf` it
+  called; a bit-exact reference.
+- `per_example_train`: the trainer used before the shared sparse kernels,
+  with its per-example logits and update loops and the `(idx, cnt)`
+  feature lists it read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from holdscan.errors import EmptyFold
+from holdscan.classifier import Checkpoint, featurize
+from holdscan.errors import EmptyFold, EmptyInput, EmptyTrainingSet, UnlabeledExample
+from holdscan.metrics import roc_auc_ovr_macro
 
 REJECT_ALL = 1.0 + 1e-9
 
@@ -187,3 +194,116 @@ def random_prob_triple(rng):
     raw = [rng.random() + 1e-12 for _ in range(3)]
     total = sum(raw)
     return (raw[0] / total, raw[1] / total, raw[2] / total)
+
+
+# --- the per-example trainer, kept as a differential reference ----------------
+
+
+def _featurize_list(texts, spec):
+    cache = {}
+    out = []
+    for text in texts:
+        feats = cache.get(text)
+        if feats is None:
+            items = sorted(featurize(text, spec).items())
+            idx = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
+            cnt = np.fromiter((c for _, c in items), dtype=np.float64, count=len(items))
+            feats = (idx, cnt)
+            cache[text] = feats
+        out.append(feats)
+    return out
+
+
+def _softmax_rows(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _batch_logits(feats, weights, bias):
+    n = len(feats)
+    logits = np.tile(bias, (n, 1))
+    if n == 0:
+        return logits
+    lengths = np.array([len(f[0]) for f in feats])
+    if lengths.sum() == 0:
+        return logits
+    rows = np.concatenate([f[0] for f in feats])
+    vals = np.concatenate([f[1] for f in feats])
+    seg = np.repeat(np.arange(n), lengths)
+    contrib = vals[:, None] * weights[rows]
+    for c in range(3):
+        logits[:, c] += np.bincount(seg, weights=contrib[:, c], minlength=n)
+    return logits
+
+
+def per_example_train(examples, config, spec, validation):
+    """Mini-batch trainer with one Python iteration per example per step."""
+    if not examples:
+        raise EmptyTrainingSet("training set is empty")
+    if not validation:
+        raise EmptyInput("validation set is empty")
+    for text, label in list(examples) + list(validation):
+        if label is None or label not in (0, 1, 2):
+            raise UnlabeledExample(f"example {text[:40]!r} has label {label!r}")
+
+    train_feats = _featurize_list([t for t, _ in examples], spec)
+    y_train = np.array([label for _, label in examples])
+    val_feats = _featurize_list([t for t, _ in validation], spec)
+    y_val = np.array([label for _, label in validation])
+
+    n = len(examples)
+    cw = np.asarray(config.class_weights, dtype=float)
+    rng = np.random.default_rng(config.seed)
+
+    # weights = scale * v; the decoupled decay multiplies the scalar only.
+    v = np.zeros((spec.hash_dim, 3))
+    scale = 1.0
+    bias = np.zeros(3)
+
+    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
+    total_steps = steps_per_epoch * config.epochs
+    step = 0
+    checkpoints = []
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = order[start : start + config.batch_size]
+            lr = config.learning_rate * (1.0 - step / total_steps)
+            step += 1
+
+            bsz = len(batch)
+            logits = np.empty((bsz, 3))
+            for j, i in enumerate(batch):
+                idx, cnt = train_feats[int(i)]
+                logits[j] = scale * (cnt @ v[idx]) + bias if len(idx) else bias
+            probs = _softmax_rows(logits)
+            yb = y_train[batch]
+            g = probs
+            g[np.arange(bsz), yb] -= 1.0
+            g *= (cw[yb] / bsz)[:, None]
+
+            scale *= 1.0 - lr * config.weight_decay
+            if scale < 1e-100:  # refold to keep v representable
+                v *= scale
+                scale = 1.0
+            coef = lr / scale
+            for j, i in enumerate(batch):
+                idx, cnt = train_feats[int(i)]
+                if len(idx):
+                    v[idx] -= coef * cnt[:, None] * g[j]
+            bias -= lr * g.sum(axis=0)
+
+        weights = scale * v
+        val_probs = _softmax_rows(_batch_logits(val_feats, weights, bias))
+        auc = roc_auc_ovr_macro(y_val, val_probs)
+        checkpoints.append(
+            Checkpoint(
+                epoch=epoch,
+                weights=weights,
+                bias=bias.copy(),
+                validation_auc=auc,
+                feature_spec=spec,
+            )
+        )
+    return checkpoints

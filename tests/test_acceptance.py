@@ -290,7 +290,7 @@ def test_criterion_9_gradient_check():
 
     eps = 1e-5
     worst = 0.0
-    touched = sorted({int(i) for f in feats for i in f[0]})
+    touched = np.unique(feats.indices)
     for row in touched:
         for col in range(3):
             w[row, col] += eps

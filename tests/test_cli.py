@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from holdscan.cli import run_cli
-from holdscan.classifier import ProbTriple, write_proba
+from holdscan.classifier import Checkpoint, FeatureSpec, ProbTriple, save_checkpoint, write_proba
 from holdscan.corpus import generate_synthetic, ingest_transcripts, write_transcripts
 
 from conftest import tree_bytes
@@ -129,14 +130,37 @@ class TestSplitTrainPredict:
         metrics = json.loads(metrics_file.read_text())["metrics"]
         assert 0.0 <= metrics["f1_macro"] <= 1.0
 
-    def test_train_writes_the_pipeline_fold_model(self, corpus_dir, tmp_path):
+    @pytest.mark.parametrize("split_mode", ["row", "call_grouped"])
+    def test_train_writes_the_pipeline_fold_model(self, corpus_dir, tmp_path, split_mode):
         transcripts = str(corpus_dir / "transcripts.csv")
         flags = ["--transcripts", transcripts, "--folds", "4", "--seed", "3",
-                 "--hash-dim", "2048", "--epochs", "2"]
+                 "--split-mode", split_mode, "--hash-dim", "2048", "--epochs", "2"]
         model = tmp_path / "model.npz"
         assert run(["train", *flags, "--val-fold", "1", "--model-out", str(model)]) == 0
         assert run(["pipeline", *flags, "--out-dir", str(tmp_path / "run")]) == 0
         assert model.read_bytes() == (tmp_path / "run" / "models" / "fold_1.npz").read_bytes()
+
+    @pytest.mark.parametrize("damage", ["weights_for_other_hash_dim", "two_element_bias",
+                                        "no_meta"])
+    def test_malformed_model_file_exits_two(self, corpus_dir, tmp_path, damage, capsys):
+        spec = FeatureSpec(hash_dim=4096)
+        model = tmp_path / "model.npz"
+        save_checkpoint(model, Checkpoint(epoch=1, weights=np.zeros((4096, 3)), bias=np.zeros(3),
+                                          validation_auc=0.5, feature_spec=spec))
+        with np.load(model) as bundle:
+            arrays = dict(bundle)
+        if damage == "weights_for_other_hash_dim":
+            arrays["weights"] = np.zeros((1024, 3))
+        elif damage == "two_element_bias":
+            arrays["bias"] = np.zeros(2)
+        else:
+            del arrays["meta"]
+        np.savez_compressed(model, **arrays)
+        code = run(["predict", "--model", str(model),
+                    "--transcripts", str(corpus_dir / "transcripts.csv"),
+                    "--out", str(tmp_path / "proba.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("fold", ["99", "-1"])
     def test_evaluate_rejects_fold_outside_plan(self, corpus_dir, tmp_path, fold, capsys):

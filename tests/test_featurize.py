@@ -1,13 +1,28 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from holdscan.classifier import FeatureSpec, featurize
+from holdscan.classifier import FeatureSpec, _featurize_many, featurize
 
 CHAR_ONLY = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=2, char_ngram_max=2, word_unigrams=False)
 
 
 def test_empty_text_all_zero():
     assert featurize("", FeatureSpec()) == {}
+
+
+def test_featurize_many_rows_hold_sorted_counts():
+    texts = ["go go", "", "hold on", "go go", ""]
+    feats = _featurize_many(texts, CHAR_ONLY)
+    assert feats.indptr[0] == 0 and len(feats.indptr) == len(texts) + 1
+    for i, text in enumerate(texts):
+        row = slice(feats.indptr[i], feats.indptr[i + 1])
+        items = sorted(featurize(text, CHAR_ONLY).items())
+        assert feats.indices[row].tolist() == [b for b, _ in items]
+        assert feats.data[row].tolist() == [float(c) for _, c in items]
+    picked = feats.take(np.array([2, 1, 0]))
+    direct = _featurize_many(["hold on", "", "go go"], CHAR_ONLY)
+    assert all(np.array_equal(a, b) for a, b in zip(picked, direct))
 
 
 def test_two_char_text_single_bucket():

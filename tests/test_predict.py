@@ -35,6 +35,19 @@ def test_zero_model_is_uniform():
         assert p.p2 == pytest.approx(1 / 3, abs=1e-15)
 
 
+def test_empty_batch_predicts_nothing():
+    assert predict_proba(trained_model(), [], SPEC) == []
+
+
+def test_mixed_batch_matches_one_text_at_a_time():
+    # Empty texts have empty CSR rows, at the ends and between others.
+    model = trained_model()
+    texts = ["", "alpha one", "", "", "bravo two", "alpha one", ""]
+    batch = predict_proba(model, texts, SPEC)
+    assert batch == [predict_proba(model, [t], SPEC)[0] for t in texts]
+    assert batch[0] != batch[1]
+
+
 def test_spec_mismatch_rejected():
     other = FeatureSpec(hash_dim=2 ** 11)
     with pytest.raises(SpecMismatch):

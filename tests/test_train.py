@@ -11,7 +11,10 @@ from holdscan.classifier import (
     train,
     weighted_ce_loss_and_grad,
 )
+from holdscan.corpus import generate_synthetic
 from holdscan.errors import EmptyInput, EmptyTrainingSet, UnlabeledExample
+
+from oracles import per_example_train
 
 SPEC = FeatureSpec(hash_dim=2 ** 10)
 
@@ -71,7 +74,7 @@ def test_gradient_matches_central_differences():
     _, grad_w, grad_b = weighted_ce_loss_and_grad(w, b, feats, y, cw)
 
     eps = 1e-5
-    touched = sorted({int(i) for f in feats for i in f[0]})
+    touched = np.unique(feats.indices)
     for row in touched:
         for col in range(3):
             w[row, col] += eps
@@ -165,3 +168,40 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=200.0, weight_decay=0.01)
+
+
+# --- differential test against the retired per-example trainer -------------
+
+
+def _synthetic_examples(distinct: bool) -> list[tuple[str, int]]:
+    corpus, _ = generate_synthetic(24, 17)
+    return [
+        (f"{t.text} {t.call_id} {t.turn_index}" if distinct else t.text, t.label)
+        for t in corpus.iter_turns()
+    ]
+
+
+@pytest.mark.parametrize("case", ["templated", "distinct", "refold"])
+def test_matches_per_example_trainer(case):
+    examples = _synthetic_examples(distinct=case == "distinct")
+    train_set, validation = examples[:-150], examples[-150:]
+    spec = FeatureSpec(hash_dim=2 ** 12)
+    if case == "refold":
+        # Each early step multiplies scale by ~0.01. Over all steps the decay
+        # reaches 1e-400, below the smallest float, so v must be refolded.
+        config = TrainConfig(batch_size=2, learning_rate=0.5, weight_decay=1.98, seed=2)
+        steps = -(-len(train_set) // config.batch_size) * config.epochs
+        lrs = config.learning_rate * (1.0 - np.arange(steps) / steps)
+        assert np.log10(1.0 - lrs * config.weight_decay).sum() < -400
+    else:
+        config = TrainConfig(class_weights=(0.5, 2.0, 3.0), seed=9)
+
+    got = train(train_set, config, spec, validation)
+    want = per_example_train(train_set, config, spec, validation)
+    assert len(got) == len(want) == config.epochs
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(g.weights))
+        assert np.max(np.abs(g.weights - w.weights)) <= 1e-12
+        assert np.max(np.abs(g.bias - w.bias)) <= 1e-12
+        assert g.validation_auc == w.validation_auc
+    assert select_best_checkpoint(got).epoch == select_best_checkpoint(want).epoch
