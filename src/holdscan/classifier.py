@@ -12,14 +12,20 @@ decay multiplies a scalar instead of the full matrix each step. Features
 are one CSR matrix, one row per turn; training, prediction and the loss
 share one gather (logits), one softmax-gradient function and one in-order
 scatter (gradients, touching only the feature rows present in a batch).
+
+Featurization is feature hashing: each word token and character n-gram
+counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _featurize_many
+computes a batch in array passes over blocks of distinct texts, and
+featurize is its one-row view.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -157,44 +163,96 @@ class _Csr(NamedTuple):
         return _Csr(indptr, self.indices[pos], self.data[pos])
 
 
-def _bucket(tag: str, token: str, hash_dim: int) -> int:
-    return zlib.crc32(f"{tag}\x00{token}".encode("utf-8")) % hash_dim
+# Distinct texts featurized together; bounds the scratch arrays of one pass.
+_BLOCK = 2048
+_CODE_POINTS = sys.maxunicode + 1
 
 
 def featurize(text: str, spec: FeatureSpec) -> dict[int, int]:
     """Sparse count vector of dimension spec.hash_dim, as {bucket: count}.
 
     Deterministic (crc32 hashing, no process salt). Empty text maps to the
-    all-zero vector.
+    all-zero vector. A one-row view of _featurize_many.
     """
-    if spec.lowercase:
-        text = text.lower()
-    tokens = text.split()[: spec.max_tokens]
-    counts: dict[int, int] = {}
-    if spec.word_unigrams:
-        for token in tokens:
-            b = _bucket("w", token, spec.hash_dim)
-            counts[b] = counts.get(b, 0) + 1
-    joined = " ".join(tokens)
-    for n in range(spec.char_ngram_min, spec.char_ngram_max + 1):
-        tag = f"c{n}"
-        for i in range(len(joined) - n + 1):
-            b = _bucket(tag, joined[i : i + n], spec.hash_dim)
-            counts[b] = counts.get(b, 0) + 1
-    return counts
+    feats = _featurize_many([text], spec)
+    return dict(zip(feats.indices.tolist(), map(int, feats.data.tolist())))
 
 
 def _featurize_many(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
     """One CSR row per text; each distinct text is featurized once."""
     first: dict[str, int] = {}  # distinct text -> its row among the distinct texts
-    rows = np.array([first.setdefault(text, len(first)) for text in texts], dtype=np.int64)
-    idx, cnt = [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    for text in first:
-        items = sorted(featurize(text, spec).items())
-        idx.append(np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items)))
-        cnt.append(np.fromiter((c for _, c in items), dtype=np.float64, count=len(items)))
-    indptr = np.cumsum([0, *map(len, idx[1:])])
-    return _Csr(indptr, np.concatenate(idx), np.concatenate(cnt)).take(rows)
+    rows = [first.setdefault(text, len(first)) for text in texts]
+    distinct = list(first)
+    # At least one block, possibly empty, so an empty batch gets the same dtypes.
+    parts = [_featurize_block(distinct[i : i + _BLOCK], spec)
+             for i in range(0, max(len(distinct), 1), _BLOCK)]
+    lengths, indices, data = map(np.concatenate, zip(*parts))
+    feats = _Csr(np.concatenate(([0], np.cumsum(lengths))), indices, data)
+    return feats if len(distinct) == len(rows) else feats.take(np.array(rows, dtype=np.int64))
+
+
+def _featurize_block(
+    texts: Sequence[str], spec: FeatureSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row lengths, buckets, counts) of distinct texts, buckets ascending per row.
+
+    Python only lowercases, splits and truncates each text. Every word token
+    and character n-gram then gets an integer id (a dict for tokens; for an
+    n-gram, the rank of its (n-1)-gram's id * _CODE_POINTS + its last code
+    point), crc32 runs once per distinct id, and one sort over
+    (row, bucket) gives the counts.
+    """
+    span = min(spec.hash_dim, 1 << 32)  # crc32 < 2**32, so crc % hash_dim == crc % span
+    tokens: list[str] = []
+    n_tokens, joined = [], []
+    for text in texts:
+        if spec.lowercase:
+            text = text.lower()
+        words = text.split()[: spec.max_tokens]
+        tokens += words
+        n_tokens.append(len(words))
+        joined.append(" ".join(words))
+    row_ids = np.arange(len(texts))
+    rows, buckets = [], []  # (row, bucket) of every token and n-gram
+    if spec.word_unigrams:
+        vocab = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+        ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
+        rows.append(np.repeat(row_ids, n_tokens))
+        buckets.append(_crc_buckets("w", vocab, span)[ids])
+
+    chars = "".join(joined)
+    lengths = [len(j) for j in joined]
+    row = np.repeat(row_ids, lengths)
+    stop = np.repeat(np.cumsum(lengths), lengths)  # one past the end of each position's text
+    code = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+    pos, ids = np.arange(len(chars)), code  # the n-grams starting at pos; ids exact per gram
+    for n in range(1, spec.char_ngram_max + 1):
+        if n > 1:
+            keep = pos + n <= stop[pos]
+            pos = pos[keep]
+            # ids < max(len(chars), _CODE_POINTS), so this stays far below 2**63.
+            ids = ids[keep] * _CODE_POINTS + code[pos + n - 1]
+        if n > 1 or spec.char_ngram_min == 1:
+            uniq, ids = np.unique(ids, return_inverse=True)
+        if n >= spec.char_ngram_min:
+            at = np.empty(len(uniq), np.int64)
+            at[ids] = pos  # one start of each distinct gram; any of them spells it
+            grams = [chars[p : p + n] for p in at.tolist()]
+            rows.append(row[pos])
+            buckets.append(_crc_buckets(f"c{n}", grams, span)[ids])
+
+    # row < _BLOCK and bucket < span <= 2**32, so the keys fit int64 for any hash_dim.
+    keys, counts = np.unique(np.concatenate(rows) * span + np.concatenate(buckets),
+                             return_counts=True)
+    return (np.bincount(keys // span, minlength=len(texts)), keys % span,
+            counts.astype(np.float64))
+
+
+def _crc_buckets(tag: str, grams: Iterable[str], span: int) -> np.ndarray:
+    """crc32(f"{tag}\\x00{gram}") % span for each gram, as int64."""
+    seed = zlib.crc32(f"{tag}\x00".encode("utf-8"))
+    crcs = np.fromiter((zlib.crc32(g.encode("utf-8"), seed) for g in grams), dtype=np.int64)
+    return crcs % span
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -380,6 +438,13 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
         meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {meta.get('format_version')!r}")
+        missing = {"epoch", "validation_auc", "feature_spec"} - set(meta)
+        if missing:
+            raise ValueError(f"model file {path} meta lacks {', '.join(sorted(missing))}")
+        spec_keys = {f.name for f in fields(FeatureSpec)}
+        if not isinstance(meta["feature_spec"], dict) or set(meta["feature_spec"]) != spec_keys:
+            raise ValueError(f"model file {path} feature_spec needs exactly the keys "
+                             f"{', '.join(sorted(spec_keys))}")
         spec = FeatureSpec(**meta["feature_spec"])
         return Checkpoint(
             epoch=int(meta["epoch"]),

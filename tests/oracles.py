@@ -11,13 +11,18 @@ versions of the package:
 - `per_example_train`: the trainer used before the shared sparse kernels,
   with its per-example logits and update loops and the `(idx, cnt)`
   feature lists it read.
+- `per_text_featurize` and `per_text_featurize_many`: the featurizer used
+  before the batched array passes, hashing every n-gram of every text
+  through a dict; a bit-exact reference for the CSR arrays.
 """
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
-from holdscan.classifier import Checkpoint, featurize
+from holdscan.classifier import Checkpoint, FeatureSpec, _Csr
 from holdscan.errors import EmptyFold, EmptyInput, EmptyTrainingSet, UnlabeledExample
 from holdscan.metrics import roc_auc_ovr_macro
 
@@ -205,7 +210,7 @@ def _featurize_list(texts, spec):
     for text in texts:
         feats = cache.get(text)
         if feats is None:
-            items = sorted(featurize(text, spec).items())
+            items = sorted(per_text_featurize(text, spec).items())
             idx = np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items))
             cnt = np.fromiter((c for _, c in items), dtype=np.float64, count=len(items))
             feats = (idx, cnt)
@@ -307,3 +312,46 @@ def per_example_train(examples, config, spec, validation):
             )
         )
     return checkpoints
+
+
+# --- the per-text featurizer, kept as a differential reference ----------------
+
+
+def _bucket(tag: str, token: str, hash_dim: int) -> int:
+    return zlib.crc32(f"{tag}\x00{token}".encode("utf-8")) % hash_dim
+
+
+def per_text_featurize(text: str, spec: FeatureSpec) -> dict[int, int]:
+    """Sparse count vector of dimension spec.hash_dim, as {bucket: count}.
+
+    Deterministic (crc32 hashing, no process salt). Empty text maps to the
+    all-zero vector.
+    """
+    if spec.lowercase:
+        text = text.lower()
+    tokens = text.split()[: spec.max_tokens]
+    counts: dict[int, int] = {}
+    if spec.word_unigrams:
+        for token in tokens:
+            b = _bucket("w", token, spec.hash_dim)
+            counts[b] = counts.get(b, 0) + 1
+    joined = " ".join(tokens)
+    for n in range(spec.char_ngram_min, spec.char_ngram_max + 1):
+        tag = f"c{n}"
+        for i in range(len(joined) - n + 1):
+            b = _bucket(tag, joined[i : i + n], spec.hash_dim)
+            counts[b] = counts.get(b, 0) + 1
+    return counts
+
+
+def per_text_featurize_many(texts, spec: FeatureSpec) -> _Csr:
+    """One CSR row per text; each distinct text is featurized once."""
+    first: dict[str, int] = {}  # distinct text -> its row among the distinct texts
+    rows = np.array([first.setdefault(text, len(first)) for text in texts], dtype=np.int64)
+    idx, cnt = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for text in first:
+        items = sorted(per_text_featurize(text, spec).items())
+        idx.append(np.fromiter((i for i, _ in items), dtype=np.int64, count=len(items)))
+        cnt.append(np.fromiter((c for _, c in items), dtype=np.float64, count=len(items)))
+    indptr = np.cumsum([0, *map(len, idx[1:])])
+    return _Csr(indptr, np.concatenate(idx), np.concatenate(cnt)).take(rows)

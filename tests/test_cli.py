@@ -141,7 +141,8 @@ class TestSplitTrainPredict:
         assert model.read_bytes() == (tmp_path / "run" / "models" / "fold_1.npz").read_bytes()
 
     @pytest.mark.parametrize("damage", ["weights_for_other_hash_dim", "two_element_bias",
-                                        "no_meta"])
+                                        "no_meta", "no_epoch", "no_validation_auc",
+                                        "no_feature_spec", "unknown_spec_key", "no_spec_key"])
     def test_malformed_model_file_exits_two(self, corpus_dir, tmp_path, damage, capsys):
         spec = FeatureSpec(hash_dim=4096)
         model = tmp_path / "model.npz"
@@ -153,8 +154,17 @@ class TestSplitTrainPredict:
             arrays["weights"] = np.zeros((1024, 3))
         elif damage == "two_element_bias":
             arrays["bias"] = np.zeros(2)
-        else:
+        elif damage == "no_meta":
             del arrays["meta"]
+        else:
+            meta = json.loads(arrays["meta"].tobytes())
+            if damage == "unknown_spec_key":
+                meta["feature_spec"]["ngram_step"] = 1
+            elif damage == "no_spec_key":
+                del meta["feature_spec"]["max_tokens"]
+            else:
+                del meta[damage.removeprefix("no_")]
+            arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez_compressed(model, **arrays)
         code = run(["predict", "--model", str(model),
                     "--transcripts", str(corpus_dir / "transcripts.csv"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holdscan import classifier
 from holdscan.classifier import (
     Checkpoint,
     FeatureSpec,
@@ -46,6 +47,17 @@ def test_mixed_batch_matches_one_text_at_a_time():
     batch = predict_proba(model, texts, SPEC)
     assert batch == [predict_proba(model, [t], SPEC)[0] for t in texts]
     assert batch[0] != batch[1]
+
+
+def test_batch_across_blocks_matches_one_text_at_a_time():
+    # More distinct texts than one featurization block; every fifth one recurs after
+    # them all, so its row is copied from whichever block first held it.
+    model = trained_model()
+    distinct = [f"alpha {i} bravo {i % 7}" for i in range(classifier._BLOCK + 300)]
+    texts = distinct + distinct[::-5] + ["", distinct[0]]
+    assert len(set(texts)) > classifier._BLOCK
+    batch = predict_proba(model, texts, SPEC)
+    assert batch == [predict_proba(model, [t], SPEC)[0] for t in texts]
 
 
 def test_spec_mismatch_rejected():
