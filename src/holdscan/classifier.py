@@ -12,6 +12,9 @@ decay multiplies a scalar instead of the full matrix each step. Features
 are one CSR matrix, one row per turn; training, prediction and the loss
 share one gather (logits), one softmax-gradient function and one in-order
 scatter (gradients, touching only the feature rows present in a batch).
+fit trains on chosen rows of such a matrix, so a cross-validation run
+featurizes its turns once and every fold is a set of rows; train and
+predict_proba featurize texts and then use the same kernels.
 
 Featurization is feature hashing: each word token and character n-gram
 counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _featurize_many
@@ -178,7 +181,7 @@ def featurize(text: str, spec: FeatureSpec) -> dict[int, int]:
     return dict(zip(feats.indices.tolist(), map(int, feats.data.tolist())))
 
 
-def _featurize_many(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
+def _featurize_many(texts: Iterable[str], spec: FeatureSpec) -> _Csr:
     """One CSR row per text; each distinct text is featurized once."""
     first: dict[str, int] = {}  # distinct text -> its row among the distinct texts
     rows = [first.setdefault(text, len(first)) for text in texts]
@@ -325,26 +328,44 @@ def train(
     spec: FeatureSpec,
     validation: Sequence[tuple[str, Optional[int]]],
 ) -> list[Checkpoint]:
-    """Train the linear softmax model, returning one Checkpoint per epoch.
+    """Train on (text, label) examples; one Checkpoint per epoch, scored on validation.
 
-    Deterministic given (examples, config, spec, validation): the per-epoch
-    shuffle is driven solely by config.seed. Each checkpoint carries the
-    macro one-vs-rest ROC AUC on the validation sequence.
+    Checks the labels, featurizes both sequences in one call and runs fit
+    on their rows.
     """
-    if not examples:
-        raise EmptyTrainingSet("training set is empty")
-    if not validation:
-        raise EmptyInput("validation set is empty")
-    for text, label in list(examples) + list(validation):
+    labeled = list(examples) + list(validation)
+    for text, label in labeled:
         if label is None or label not in (0, 1, 2):
             raise UnlabeledExample(f"example {text[:40]!r} has label {label!r}")
-
-    train_feats = _featurize_many([t for t, _ in examples], spec)
-    y_train = np.array([label for _, label in examples])
-    val_feats = _featurize_many([t for t, _ in validation], spec)
-    y_val = np.array([label for _, label in validation])
-
+    feats = _featurize_many([t for t, _ in labeled], spec)
+    y = np.array([label for _, label in labeled])
     n = len(examples)
+    return fit(feats, y, np.arange(n), np.arange(n, len(labeled)), config, spec)
+
+
+def fit(
+    feats: _Csr,
+    y: np.ndarray,
+    train_rows: np.ndarray,
+    val_rows: np.ndarray,
+    config: TrainConfig,
+    spec: FeatureSpec,
+) -> list[Checkpoint]:
+    """Train the linear softmax model, returning one Checkpoint per epoch.
+
+    Trains on the rows train_rows of feats and y (labels in {0, 1, 2}) and
+    scores each epoch's macro one-vs-rest ROC AUC on the rows val_rows.
+    Deterministic given the rows, config and spec: the per-epoch shuffle of
+    train_rows is driven solely by config.seed.
+    """
+    if len(train_rows) == 0:
+        raise EmptyTrainingSet("training set is empty")
+    if len(val_rows) == 0:
+        raise EmptyInput("validation set is empty")
+    val_feats = feats.take(val_rows)
+    y_val = y[val_rows]
+
+    n = len(train_rows)
     rng = np.random.default_rng(config.seed)
 
     # weights = scale * v; the decoupled decay multiplies the scalar only.
@@ -359,19 +380,19 @@ def train(
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
-            batch = order[start : start + config.batch_size]
+            batch = train_rows[order[start : start + config.batch_size]]
             lr = config.learning_rate * (1.0 - step / total_steps)
             step += 1
 
-            feats = train_feats.take(batch)
-            probs = _softmax_rows(scale * _gather(feats, v) + bias)
-            g = _ce_logit_grad(probs, y_train[batch], config.class_weights)
+            batch_feats = feats.take(batch)
+            probs = _softmax_rows(scale * _gather(batch_feats, v) + bias)
+            g = _ce_logit_grad(probs, y[batch], config.class_weights)
 
             scale *= 1.0 - lr * config.weight_decay
             if scale < 1e-100:  # refold to keep v representable
                 v *= scale
                 scale = 1.0
-            _scatter(v, feats, g, -lr / scale)
+            _scatter(v, batch_feats, g, -lr / scale)
             bias -= lr * g.sum(axis=0)
 
         weights = scale * v

@@ -55,6 +55,7 @@ from .metrics import MetricBundle
 from .tuning import (
     DEFAULT_CLASS_WEIGHT_GRID,
     DEFAULT_LEARNING_RATE_GRID,
+    fold_matrix,
     run_cross_validation,
     score_at,
     shared_threshold_search,
@@ -291,7 +292,8 @@ def train_cmd(config_file, transcripts, val_fold, model_out, **flags):
     plan = _plan_for(cfg, corpus)
     if not 0 <= val_fold < plan.k or val_fold == plan.test_fold:
         raise click.UsageError(f"--val-fold must be a non-test fold in [0, {plan.k})")
-    checkpoints = train_fold(corpus, plan, val_fold, cfg.train_config(), cfg.feature_spec())
+    spec = cfg.feature_spec()
+    checkpoints = train_fold(fold_matrix(corpus, plan, spec), val_fold, cfg.train_config(), spec)
     for ckpt in checkpoints:
         click.echo(f"epoch {ckpt.epoch}: validation ROC AUC {ckpt.validation_auc:.4f}")
     best = select_best_checkpoint(checkpoints)
@@ -404,7 +406,8 @@ def sweep(config_file, transcripts, synthetic_calls, axis, values, out_dir, **fl
         out / "sweep.json",
         {
             "axis": axis,
-            "rows": [{"value": v, "metrics": b.as_dict()} for v, b in result.rows()],
+            "rows": [{"value": v, "validation_mean_f1": f1, "metrics": b.as_dict()}
+                     for (v, b), f1 in zip(result.rows(), result.validation_mean_f1)],
             "best_index": result.best_index,
             "best_value": result.values[result.best_index],
         },
@@ -412,7 +415,7 @@ def sweep(config_file, transcripts, synthetic_calls, axis, values, out_dir, **fl
     )
     click.echo(table.rstrip("\n"))
     click.echo(f"best {axis}: {result.values[result.best_index]} "
-               f"(F1-macro {result.bundles[result.best_index].f1_macro:.4f})")
+               f"(validation F1-macro {result.validation_mean_f1[result.best_index]:.4f})")
 
 
 @cli.command()

@@ -1,13 +1,18 @@
 """Cross-validation protocol, shared threshold selection and sweep harness.
 
+A run featurizes the fold plan's labeled turns once, into one feature
+matrix whose rows run fold after fold; every fold is a range of its rows.
 One fold is reserved for testing. Each remaining fold serves once as the
-validation fold for a model trained on all the others; the best epoch
-checkpoint per fold is picked by validation ROC AUC. A single threshold is
-then chosen for every checkpoint at once: candidates are all unique
-p1 + p2 sums observed across the concatenated validation predictions
-(plus a reject-all sentinel), scored by the mean validation F1-macro over
-folds. Finally every per-fold checkpoint predicts the test fold at that
-shared threshold and the reported test metrics are the per-fold mean.
+validation fold for a model trained on the rows of all the others; the
+best epoch checkpoint per fold is picked by validation ROC AUC. A single
+threshold is then chosen for every checkpoint at once: candidates are all
+unique p1 + p2 sums observed across the concatenated validation
+predictions (plus a reject-all sentinel), scored by the mean validation
+F1-macro over folds. Finally every per-fold checkpoint scores the test
+fold's rows at that shared threshold and the reported test metrics are
+the per-fold mean. A sweep runs this once per grid value on one shared
+matrix and picks its best value by that validation mean F1-macro, so the
+test fold plays no part in the pick either.
 """
 
 from __future__ import annotations
@@ -20,13 +25,15 @@ import numpy as np
 from .classifier import (
     Checkpoint,
     FeatureSpec,
-    ProbTriple,
     TrainConfig,
-    predict_proba,
+    _Csr,
+    _featurize_many,
+    _gather,
+    _softmax_rows,
+    fit,
     select_best_checkpoint,
-    train,
 )
-from .corpus.model import Corpus, FoldPlan, TurnKey
+from .corpus.model import Corpus, FoldPlan
 from .decision import REJECT_ALL_THRESHOLD, DecisionRule, decide_batch
 from .errors import EmptyFold, FoldTooSmall, LengthMismatch, UnknownAxis
 from .metrics import (
@@ -124,12 +131,10 @@ def score_at(probs: ProbsLike, labels: Sequence[int], threshold: float) -> Metri
 
 @dataclass
 class FoldResult:
-    """Outcome of one validation fold inside a cross-validation run."""
+    """The best checkpoint of one validation fold inside a cross-validation run."""
 
     fold_index: int
     checkpoint: Checkpoint
-    val_probs: list[ProbTriple]
-    val_labels: list[int]
 
 
 @dataclass
@@ -163,13 +168,40 @@ def tune_and_test(
     )
 
 
-def _examples(corpus: Corpus, keys: Sequence[TurnKey]) -> list[tuple[str, int]]:
-    return [(t.text, t.label) for t in map(corpus.turn, keys)]
+@dataclass(frozen=True)
+class FoldMatrix:
+    """A fold plan's labeled turns as one feature matrix, fold after fold.
+
+    Row i holds the features and label of a turn of fold fold_of[i]; within
+    a fold the turns are in key order, as FoldPlan.keys_by_fold lists them.
+    """
+
+    feats: _Csr
+    labels: np.ndarray
+    fold_of: np.ndarray
+    k: int
+    test_fold: int
+
+    def rows(self, *folds: int) -> np.ndarray:
+        """The rows of the given folds, in ascending order."""
+        return np.flatnonzero(np.isin(self.fold_of, folds))
+
+
+def fold_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSpec) -> FoldMatrix:
+    """Featurize the plan's labeled turns, all in one call."""
+    keys_by_fold = fold_plan.keys_by_fold()
+    turns = [corpus.turn(key) for keys in keys_by_fold for key in keys]
+    return FoldMatrix(
+        feats=_featurize_many((t.text for t in turns), feature_spec),
+        labels=np.array([t.label for t in turns]),
+        fold_of=np.repeat(np.arange(fold_plan.k), [len(keys) for keys in keys_by_fold]),
+        k=fold_plan.k,
+        test_fold=fold_plan.test_fold,
+    )
 
 
 def train_fold(
-    corpus: Corpus,
-    fold_plan: FoldPlan,
+    matrix: FoldMatrix,
     v: int,
     config: TrainConfig,
     feature_spec: FeatureSpec,
@@ -179,19 +211,42 @@ def train_fold(
     The seed is config.seed + v, so a fold's model does not depend on which
     other folds are trained or in what order.
     """
-    keys_by_fold = fold_plan.keys_by_fold()
-    train_keys = [
-        key
-        for f in range(fold_plan.k)
-        if f not in (v, fold_plan.test_fold)
-        for key in keys_by_fold[f]
-    ]
-    return train(
-        _examples(corpus, train_keys),
+    train_folds = [f for f in range(matrix.k) if f not in (v, matrix.test_fold)]
+    return fit(
+        matrix.feats,
+        matrix.labels,
+        matrix.rows(*train_folds),
+        matrix.rows(v),
         replace(config, seed=config.seed + v),
         feature_spec,
-        _examples(corpus, keys_by_fold[v]),
     )
+
+
+def _checked_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSpec) -> FoldMatrix:
+    if fold_plan.k < 3:
+        raise FoldTooSmall(f"k={fold_plan.k}: need separate train, validation and test folds")
+    fold_plan.validate_against(corpus)
+    return fold_matrix(corpus, fold_plan, feature_spec)
+
+
+def _cross_validate(matrix: FoldMatrix, config: TrainConfig, feature_spec: FeatureSpec) -> CvRun:
+    test_rows = matrix.rows(matrix.test_fold)
+    results: list[FoldResult] = []
+    val_folds, test_prob_sets = [], []
+    for v in range(matrix.k):
+        if v == matrix.test_fold:
+            continue
+        best = select_best_checkpoint(train_fold(matrix, v, config, feature_spec))
+        val_rows = matrix.rows(v)
+        scored = matrix.feats.take(np.r_[val_rows, test_rows])
+        probs = _softmax_rows(_gather(scored, best.weights) + best.bias)
+        val_folds.append((probs[: len(val_rows)], matrix.labels[val_rows]))
+        test_prob_sets.append(probs[len(val_rows) :])
+        results.append(FoldResult(fold_index=v, checkpoint=best))
+
+    run = tune_and_test(val_folds, test_prob_sets, matrix.labels[test_rows])
+    run.folds = results
+    return run
 
 
 def run_cross_validation(
@@ -205,45 +260,19 @@ def run_cross_validation(
     The test fold influences nothing upstream: models see only the other
     folds and the threshold is chosen on validation predictions alone.
     """
-    if fold_plan.k < 3:
-        raise FoldTooSmall(f"k={fold_plan.k}: need separate train, validation and test folds")
-    fold_plan.validate_against(corpus)
-
-    keys_by_fold = fold_plan.keys_by_fold()
-    results: list[FoldResult] = []
-    for v in range(fold_plan.k):
-        if v == fold_plan.test_fold:
-            continue
-        # Kept until the next fold's list replaces it: freed sooner, the unselected
-        # weights are trimmed by malloc and the next fold page-faults them back in.
-        checkpoints = train_fold(corpus, fold_plan, v, train_config, feature_spec)
-        best = select_best_checkpoint(checkpoints)
-        val_examples = _examples(corpus, keys_by_fold[v])
-        results.append(
-            FoldResult(
-                fold_index=v,
-                checkpoint=best,
-                val_probs=predict_proba(best, [t for t, _ in val_examples], feature_spec),
-                val_labels=[label for _, label in val_examples],
-            )
-        )
-
-    test_examples = _examples(corpus, keys_by_fold[fold_plan.test_fold])
-    test_texts = [t for t, _ in test_examples]
-    run = tune_and_test(
-        [(r.val_probs, r.val_labels) for r in results],
-        [predict_proba(r.checkpoint, test_texts, feature_spec) for r in results],
-        [label for _, label in test_examples],
-    )
-    run.folds = results
-    return run
+    return _cross_validate(_checked_matrix(corpus, fold_plan, feature_spec), train_config,
+                           feature_spec)
 
 
 @dataclass
 class SweepResult:
+    """Per grid value: the mean test metrics and the validation mean F1-macro
+    at the shared threshold, which alone picks best_index."""
+
     axis: str
     values: list
     bundles: list[MetricBundle]
+    validation_mean_f1: list[float]
     best_index: int
 
     def rows(self) -> list[tuple[object, MetricBundle]]:
@@ -260,19 +289,23 @@ def sweep(
 ) -> SweepResult:
     """One cross-validation run per grid value along a single axis.
 
-    The best row is the one with the highest mean test F1-macro (first on
-    ties).
+    Every run shares one feature matrix. The best row is the one with the
+    highest validation mean F1-macro (first on ties); test metrics are
+    reported only.
     """
     if axis not in SWEEP_AXES:
         raise UnknownAxis(axis)
     if not values:
         raise ValueError("sweep needs at least one grid value")
 
+    matrix = _checked_matrix(corpus, fold_plan, feature_spec)
     bundles: list[MetricBundle] = []
+    val_f1: list[float] = []
     for value in values:
         value = tuple(value) if axis == "class_weights" else float(value)
-        config = replace(base_config, **{axis: value})
-        bundles.append(run_cross_validation(corpus, fold_plan, config, feature_spec).mean_test_bundle)
+        run = _cross_validate(matrix, replace(base_config, **{axis: value}), feature_spec)
+        bundles.append(run.mean_test_bundle)
+        val_f1.append(run.shared_threshold_mean_f1)
 
-    best_index = max(range(len(bundles)), key=lambda i: (bundles[i].f1_macro, -i))
-    return SweepResult(axis=axis, values=list(values), bundles=bundles, best_index=best_index)
+    return SweepResult(axis=axis, values=list(values), bundles=bundles,
+                       validation_mean_f1=val_f1, best_index=val_f1.index(max(val_f1)))

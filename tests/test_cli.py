@@ -259,6 +259,8 @@ class TestSweepCommand:
         payload = json.loads((out / "sweep.json").read_text())
         assert payload["axis"] == "learning_rate"
         assert len(payload["rows"]) == 2
+        val_f1 = [row["validation_mean_f1"] for row in payload["rows"]]
+        assert payload["best_index"] == val_f1.index(max(val_f1))
         table = (out / "sweep_table.txt").read_text()
         assert "Best threshold" in table and "Balanced Accuracy" in table
 

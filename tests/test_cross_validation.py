@@ -1,15 +1,28 @@
+import sys
+from contextlib import ExitStack, contextmanager
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from holdscan.classifier import FeatureSpec, TrainConfig
-from holdscan.corpus import Call, Corpus, PhraseTurn, stratified_split
+from holdscan import classifier
+from holdscan.classifier import (
+    FeatureSpec,
+    TrainConfig,
+    predict_proba,
+    select_best_checkpoint,
+    train,
+)
+from holdscan.corpus import Call, Corpus, generate_synthetic, stratified_split
 from holdscan.errors import FoldTooSmall, UnknownAxis
-from holdscan.metrics import mean_bundle
+from holdscan.metrics import as_prob_array, mean_bundle
 from holdscan.tuning import (
     DEFAULT_CLASS_WEIGHT_GRID,
     DEFAULT_LEARNING_RATE_GRID,
     run_cross_validation,
     sweep,
+    tune_and_test,
 )
 
 from conftest import make_turn
@@ -74,26 +87,20 @@ def test_deterministic_rerun(separable_run):
     assert again.test_bundles == run.test_bundles
 
 
+def _relabel_test_fold(corpus, plan):
+    """The corpus with every test-fold label moved to the next class."""
+    test_keys = {key for key, fold in plan.assignment.items() if fold == plan.test_fold}
+    return Corpus(calls=tuple(
+        Call(call_id=call.call_id, holds=call.holds, turns=tuple(
+            replace(t, label=(t.label + 1) % 3) if t.key in test_keys else t for t in call.turns
+        ))
+        for call in corpus.calls
+    ))
+
+
 def test_test_fold_labels_cannot_leak(separable_run):
     corpus, plan, run = separable_run
-    perturbed_calls = []
-    test_keys = {key for key, fold in plan.assignment.items() if fold == plan.test_fold}
-    for call in corpus.calls:
-        turns = tuple(
-            PhraseTurn(
-                call_id=t.call_id,
-                turn_index=t.turn_index,
-                channel=t.channel,
-                start_ms=t.start_ms,
-                end_ms=t.end_ms,
-                text=t.text,
-                label=(t.label + 1) % 3 if t.key in test_keys else t.label,
-            )
-            for t in call.turns
-        )
-        perturbed_calls.append(Call(call_id=call.call_id, turns=turns))
-    perturbed = Corpus(calls=tuple(perturbed_calls))
-    other = run_cross_validation(perturbed, plan, CONFIG, SPEC)
+    other = run_cross_validation(_relabel_test_fold(corpus, plan), plan, CONFIG, SPEC)
     assert other.shared_threshold == run.shared_threshold
     for a, b in zip(run.folds, other.folds):
         assert np.array_equal(a.checkpoint.weights, b.checkpoint.weights)
@@ -129,10 +136,28 @@ class TestSweep:
         corpus = separable_corpus(n_per_class=30)
         plan = stratified_split(corpus, 3, seed=1)
         result = sweep(corpus, plan, CONFIG, "learning_rate", [0.2], SPEC)
-        from dataclasses import replace
         bare = run_cross_validation(corpus, plan, replace(CONFIG, learning_rate=0.2), SPEC)
         assert result.bundles[0] == bare.mean_test_bundle
+        assert result.validation_mean_f1 == [bare.shared_threshold_mean_f1]
         assert result.best_index == 0
+
+    def test_pick_ignores_test_fold_labels(self):
+        corpus, _ = generate_synthetic(30, 2)
+        plan = stratified_split(corpus, 3, seed=2)
+        config = TrainConfig(epochs=1, seed=2)
+        grid = [(0.05, 1.0, 1.0), (0.2, 1.0, 1.0), (1.0, 1.0, 1.0)]
+        base = sweep(corpus, plan, config, "class_weights", grid, SPEC)
+        other = sweep(_relabel_test_fold(corpus, plan), plan, config, "class_weights", grid, SPEC)
+
+        def by_test_f1(result):
+            return max(range(len(grid)), key=lambda i: (result.bundles[i].f1_macro, -i))
+
+        # Picking by mean test F1 would move here (row 0 to row 2).
+        assert by_test_f1(base) != by_test_f1(other)
+        assert other.validation_mean_f1 == base.validation_mean_f1
+        assert other.best_index == base.best_index
+        f1 = base.validation_mean_f1
+        assert base.best_index == f1.index(max(f1))
 
     def test_default_grids_match_documented_shapes(self):
         assert len(DEFAULT_CLASS_WEIGHT_GRID) == 7
@@ -160,3 +185,110 @@ class TestSweep:
         plan = stratified_split(corpus, 3, seed=1)
         with pytest.raises(ValueError):
             sweep(corpus, plan, CONFIG, "learning_rate", [], SPEC)
+
+
+# --- the shared feature matrix against the per-fold text path -----------------
+
+
+def _distinct_texts(corpus):
+    """The corpus with every turn's text made unique to its turn."""
+    return Corpus(calls=tuple(
+        Call(call_id=call.call_id, holds=call.holds, turns=tuple(
+            replace(t, text=f"{t.text} {t.call_id} t{t.turn_index}") for t in call.turns
+        ))
+        for call in corpus.calls
+    ))
+
+
+def _text_path(corpus, plan, config, spec):
+    """Per validation fold: (v, best checkpoint, val probs, val labels, test probs),
+    from train() on the fold's texts and predict_proba() on the scored texts."""
+    keys_by_fold = plan.keys_by_fold()
+
+    def examples(keys):
+        return [(corpus.turn(key).text, corpus.turn(key).label) for key in keys]
+
+    test_texts = [text for text, _ in examples(keys_by_fold[plan.test_fold])]
+    for v in range(plan.k):
+        if v == plan.test_fold:
+            continue
+        train_keys = [key for f in range(plan.k) if f not in (v, plan.test_fold)
+                      for key in keys_by_fold[f]]
+        val = examples(keys_by_fold[v])
+        best = select_best_checkpoint(
+            train(examples(train_keys), replace(config, seed=config.seed + v), spec, val)
+        )
+        yield (v, best, predict_proba(best, [text for text, _ in val], spec),
+               [label for _, label in val], predict_proba(best, test_texts, spec))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
+@pytest.mark.parametrize("mode", ["row", "call_grouped"])
+def test_shared_matrix_matches_per_fold_text_path(mode, distinct):
+    corpus, _ = generate_synthetic(60, 2)
+    if distinct:
+        corpus = _distinct_texts(corpus)
+    plan = stratified_split(corpus, 4, seed=3, mode=mode, test_fold=1)
+    config = TrainConfig(epochs=3, seed=11)
+    with mock.patch("holdscan.tuning.tune_and_test", wraps=tune_and_test) as tail:
+        run = run_cross_validation(corpus, plan, config, SPEC)
+    ((val_folds, test_sets, test_labels), _), = tail.call_args_list
+
+    reference = list(_text_path(corpus, plan, config, SPEC))
+    assert [r.fold_index for r in run.folds] == [v for v, *_ in reference]
+    ref_test_labels = [corpus.turn(key).label for key in plan.keys_by_fold()[plan.test_fold]]
+    assert list(test_labels) == ref_test_labels
+    for result, (val_probs, val_labels), test_probs, (_, best, ref_val, ref_val_labels, ref_test) \
+            in zip(run.folds, val_folds, test_sets, reference):
+        got = result.checkpoint
+        assert _same_bits(got.weights, best.weights)
+        assert _same_bits(got.bias, best.bias)
+        assert (got.epoch, got.validation_auc) == (best.epoch, best.validation_auc)
+        assert np.array_equal(as_prob_array(val_probs), as_prob_array(ref_val))
+        assert np.array_equal(as_prob_array(test_probs), as_prob_array(ref_test))
+        assert list(val_labels) == ref_val_labels
+
+    expected = tune_and_test([(p, y) for _, _, p, y, _ in reference],
+                             [t for *_, t in reference], ref_test_labels)
+    assert run.test_bundles == expected.test_bundles
+    assert (run.shared_threshold, run.shared_threshold_mean_f1) == (
+        expected.shared_threshold, expected.shared_threshold_mean_f1)
+
+
+@contextmanager
+def _counting(fn):
+    """A mock wrapping fn, installed wherever a holdscan module refers to fn."""
+    counter = mock.MagicMock(wraps=fn)
+    with ExitStack() as stack:
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("holdscan"):
+                for name, value in list(vars(module).items()):
+                    if value is fn:
+                        stack.enter_context(mock.patch.object(module, name, counter))
+        yield counter
+
+
+def test_cross_validation_featurizes_once_and_never_predicts():
+    corpus = separable_corpus(n_per_class=30)
+    plan = stratified_split(corpus, 4, seed=1)
+    with _counting(classifier._featurize_many) as featurize, \
+            _counting(classifier.predict_proba) as predict:
+        run_cross_validation(corpus, plan, CONFIG, SPEC)
+    assert featurize.call_count == 1
+    assert predict.call_count == 0
+
+
+@pytest.mark.parametrize("grid", [[0.1], [0.05, 0.1, 0.2]])
+def test_sweep_featurizes_once_for_the_whole_grid(grid):
+    corpus = separable_corpus(n_per_class=30)
+    plan = stratified_split(corpus, 3, seed=1)
+    with _counting(classifier._featurize_many) as featurize, \
+            _counting(classifier.predict_proba) as predict:
+        sweep(corpus, plan, CONFIG, "learning_rate", grid, SPEC)
+    assert featurize.call_count == 1
+    assert predict.call_count == 0
