@@ -8,9 +8,18 @@ IO problems are left to the built-in OSError family (exit code 1).
 
 from __future__ import annotations
 
+import copyreg
+
 
 class HoldscanError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):
+        # Unpickle from the message and attributes without calling __init__,
+        # whose signature differs between subclasses, so that an error raised
+        # in a worker process reaches the caller with its class, message and
+        # attributes, and therefore its exit code.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DataValidationError(HoldscanError):

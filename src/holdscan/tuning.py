@@ -4,7 +4,9 @@ A run featurizes the fold plan's labeled turns once, into one feature
 matrix whose rows run fold after fold; every fold is a range of its rows.
 One fold is reserved for testing. Each remaining fold serves once as the
 validation fold for a model trained on the rows of all the others; the
-best epoch checkpoint per fold is picked by validation ROC AUC. A single
+best epoch checkpoint per fold is picked by validation ROC AUC. The fold
+models are independent, so they train in parallel worker processes, one
+per usable CPU, with the same bits as one after another. A single
 threshold is then chosen for every checkpoint at once: candidates are all
 unique p1 + p2 sums observed across the concatenated validation
 predictions (plus a reject-all sentinel), scored by the mean validation
@@ -17,8 +19,10 @@ test fold plays no part in the pick either.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -229,24 +233,102 @@ def _checked_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSp
     return fold_matrix(corpus, fold_plan, feature_spec)
 
 
-def _cross_validate(matrix: FoldMatrix, config: TrainConfig, feature_spec: FeatureSpec) -> CvRun:
-    test_rows = matrix.rows(matrix.test_fold)
-    results: list[FoldResult] = []
-    val_folds, test_prob_sets = [], []
-    for v in range(matrix.k):
-        if v == matrix.test_fold:
-            continue
-        best = select_best_checkpoint(train_fold(matrix, v, config, feature_spec))
-        val_rows = matrix.rows(v)
-        scored = matrix.feats.take(np.r_[val_rows, test_rows])
-        probs = _softmax_rows(_gather(scored, best.weights) + best.bias)
-        val_folds.append((probs[: len(val_rows)], matrix.labels[val_rows]))
-        test_prob_sets.append(probs[len(val_rows) :])
-        results.append(FoldResult(fold_index=v, checkpoint=best))
+def _fold_model(
+    matrix: FoldMatrix,
+    v: int,
+    config: TrainConfig,
+    feature_spec: FeatureSpec,
+) -> tuple[Checkpoint, np.ndarray]:
+    """Fold v's best checkpoint and its (n_val + n_test, 3) probabilities
+    for the validation rows of v followed by the test fold's rows."""
+    best = select_best_checkpoint(train_fold(matrix, v, config, feature_spec))
+    scored = matrix.feats.take(np.r_[matrix.rows(v), matrix.rows(matrix.test_fold)])
+    return best, _softmax_rows(_gather(scored, best.weights) + best.bias)
 
-    run = tune_and_test(val_folds, test_prob_sets, matrix.labels[test_rows])
-    run.folds = results
-    return run
+
+# A pool worker's (FoldMatrix, FeatureSpec), set once per worker by
+# _init_worker. Forked workers inherit it, so it is never pickled.
+_worker_state: tuple[FoldMatrix, FeatureSpec] | None = None
+
+
+def _init_worker(matrix: FoldMatrix, feature_spec: FeatureSpec) -> None:
+    global _worker_state
+    _worker_state = (matrix, feature_spec)
+
+
+def _fold_task(config: TrainConfig, v: int) -> tuple[Checkpoint, np.ndarray]:
+    """One pool task: _fold_model on the worker's matrix."""
+    matrix, feature_spec = _worker_state
+    return _fold_model(matrix, v, config, feature_spec)
+
+
+def _worker_count(n_tasks: int) -> int:
+    """Worker processes for n_tasks fold tasks: one per usable CPU, at most
+    one per task. 1 means in-process, as on platforms without CPU affinity
+    (macOS, where fork is unsafe) or without fork (Windows)."""
+    import multiprocessing
+
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_tasks)
+
+
+@contextmanager
+def _fold_models(
+    matrix: FoldMatrix,
+    feature_spec: FeatureSpec,
+    tasks: Sequence[tuple[TrainConfig, int]],
+) -> Iterator[Iterator[tuple[Checkpoint, np.ndarray]]]:
+    """An iterator of _fold_model results for the (config, v) tasks, in task order.
+
+    Tasks are independent, so they run on a pool of forked worker
+    processes when more than one CPU is usable, and the results are the
+    same bits as in-process. Fork hands each worker the matrix without
+    pickling it, and the pool forks every worker before it starts any
+    thread. The pool lives inside this context, so its workers are joined
+    on success and on error. A worker's exception reaches the caller, and
+    the tasks not yet started are dropped.
+    """
+    workers = _worker_count(len(tasks))
+    if workers == 1:
+        yield (_fold_model(matrix, v, config, feature_spec) for config, v in tasks)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker,
+                             initargs=(matrix, feature_spec)) as pool:
+        yield pool.map(_fold_task, *zip(*tasks))
+
+
+def _cross_validate(
+    matrix: FoldMatrix,
+    configs: Sequence[TrainConfig],
+    feature_spec: FeatureSpec,
+) -> Iterator[CvRun]:
+    """One CvRun per config, in config order.
+
+    Every (config, validation fold) pair is one task of one map, so a
+    sweep keeps every worker busy across its grid. A run is yielded as
+    soon as its fold models arrive, so a sweep that drops each run does
+    not hold the checkpoints of its whole grid at once.
+    """
+    test_rows = matrix.rows(matrix.test_fold)
+    val_folds = [v for v in range(matrix.k) if v != matrix.test_fold]
+    tasks = [(config, v) for config in configs for v in val_folds]
+    with _fold_models(matrix, feature_spec, tasks) as fold_models:
+        for _ in configs:
+            results: list[FoldResult] = []
+            val_sets, test_prob_sets = [], []
+            for v, (best, probs) in zip(val_folds, fold_models):
+                val_rows = matrix.rows(v)
+                val_sets.append((probs[: len(val_rows)], matrix.labels[val_rows]))
+                test_prob_sets.append(probs[len(val_rows) :])
+                results.append(FoldResult(fold_index=v, checkpoint=best))
+            run = tune_and_test(val_sets, test_prob_sets, matrix.labels[test_rows])
+            run.folds = results
+            yield run
 
 
 def run_cross_validation(
@@ -260,8 +342,9 @@ def run_cross_validation(
     The test fold influences nothing upstream: models see only the other
     folds and the threshold is chosen on validation predictions alone.
     """
-    return _cross_validate(_checked_matrix(corpus, fold_plan, feature_spec), train_config,
-                           feature_spec)
+    (run,) = _cross_validate(_checked_matrix(corpus, fold_plan, feature_spec), [train_config],
+                             feature_spec)
+    return run
 
 
 @dataclass
@@ -299,11 +382,11 @@ def sweep(
         raise ValueError("sweep needs at least one grid value")
 
     matrix = _checked_matrix(corpus, fold_plan, feature_spec)
+    configs = [replace(base_config, **{axis: tuple(v) if axis == "class_weights" else float(v)})
+               for v in values]
     bundles: list[MetricBundle] = []
     val_f1: list[float] = []
-    for value in values:
-        value = tuple(value) if axis == "class_weights" else float(value)
-        run = _cross_validate(matrix, replace(base_config, **{axis: value}), feature_spec)
+    for run in _cross_validate(matrix, configs, feature_spec):
         bundles.append(run.mean_test_bundle)
         val_f1.append(run.shared_threshold_mean_f1)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,11 @@ def default_synthetic():
 def small_synthetic():
     """A quick corpus for protocol tests."""
     return generate_synthetic(120, 7)
+
+
+@pytest.fixture(autouse=True)
+def no_leftover_processes():
+    """Fail a test that leaves a live child process, such as a pool worker."""
+    yield
+    leftover = multiprocessing.active_children()
+    assert not leftover, f"child processes still alive after the test: {leftover}"

@@ -1,8 +1,10 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from holdscan import tuning
 from holdscan.cli import run_cli
 from holdscan.classifier import Checkpoint, FeatureSpec, ProbTriple, save_checkpoint, write_proba
 from holdscan.corpus import generate_synthetic, ingest_transcripts, write_transcripts
@@ -226,6 +228,16 @@ class TestPipeline:
         payload = json.loads((out_a / "metrics.json").read_text())
         assert payload["mode"] == "trained"
         assert len(payload["per_fold_test_metrics"]) == 3
+
+    def test_pool_and_in_process_trees_are_identical(self, tmp_path):
+        args = ["pipeline", "--synthetic-calls", "80", "--seed", "23", "--folds", "4",
+                "--hash-dim", "2048", "--epochs", "2"]
+        for workers in (2, 1):
+            with mock.patch.object(tuning, "_worker_count", return_value=workers):
+                assert run(args + ["--out-dir", str(tmp_path / f"w{workers}")]) == 0
+        artifacts = tree_bytes(tmp_path / "w2")
+        assert sum(name.startswith("models/") for name in artifacts) == 3
+        assert artifacts == tree_bytes(tmp_path / "w1")
 
     def test_external_proba_mode(self, tmp_path):
         corpus, _ = generate_synthetic(50, 5)

@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
@@ -6,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from holdscan import classifier
+from holdscan import classifier, tuning
 from holdscan.classifier import (
     FeatureSpec,
     TrainConfig,
@@ -14,8 +15,8 @@ from holdscan.classifier import (
     select_best_checkpoint,
     train,
 )
-from holdscan.corpus import Call, Corpus, generate_synthetic, stratified_split
-from holdscan.errors import FoldTooSmall, UnknownAxis
+from holdscan.corpus import Call, Corpus, FoldPlan, generate_synthetic, stratified_split
+from holdscan.errors import FoldTooSmall, SingleClassOnly, UnknownAxis
 from holdscan.metrics import as_prob_array, mean_bundle
 from holdscan.tuning import (
     DEFAULT_CLASS_WEIGHT_GRID,
@@ -25,7 +26,7 @@ from holdscan.tuning import (
     tune_and_test,
 )
 
-from conftest import make_turn
+from conftest import flat_corpus, make_turn
 
 SPEC = FeatureSpec(hash_dim=2 ** 11)
 CONFIG = TrainConfig(epochs=2, seed=17)
@@ -260,6 +261,11 @@ def test_shared_matrix_matches_per_fold_text_path(mode, distinct):
         expected.shared_threshold, expected.shared_threshold_mean_f1)
 
 
+def _fold_workers(n):
+    """Run fold models on n worker processes (1: in-process)."""
+    return mock.patch.object(tuning, "_worker_count", return_value=n)
+
+
 @contextmanager
 def _counting(fn):
     """A mock wrapping fn, installed wherever a holdscan module refers to fn."""
@@ -276,7 +282,7 @@ def _counting(fn):
 def test_cross_validation_featurizes_once_and_never_predicts():
     corpus = separable_corpus(n_per_class=30)
     plan = stratified_split(corpus, 4, seed=1)
-    with _counting(classifier._featurize_many) as featurize, \
+    with _fold_workers(1), _counting(classifier._featurize_many) as featurize, \
             _counting(classifier.predict_proba) as predict:
         run_cross_validation(corpus, plan, CONFIG, SPEC)
     assert featurize.call_count == 1
@@ -287,8 +293,87 @@ def test_cross_validation_featurizes_once_and_never_predicts():
 def test_sweep_featurizes_once_for_the_whole_grid(grid):
     corpus = separable_corpus(n_per_class=30)
     plan = stratified_split(corpus, 3, seed=1)
-    with _counting(classifier._featurize_many) as featurize, \
+    with _fold_workers(1), _counting(classifier._featurize_many) as featurize, \
             _counting(classifier.predict_proba) as predict:
         sweep(corpus, plan, CONFIG, "learning_rate", grid, SPEC)
     assert featurize.call_count == 1
     assert predict.call_count == 0
+
+
+def test_pool_run_featurizes_in_the_parent_and_trains_in_workers():
+    corpus = separable_corpus(n_per_class=30)
+    plan = stratified_split(corpus, 4, seed=1)
+    with _fold_workers(2), _counting(classifier._featurize_many) as featurize, \
+            _counting(classifier.fit) as fit:
+        run_cross_validation(corpus, plan, CONFIG, SPEC)
+    assert featurize.call_count == 1
+    assert fit.call_count == 0
+
+
+# --- fold models on a worker pool against the in-process path ------------------
+
+
+def _tails(workers, fn, *args):
+    """fn(*args) on the given worker count, and the arguments of each tune_and_test call."""
+    with _fold_workers(workers), \
+            mock.patch("holdscan.tuning.tune_and_test", wraps=tune_and_test) as tail:
+        result = fn(*args)
+    return result, [call.args for call in tail.call_args_list]
+
+
+def _assert_same_tails(tails_a, tails_b, n_folds):
+    """The same validation and test probabilities and labels, bit for bit."""
+    assert len(tails_a) == len(tails_b)
+    for (val_a, test_a, labels_a), (val_b, test_b, labels_b) in zip(tails_a, tails_b):
+        assert len(val_a) == len(val_b) == len(test_a) == len(test_b) == n_folds
+        for (probs_a, y_a), (probs_b, y_b) in zip(val_a, val_b):
+            assert _same_bits(probs_a, probs_b) and _same_bits(y_a, y_b)
+        assert all(_same_bits(a, b) for a, b in zip(test_a, test_b))
+        assert _same_bits(labels_a, labels_b)
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
+@pytest.mark.parametrize("mode", ["row", "call_grouped"])
+def test_pool_matches_in_process(mode, distinct):
+    corpus, _ = generate_synthetic(60, 2)
+    if distinct:
+        corpus = _distinct_texts(corpus)
+    plan = stratified_split(corpus, 4, seed=3, mode=mode, test_fold=1)
+    args = (run_cross_validation, corpus, plan, TrainConfig(epochs=3, seed=11), SPEC)
+    pooled, pooled_tails = _tails(2, *args)
+    serial, serial_tails = _tails(1, *args)
+    assert [r.fold_index for r in pooled.folds] == [r.fold_index for r in serial.folds]
+    for a, b in zip(pooled.folds, serial.folds):
+        assert _same_bits(a.checkpoint.weights, b.checkpoint.weights)
+        assert _same_bits(a.checkpoint.bias, b.checkpoint.bias)
+        assert (a.checkpoint.epoch, a.checkpoint.validation_auc) == (
+            b.checkpoint.epoch, b.checkpoint.validation_auc)
+    _assert_same_tails(pooled_tails, serial_tails, n_folds=3)
+    assert pooled.test_bundles == serial.test_bundles
+    assert (pooled.shared_threshold, pooled.shared_threshold_mean_f1) == (
+        serial.shared_threshold, serial.shared_threshold_mean_f1)
+
+
+def test_sweep_on_a_pool_matches_in_process():
+    corpus, _ = generate_synthetic(40, 5)
+    plan = stratified_split(corpus, 4, seed=1, test_fold=2)
+    grid = [(0.05, 1.0, 1.0), (0.2, 1.0, 1.0), (1.0, 1.0, 1.0)]
+    args = (sweep, corpus, plan, CONFIG, "class_weights", grid, SPEC)
+    pooled, pooled_tails = _tails(2, *args)
+    serial, serial_tails = _tails(1, *args)
+    assert pooled == serial
+    assert len(pooled_tails) == 3
+    _assert_same_tails(pooled_tails, serial_tails, n_folds=3)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "pool"])
+def test_fold_error_reaches_the_caller(workers):
+    """A one-class validation fold fails its ROC AUC, in a worker or in-process alike."""
+    corpus = flat_corpus({1: 30}, per_call=10)
+    keys = sorted(corpus.labeled_keys())
+    plan = FoldPlan(k=3, assignment={key: i % 3 for i, key in enumerate(keys)}, test_fold=0)
+    with _fold_workers(workers), pytest.raises(SingleClassOnly) as raised:
+        run_cross_validation(corpus, plan, CONFIG, SPEC)
+    assert type(raised.value) is SingleClassOnly
+    assert str(raised.value) == "need at least two distinct labels for ROC AUC"
+    assert multiprocessing.active_children() == []
