@@ -13,13 +13,16 @@ are one CSR matrix, one row per turn; training, prediction and the loss
 share one gather (logits), one softmax-gradient function and one in-order
 scatter (gradients, touching only the feature rows present in a batch).
 fit trains on chosen rows of such a matrix, so a cross-validation run
-featurizes its turns once and every fold is a set of rows; train and
-predict_proba featurize texts and then use the same kernels.
+featurizes its turns once and every fold is a set of rows; train
+featurizes texts and then uses the same kernels. predict_proba never
+builds the whole batch's matrix: it featurizes and scores one block of
+distinct texts at a time, keeping only each block's (n, 3) probabilities.
 
 Featurization is feature hashing: each word token and character n-gram
-counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _featurize_many
-computes a batch in array passes over blocks of distinct texts, and
-featurize is its one-row view.
+counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _feature_blocks
+yields one CSR matrix per block of distinct texts, built in array passes;
+_featurize_many stacks the blocks into one row per text, and featurize is
+its one-row view.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -166,7 +170,8 @@ class _Csr(NamedTuple):
         return _Csr(indptr, self.indices[pos], self.data[pos])
 
 
-# Distinct texts featurized together; bounds the scratch arrays of one pass.
+# Distinct texts featurized (and, in predict_proba, scored) together; bounds the
+# temporary arrays of one pass.
 _BLOCK = 2048
 _CODE_POINTS = sys.maxunicode + 1
 
@@ -183,21 +188,33 @@ def featurize(text: str, spec: FeatureSpec) -> dict[int, int]:
 
 def _featurize_many(texts: Iterable[str], spec: FeatureSpec) -> _Csr:
     """One CSR row per text; each distinct text is featurized once."""
-    first: dict[str, int] = {}  # distinct text -> its row among the distinct texts
+    distinct, rows = _distinct(texts)
+    blocks = list(_feature_blocks(distinct, spec))
+    lengths = np.concatenate([np.diff(b.indptr) for b in blocks])
+    feats = _Csr(np.concatenate(([0], np.cumsum(lengths))),
+                 np.concatenate([b.indices for b in blocks]),
+                 np.concatenate([b.data for b in blocks]))
+    return feats if len(distinct) == len(rows) else feats.take(rows)
+
+
+def _distinct(texts: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct texts in first-seen order, and the row of each text among them."""
+    first: dict[str, int] = {}
     rows = [first.setdefault(text, len(first)) for text in texts]
-    distinct = list(first)
-    # At least one block, possibly empty, so an empty batch gets the same dtypes.
-    parts = [_featurize_block(distinct[i : i + _BLOCK], spec)
-             for i in range(0, max(len(distinct), 1), _BLOCK)]
-    lengths, indices, data = map(np.concatenate, zip(*parts))
-    feats = _Csr(np.concatenate(([0], np.cumsum(lengths))), indices, data)
-    return feats if len(distinct) == len(rows) else feats.take(np.array(rows, dtype=np.int64))
+    return list(first), np.array(rows, dtype=np.int64)
 
 
-def _featurize_block(
-    texts: Sequence[str], spec: FeatureSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row lengths, buckets, counts) of distinct texts, buckets ascending per row.
+def _feature_blocks(distinct: Sequence[str], spec: FeatureSpec) -> Iterator[_Csr]:
+    """One CSR matrix per block of _BLOCK distinct texts, built as it is asked for.
+
+    Yields at least one block, possibly empty, so an empty batch gets the same dtypes.
+    """
+    for i in range(0, max(len(distinct), 1), _BLOCK):
+        yield _featurize_block(distinct[i : i + _BLOCK], spec)
+
+
+def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
+    """One CSR row of counts per distinct text, buckets ascending per row.
 
     Python only lowercases, splits and truncates each text. Every word token
     and character n-gram then gets an integer id (a dict for tokens; for an
@@ -247,8 +264,8 @@ def _featurize_block(
     # row < _BLOCK and bucket < span <= 2**32, so the keys fit int64 for any hash_dim.
     keys, counts = np.unique(np.concatenate(rows) * span + np.concatenate(buckets),
                              return_counts=True)
-    return (np.bincount(keys // span, minlength=len(texts)), keys % span,
-            counts.astype(np.float64))
+    lengths = np.bincount(keys // span, minlength=len(texts))
+    return _Csr(np.concatenate(([0], np.cumsum(lengths))), keys % span, counts.astype(np.float64))
 
 
 def _crc_buckets(tag: str, grams: Iterable[str], span: int) -> np.ndarray:
@@ -420,11 +437,22 @@ def select_best_checkpoint(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
 def predict_proba(
     model: Checkpoint, turns: Sequence[str], spec: FeatureSpec
 ) -> list[ProbTriple]:
-    """Score turn texts with a trained checkpoint, one ProbTriple per turn."""
+    """Score turn texts with a trained checkpoint, one ProbTriple per turn.
+
+    Each distinct text is featurized and scored once, one block of _BLOCK
+    distinct texts at a time, so no array grows with the batch's non-zeros.
+    """
     if spec != model.feature_spec:
         raise SpecMismatch("supplied FeatureSpec differs from the one the model was trained with")
-    feats = _featurize_many(turns, spec)
-    probs = _softmax_rows(_gather(feats, model.weights) + model.bias)
+    distinct, rows = _distinct(turns)
+    probs = np.empty((len(distinct), 3))
+    start = 0
+    for block in _feature_blocks(distinct, spec):
+        stop = start + len(block.indptr) - 1
+        probs[start:stop] = _softmax_rows(_gather(block, model.weights) + model.bias)
+        start = stop
+    if len(distinct) < len(rows):
+        probs = probs[rows]
     return [ProbTriple(float(p[0]), float(p[1]), float(p[2])) for p in probs]
 
 
@@ -453,27 +481,48 @@ def save_checkpoint(path: PathLike, model: Checkpoint, extra_meta: dict | None =
 
 
 def load_checkpoint(path: PathLike) -> Checkpoint:
-    with np.load(path) as bundle:
-        if not {"meta", "weights", "bias"} <= set(bundle.files):
-            raise ValueError(f"model file {path} needs meta, weights and bias arrays")
-        meta = json.loads(bundle["meta"].tobytes().decode("utf-8"))
+    """Read a model file written by save_checkpoint.
+
+    Raises ValueError naming the file for anything else: an empty, truncated
+    or non-npz file, missing or non-float arrays, or a meta record of the
+    wrong shape, keys or value types.
+    """
+    try:
+        bundle = np.load(path)
+        if not isinstance(bundle, np.lib.npyio.NpzFile):
+            raise ValueError("it holds one array, not an npz archive")
+        with bundle:
+            if not {"meta", "weights", "bias"} <= set(bundle.files):
+                raise ValueError("it needs meta, weights and bias arrays")
+            raw_meta, weights, bias = (bundle[name] for name in ("meta", "weights", "bias"))
+        if weights.dtype.kind != "f" or bias.dtype.kind != "f":
+            raise ValueError(f"weights ({weights.dtype}) and bias ({bias.dtype}) must be floats")
+        meta = json.loads(raw_meta.tobytes().decode("utf-8"))
+        if not isinstance(meta, dict):
+            raise ValueError("its meta record is not a JSON object")
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {meta.get('format_version')!r}")
         missing = {"epoch", "validation_auc", "feature_spec"} - set(meta)
         if missing:
-            raise ValueError(f"model file {path} meta lacks {', '.join(sorted(missing))}")
-        spec_keys = {f.name for f in fields(FeatureSpec)}
-        if not isinstance(meta["feature_spec"], dict) or set(meta["feature_spec"]) != spec_keys:
-            raise ValueError(f"model file {path} feature_spec needs exactly the keys "
-                             f"{', '.join(sorted(spec_keys))}")
-        spec = FeatureSpec(**meta["feature_spec"])
+            raise ValueError(f"meta lacks {', '.join(sorted(missing))}")
+        spec_types = {f.name: type(f.default) for f in fields(FeatureSpec)}
+        spec_meta = meta["feature_spec"]
+        if not isinstance(spec_meta, dict) or set(spec_meta) != set(spec_types):
+            raise ValueError(f"feature_spec needs exactly the keys {', '.join(sorted(spec_types))}")
+        mistyped = sorted(k for k, v in spec_meta.items() if type(v) is not spec_types[k])
+        if mistyped:
+            raise ValueError(f"feature_spec has a value of the wrong type for {', '.join(mistyped)}")
+        if type(meta["epoch"]) is not int or type(meta["validation_auc"]) not in (int, float):
+            raise ValueError("meta needs an integer epoch and a numeric validation_auc")
         return Checkpoint(
-            epoch=int(meta["epoch"]),
-            weights=bundle["weights"],
-            bias=bundle["bias"],
+            epoch=meta["epoch"],
+            weights=weights,
+            bias=bias,
             validation_auc=float(meta["validation_auc"]),
-            feature_spec=spec,
+            feature_spec=FeatureSpec(**spec_meta),
         )
+    except (EOFError, ValueError, zipfile.BadZipFile, zlib.error) as exc:
+        raise ValueError(f"model file {path} is not a holdscan model: {exc}") from None
 
 
 # --- externally computed probabilities -------------------------------------
@@ -484,10 +533,10 @@ def load_external_proba(path: PathLike) -> dict[tuple[str, int], ProbTriple]:
 
     Rows whose probabilities sum to 1 within 1e-6 are renormalized; rows
     further off are rejected with ProbabilityInvariantViolation. Lines
-    starting with '#' are ignored.
+    starting with '#' are ignored, and so is a leading UTF-8 byte-order mark.
     """
     result: dict[tuple[str, int], ProbTriple] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = None
         for row in reader:

@@ -46,8 +46,8 @@ class Diagnostic:
 
 
 def _open_rows(path: PathLike) -> Iterator[tuple[int, list[str]]]:
-    """Yield (physical line number, row cells), skipping comment lines."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Yield (physical line number, row cells), skipping comment lines and a leading BOM."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if row and row[0].lstrip().startswith("#"):

@@ -144,7 +144,10 @@ class TestSplitTrainPredict:
 
     @pytest.mark.parametrize("damage", ["weights_for_other_hash_dim", "two_element_bias",
                                         "no_meta", "no_epoch", "no_validation_auc",
-                                        "no_feature_spec", "unknown_spec_key", "no_spec_key"])
+                                        "no_feature_spec", "unknown_spec_key", "no_spec_key",
+                                        "meta_is_a_list", "null_epoch", "list_validation_auc",
+                                        "string_hash_dim", "string_weights", "truncated_file",
+                                        "empty_file"])
     def test_malformed_model_file_exits_two(self, corpus_dir, tmp_path, damage, capsys):
         spec = FeatureSpec(hash_dim=4096)
         model = tmp_path / "model.npz"
@@ -156,6 +159,8 @@ class TestSplitTrainPredict:
             arrays["weights"] = np.zeros((1024, 3))
         elif damage == "two_element_bias":
             arrays["bias"] = np.zeros(2)
+        elif damage == "string_weights":
+            arrays["weights"] = np.full((4096, 3), "x")
         elif damage == "no_meta":
             del arrays["meta"]
         else:
@@ -164,15 +169,29 @@ class TestSplitTrainPredict:
                 meta["feature_spec"]["ngram_step"] = 1
             elif damage == "no_spec_key":
                 del meta["feature_spec"]["max_tokens"]
-            else:
+            elif damage == "meta_is_a_list":
+                meta = [meta]
+            elif damage == "null_epoch":
+                meta["epoch"] = None
+            elif damage == "list_validation_auc":
+                meta["validation_auc"] = [1]
+            elif damage == "string_hash_dim":
+                meta["feature_spec"]["hash_dim"] = "abc"
+            elif damage.startswith("no_"):
                 del meta[damage.removeprefix("no_")]
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
         np.savez_compressed(model, **arrays)
+        if damage == "truncated_file":
+            model.write_bytes(model.read_bytes()[:-100])
+        elif damage == "empty_file":
+            model.write_bytes(b"")
         code = run(["predict", "--model", str(model),
                     "--transcripts", str(corpus_dir / "transcripts.csv"),
                     "--out", str(tmp_path / "proba.csv")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(model) in err
 
     @pytest.mark.parametrize("fold", ["99", "-1"])
     def test_evaluate_rejects_fold_outside_plan(self, corpus_dir, tmp_path, fold, capsys):

@@ -75,3 +75,13 @@ def test_write_then_load_roundtrip(tmp_path):
     loaded = load_external_proba(path)
     for call_id, idx, triple in rows:
         assert loaded[(call_id, idx)] == triple
+
+
+def test_byte_order_mark_is_accepted(tmp_path):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark.
+    body = "a,0,0.7,0.2,0.1\nb,3,0.1,0.1,0.8\n"
+    plain = write_file(tmp_path, body)
+    marked = tmp_path / "marked.csv"
+    marked.write_text("\ufeff" + HEADER + body, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_external_proba(marked) == load_external_proba(plain)

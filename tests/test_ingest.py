@@ -155,3 +155,22 @@ def test_validate_collects_multiple_diagnostics(tmp_path):
 def test_validate_clean_file(tmp_path):
     path = write_csv(tmp_path, "a,0,agent,0,1000,ok,0\n")
     assert validate_transcripts(path) == []
+
+
+def test_byte_order_mark_is_accepted(tmp_path):
+    # Spreadsheet exports often start with a UTF-8 byte-order mark.
+    body = "a,0,agent,0,1000,hello,0\nb,0,client,0,900,тест,2\n"
+    plain = write_csv(tmp_path, body)
+    marked = write_csv(tmp_path, body, name="marked.csv", header="\ufeff" + HEADER)
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert ingest_transcripts(marked) == ingest_transcripts(plain)
+    assert validate_transcripts(marked) == []
+
+
+def test_holds_byte_order_mark_is_accepted(tmp_path):
+    body = "call_id,hold_start_ms,hold_end_ms\na,5000,20000\nb,30000,40000\n"
+    plain, marked = tmp_path / "holds.csv", tmp_path / "marked.csv"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_text(body, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert ingest_holds(marked) == ingest_holds(plain)

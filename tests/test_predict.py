@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,3 +108,57 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(loaded.bias, model.bias)
     texts = ["alpha one", "fresh text"]
     assert predict_proba(loaded, texts, SPEC) == predict_proba(model, texts, SPEC)
+
+
+def random_model(seed=5, spec=SPEC):
+    rng = np.random.default_rng(seed)
+    return Checkpoint(epoch=1, weights=rng.normal(size=(spec.hash_dim, 3)),
+                      bias=rng.normal(size=3), validation_auc=0.5, feature_spec=spec)
+
+
+def with_repeats(n_distinct):
+    """Distinct texts (one empty) with repeats inside a block and from earlier blocks."""
+    distinct = [""] + [f"alpha {i} bravo {i % 7} charlie" for i in range(n_distinct - 1)]
+    texts = []
+    for i, text in enumerate(distinct):
+        texts.append(text)
+        if i % 3 == 0:
+            texts.append(text)
+        if i % 2:
+            texts.append(distinct[i // 2])
+    return texts
+
+
+def full_matrix_proba(model, texts):
+    """Reference: the whole batch's feature matrix, scored in one gather."""
+    feats = classifier._featurize_many(texts, model.feature_spec)
+    probs = classifier._softmax_rows(classifier._gather(feats, model.weights) + model.bias)
+    return [ProbTriple(float(p[0]), float(p[1]), float(p[2])) for p in probs]
+
+
+@pytest.mark.parametrize("block", [1, 3, 2048])
+@pytest.mark.parametrize("batch", ["repeats", "all_identical", "empty"])
+def test_blocked_scoring_matches_the_full_matrix(block, batch):
+    texts = {"repeats": lambda: with_repeats(2 * block + 5),
+             "all_identical": lambda: ["alpha 1 bravo 1"] * (2 * block + 5),
+             "empty": list}[batch]()
+    model = random_model()
+    want = full_matrix_proba(model, texts)
+    with mock.patch.object(classifier, "_BLOCK", block):
+        assert predict_proba(model, texts, SPEC) == want
+    assert len(want) == len(texts)
+
+
+def test_scoring_never_gathers_more_than_one_block():
+    # The memory bound: no array of prediction grows with the whole batch's non-zeros.
+    texts = with_repeats(160)
+    assert 250 < len(texts) < 350
+    with mock.patch.object(classifier, "_BLOCK", 64), \
+            mock.patch.object(classifier, "_gather", wraps=classifier._gather) as gather, \
+            mock.patch.object(classifier, "_featurize_many",
+                              wraps=classifier._featurize_many) as featurize_many:
+        predict_proba(random_model(), texts, SPEC)
+    rows = [len(call.args[0].indptr) - 1 for call in gather.call_args_list]
+    assert max(rows) <= 64
+    assert sum(rows) == len(set(texts))
+    assert featurize_many.call_count == 0
