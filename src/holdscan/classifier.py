@@ -4,6 +4,10 @@ The scorer contract is deliberately narrow: a trained Checkpoint maps turn
 texts to probability triples over {irrelevant, opening, closing}. Scores
 produced elsewhere (e.g. by a fine-tuned transformer) enter through
 load_external_proba and flow through the identical downstream machinery.
+The predictions CSV is read and written by holdscan.corpus.io's read_csv
+and write_csv, as transcripts and holds are: blank lines and lines
+starting with '#' are skipped, columns beyond the five read are ignored,
+and a row without a cell for each of them is a MalformedRow.
 
 Training is plain mini-batch gradient descent on class-weighted
 cross-entropy with decoupled weight decay and a step size that decays
@@ -27,7 +31,6 @@ its one-row view.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 import zipfile
@@ -38,12 +41,12 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from .corpus.io import read_csv, strict, write_csv
 from .errors import (
     DuplicateKey,
     EmptyInput,
     EmptyTrainingSet,
     MalformedRow,
-    MissingColumn,
     ProbabilityInvariantViolation,
     SpecMismatch,
     UnlabeledExample,
@@ -348,7 +351,7 @@ def train(
     """Train on (text, label) examples; one Checkpoint per epoch, scored on validation.
 
     Checks the labels, featurizes both sequences in one call and runs fit
-    on their rows.
+    on their rows, keeping every epoch's Checkpoint.
     """
     labeled = list(examples) + list(validation)
     for text, label in labeled:
@@ -357,7 +360,7 @@ def train(
     feats = _featurize_many([t for t, _ in labeled], spec)
     y = np.array([label for _, label in labeled])
     n = len(examples)
-    return fit(feats, y, np.arange(n), np.arange(n, len(labeled)), config, spec)
+    return list(fit(feats, y, np.arange(n), np.arange(n, len(labeled)), config, spec))
 
 
 def fit(
@@ -367,13 +370,15 @@ def fit(
     val_rows: np.ndarray,
     config: TrainConfig,
     spec: FeatureSpec,
-) -> list[Checkpoint]:
-    """Train the linear softmax model, returning one Checkpoint per epoch.
+) -> Iterator[Checkpoint]:
+    """Train the linear softmax model, yielding one Checkpoint per epoch.
 
     Trains on the rows train_rows of feats and y (labels in {0, 1, 2}) and
     scores each epoch's macro one-vs-rest ROC AUC on the rows val_rows.
     Deterministic given the rows, config and spec: the per-epoch shuffle of
-    train_rows is driven solely by config.seed.
+    train_rows is driven solely by config.seed. Each epoch is trained when
+    the next Checkpoint is asked for, and fit keeps none it has yielded, so
+    a caller that keeps only the best holds at most two at a time.
     """
     if len(train_rows) == 0:
         raise EmptyTrainingSet("training set is empty")
@@ -393,7 +398,6 @@ def fit(
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = steps_per_epoch * config.epochs
     step = 0
-    checkpoints: list[Checkpoint] = []
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
@@ -415,23 +419,26 @@ def fit(
         weights = scale * v
         val_probs = _softmax_rows(_gather(val_feats, weights) + bias)
         auc = roc_auc_ovr_macro(y_val, val_probs)
-        checkpoints.append(
-            Checkpoint(
-                epoch=epoch,
-                weights=weights,
-                bias=bias.copy(),
-                validation_auc=auc,
-                feature_spec=spec,
-            )
+        yield Checkpoint(
+            epoch=epoch,
+            weights=weights,
+            bias=bias.copy(),
+            validation_auc=auc,
+            feature_spec=spec,
         )
-    return checkpoints
+        del weights  # free a dropped epoch's weights before the next epoch is trained
 
 
-def select_best_checkpoint(checkpoints: Sequence[Checkpoint]) -> Checkpoint:
-    """Checkpoint with maximal validation AUC; ties go to the earliest epoch."""
-    if not checkpoints:
+def select_best_checkpoint(checkpoints: Iterable[Checkpoint]) -> Checkpoint:
+    """Checkpoint with maximal validation AUC; ties go to the earliest epoch.
+
+    Takes any iterable, so a generator such as fit is consumed one
+    Checkpoint at a time and only the best so far is kept.
+    """
+    best = max(checkpoints, key=lambda ckpt: ckpt.validation_auc, default=None)
+    if best is None:
         raise EmptyInput("no checkpoints to select from")
-    return max(checkpoints, key=lambda ckpt: ckpt.validation_auc)
+    return best
 
 
 def predict_proba(
@@ -532,45 +539,29 @@ def load_external_proba(path: PathLike) -> dict[tuple[str, int], ProbTriple]:
     """Read a predictions CSV (call_id,turn_index,p0,p1,p2) into a key map.
 
     Rows whose probabilities sum to 1 within 1e-6 are renormalized; rows
-    further off are rejected with ProbabilityInvariantViolation. Lines
-    starting with '#' are ignored, and so is a leading UTF-8 byte-order mark.
+    further off are rejected with ProbabilityInvariantViolation. The file
+    is read by read_csv, so blank lines, lines starting with '#', a leading
+    UTF-8 byte-order mark and extra columns are ignored.
     """
     result: dict[tuple[str, int], ProbTriple] = {}
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        header = None
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = row
-                missing = [c for c in PROBA_COLUMNS if c not in header]
-                if missing:
-                    raise MissingColumn(missing)
-                pos = {c: header.index(c) for c in PROBA_COLUMNS}
-                continue
-            line_no = reader.line_num
-            if len(row) < len(header):
-                raise MalformedRow(line_no, f"expected {len(header)} cells, got {len(row)}")
-            try:
-                key = (row[pos["call_id"]], int(row[pos["turn_index"]]))
-                p = [float(row[pos[c]]) for c in ("p0", "p1", "p2")]
-            except ValueError as exc:
-                raise MalformedRow(line_no, f"bad numeric field ({exc})") from None
-            if key in result:
-                raise DuplicateKey(*key)
-            if any(not (x >= 0.0) for x in p):
-                raise ProbabilityInvariantViolation(f"line {line_no}: negative probability")
-            total = sum(p)
-            if abs(total - 1.0) > PROB_FILE_TOL:
-                raise ProbabilityInvariantViolation(
-                    f"line {line_no}: probabilities sum to {total!r}"
-                )
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                p = [x / total for x in p]
-            result[key] = ProbTriple(p[0], p[1], p[2])
-        if header is None:
-            raise MalformedRow(0, "file has no header row")
+    for line_no, (call_id, turn_index, p0, p1, p2) in strict(read_csv(path, PROBA_COLUMNS)):
+        try:
+            key = (call_id, int(turn_index))
+            p = [float(p0), float(p1), float(p2)]
+        except ValueError as exc:
+            raise MalformedRow(line_no, f"bad numeric field ({exc})") from None
+        if key in result:
+            raise DuplicateKey(*key)
+        if any(not (x >= 0.0) for x in p):
+            raise ProbabilityInvariantViolation(f"line {line_no}: negative probability")
+        total = sum(p)
+        if abs(total - 1.0) > PROB_FILE_TOL:
+            raise ProbabilityInvariantViolation(
+                f"line {line_no}: probabilities sum to {total!r}"
+            )
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            p = [x / total for x in p]
+        result[key] = ProbTriple(p[0], p[1], p[2])
     return result
 
 
@@ -579,10 +570,6 @@ def write_proba(
     rows: Iterable[tuple[str, int, ProbTriple]],
     header_comment: str | None = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(PROBA_COLUMNS)
-        for call_id, turn_index, p in rows:
-            writer.writerow([call_id, turn_index, repr(p.p0), repr(p.p1), repr(p.p2)])
+    rows = ([call_id, turn_index, repr(p.p0), repr(p.p1), repr(p.p2)]
+            for call_id, turn_index, p in rows)
+    write_csv(path, PROBA_COLUMNS, rows, header_comment)

@@ -293,7 +293,8 @@ def train_cmd(config_file, transcripts, val_fold, model_out, **flags):
     if not 0 <= val_fold < plan.k or val_fold == plan.test_fold:
         raise click.UsageError(f"--val-fold must be a non-test fold in [0, {plan.k})")
     spec = cfg.feature_spec()
-    checkpoints = train_fold(fold_matrix(corpus, plan, spec), val_fold, cfg.train_config(), spec)
+    checkpoints = list(train_fold(fold_matrix(corpus, plan, spec), val_fold,
+                                  cfg.train_config(), spec))
     for ckpt in checkpoints:
         click.echo(f"epoch {ckpt.epoch}: validation ROC AUC {ckpt.validation_auc:.4f}")
     best = select_best_checkpoint(checkpoints)

@@ -42,22 +42,22 @@ class RunConfig:
     test_fold: int = 0
     split_mode: str = "row"
     # training
-    epochs: int = 5
-    batch_size: int = 16
-    learning_rate: float = 0.1
-    weight_decay: float = 0.01
-    class_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    weight_decay: float = TrainConfig.weight_decay
+    class_weights: tuple[float, float, float] = TrainConfig.class_weights
     # featurization
-    hash_dim: int = 2 ** 18
-    char_ngram_min: int = 2
-    char_ngram_max: int = 4
-    word_unigrams: bool = True
-    lowercase: bool = True
-    max_tokens: int = 128
+    hash_dim: int = FeatureSpec.hash_dim
+    char_ngram_min: int = FeatureSpec.char_ngram_min
+    char_ngram_max: int = FeatureSpec.char_ngram_max
+    word_unigrams: bool = FeatureSpec.word_unigrams
+    lowercase: bool = FeatureSpec.lowercase
+    max_tokens: int = FeatureSpec.max_tokens
     # audit windows
-    pre_window_ms: int = 15000
-    post_window_ms: int = 15000
-    grace_ms: int = 2000
+    pre_window_ms: int = AuditConfig.pre_window_ms
+    post_window_ms: int = AuditConfig.post_window_ms
+    grace_ms: int = AuditConfig.grace_ms
     # decision
     threshold: Optional[float] = None
     # synthetic generation

@@ -3,10 +3,17 @@
 Transcript CSV (UTF-8, header required):
     call_id,turn_index,channel,start_ms,end_ms,text,label
 The label column is optional; the channel column is optional and defaults
-to "unknown". Lines starting with '#' are treated as comments.
+to "unknown".
 
 Holds CSV:
     call_id,hold_start_ms,hold_end_ms
+
+Every input CSV, the predictions CSV of holdscan.classifier included, is
+read by read_csv: UTF-8 with an optional byte-order mark, blank lines and
+lines starting with '#' skipped anywhere, the first other line the header.
+A row needs a cell for each column holdscan reads; extra cells and columns
+are ignored, and a shorter row is a MalformedRow with one message in every
+format. Every output CSV is written by write_csv.
 
 Fold plan JSON:
     {"k": k, "test_fold": t, "assignment": [[call_id, turn_index, fold], ...]}
@@ -17,8 +24,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from ..errors import (
     DuplicateTurnIndex,
@@ -27,13 +35,16 @@ from ..errors import (
     NonMonotonicTimestamps,
     UnknownCall,
 )
-from .model import CHANNELS, Call, Corpus, FoldPlan, HoldInterval, PhraseTurn
+from .model import Call, Corpus, FoldPlan, HoldInterval, PhraseTurn
 
 PathLike = Union[str, Path]
 
 TRANSCRIPT_COLUMNS = ("call_id", "turn_index", "channel", "start_ms", "end_ms", "text", "label")
 REQUIRED_COLUMNS = ("call_id", "turn_index", "start_ms", "end_ms", "text")
+OPTIONAL_COLUMNS = ("channel", "label")
 HOLD_COLUMNS = ("call_id", "hold_start_ms", "hold_end_ms")
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -45,47 +56,89 @@ class Diagnostic:
         return f"line {self.line_no}: {self.message}"
 
 
-def _open_rows(path: PathLike) -> Iterator[tuple[int, list[str]]]:
-    """Yield (physical line number, row cells), skipping comment lines and a leading BOM."""
+def read_csv(
+    path: PathLike, columns: Sequence[str], optional: Sequence[str] = ()
+) -> Iterator[tuple[int, tuple[str, ...]] | MalformedRow]:
+    """Yield (physical line number, cells) for each data row of an input CSV.
+
+    cells is a tuple of the row's values of columns and then of optional,
+    in that order; an optional column the header lacks reads as "". A
+    row too short to hold every column read is yielded as a MalformedRow
+    in place of its pair, so a caller can report it and go on. Raises
+    MalformedRow when the file has no header and MissingColumn when the
+    header lacks one of columns.
+    """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if row and row[0].lstrip().startswith("#"):
-                continue
-            yield reader.line_num, row
+        rows = (row for row in reader if row and not row[0].lstrip().startswith("#"))
+        header = next(rows, None)
+        if header is None:
+            raise MalformedRow(0, "file has no header row")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise MissingColumn(missing)
+        # An optional column the header lacks reads the empty cell appended to each row.
+        positions = [header.index(c) if c in header else -1 for c in (*columns, *optional)]
+        pad = -1 in positions
+        width = max(positions) + 1
+        pick = itemgetter(*positions)
+        for row in rows:
+            if len(row) < width:
+                message = f"expected at least {width} cells, got {len(row)}"
+                yield MalformedRow(reader.line_num, message)
+            else:
+                if pad:
+                    row.append("")
+                yield reader.line_num, pick(row)
 
 
-def _parse_turn(line_no: int, row: list[str], positions: dict[str, int]) -> PhraseTurn:
-    def cell(name: str) -> str:
-        return row[positions[name]]
+def strict(items: Iterable[T | MalformedRow]) -> Iterator[T]:
+    """The items, raising the first MalformedRow among them instead of yielding it."""
+    for item in items:
+        if isinstance(item, MalformedRow):
+            raise item
+        yield item
 
+
+def write_csv(
+    path: PathLike,
+    columns: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    header_comment: str | None = None,
+) -> None:
+    """Write an optional '# header_comment' line, the header and the rows, CRLF-terminated."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _parse_turn(line_no: int, cells: tuple[str, ...]) -> PhraseTurn:
+    call_id, turn_index, start_ms, end_ms, text, channel, raw = cells
     try:
-        turn_index = int(cell("turn_index"))
-        start_ms = int(cell("start_ms"))
-        end_ms = int(cell("end_ms"))
+        turn_index = int(turn_index)
+        start_ms = int(start_ms)
+        end_ms = int(end_ms)
     except ValueError as exc:
         raise MalformedRow(line_no, f"non-integer field ({exc})") from None
-    channel = cell("channel").strip() if "channel" in positions else "unknown"
-    if channel == "":
-        channel = "unknown"
-    if channel not in CHANNELS:
-        raise MalformedRow(line_no, f"channel must be one of {CHANNELS}, got {channel!r}")
+    channel = channel.strip() or "unknown"
+    raw = raw.strip()
     label: Optional[int] = None
-    if "label" in positions:
-        raw = cell("label").strip()
-        if raw != "":
-            try:
-                label = int(raw)
-            except ValueError:
-                raise MalformedRow(line_no, f"label must be an integer, got {raw!r}") from None
+    if raw != "":
+        try:
+            label = int(raw)
+        except ValueError:
+            raise MalformedRow(line_no, f"label must be an integer, got {raw!r}") from None
     try:
         return PhraseTurn(
-            call_id=cell("call_id"),
+            call_id=call_id,
             turn_index=turn_index,
             channel=channel,
             start_ms=start_ms,
             end_ms=end_ms,
-            text=cell("text"),
+            text=text,
             label=label,
         )
     except ValueError as exc:
@@ -99,25 +152,9 @@ def _scan_transcripts(path: PathLike) -> Iterator[PhraseTurn | MalformedRow]:
     past the first bad row; ingest_transcripts re-raises the first one.
     Header-level problems (no header, missing columns) are raised directly.
     """
-    rows = _open_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise MalformedRow(0, "file has no header row") from None
-
-    positions = {name: header.index(name) for name in TRANSCRIPT_COLUMNS if name in header}
-    missing = [c for c in REQUIRED_COLUMNS if c not in positions]
-    if missing:
-        raise MissingColumn(missing)
-    width = max(positions.values()) + 1
-
-    for line_no, row in rows:
-        if not row:
-            continue
+    for row in read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS):
         try:
-            if len(row) < width:
-                raise MalformedRow(line_no, f"expected at least {width} cells, got {len(row)}")
-            yield _parse_turn(line_no, row, positions)
+            yield row if isinstance(row, MalformedRow) else _parse_turn(*row)
         except MalformedRow as exc:
             yield exc
 
@@ -149,13 +186,7 @@ def ingest_transcripts(path: PathLike) -> Corpus:
     MissingColumn, MalformedRow, DuplicateTurnIndex or
     NonMonotonicTimestamps on the first problem found.
     """
-    def rows():
-        for item in _scan_transcripts(path):
-            if isinstance(item, MalformedRow):
-                raise item
-            yield item
-
-    return _build_corpus(rows())
+    return _build_corpus(strict(_scan_transcripts(path)))
 
 
 def validate_transcripts(path: PathLike) -> list[Diagnostic]:
@@ -182,29 +213,13 @@ def validate_transcripts(path: PathLike) -> list[Diagnostic]:
 
 def ingest_holds(path: PathLike) -> dict[str, tuple[HoldInterval, ...]]:
     """Parse a holds CSV into per-call sorted hold intervals."""
-    rows = _open_rows(path)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise MalformedRow(0, "file has no header row") from None
-    missing = [c for c in HOLD_COLUMNS if c not in header]
-    if missing:
-        raise MissingColumn(missing)
-    pos = {c: header.index(c) for c in HOLD_COLUMNS}
-
     by_call: dict[str, list[HoldInterval]] = {}
-    for line_no, row in rows:
-        if not row:
-            continue
-        if len(row) < len(header):
-            raise MalformedRow(line_no, f"expected {len(header)} cells, got {len(row)}")
+    for line_no, (call_id, start, end) in strict(read_csv(path, HOLD_COLUMNS)):
         try:
-            start = int(row[pos["hold_start_ms"]])
-            end = int(row[pos["hold_end_ms"]])
-            interval = HoldInterval(start, end)
+            interval = HoldInterval(int(start), int(end))
         except ValueError as exc:
             raise MalformedRow(line_no, str(exc)) from None
-        by_call.setdefault(row[pos["call_id"]], []).append(interval)
+        by_call.setdefault(call_id, []).append(interval)
 
     result: dict[str, tuple[HoldInterval, ...]] = {}
     for call_id, intervals in by_call.items():
@@ -231,28 +246,22 @@ def attach_holds(corpus: Corpus, holds: dict[str, tuple[HoldInterval, ...]]) -> 
 
 
 def write_transcripts(corpus: Corpus, path: PathLike, header_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRANSCRIPT_COLUMNS)
-        for call in corpus.calls:
-            for t in call.turns:
-                label = "" if t.label is None else t.label
-                writer.writerow(
-                    [t.call_id, t.turn_index, t.channel, t.start_ms, t.end_ms, t.text, label]
-                )
+    rows = (
+        [t.call_id, t.turn_index, t.channel, t.start_ms, t.end_ms, t.text,
+         "" if t.label is None else t.label]
+        for call in corpus.calls
+        for t in call.turns
+    )
+    write_csv(path, TRANSCRIPT_COLUMNS, rows, header_comment)
 
 
 def write_holds(corpus: Corpus, path: PathLike, header_comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(HOLD_COLUMNS)
-        for call in corpus.calls:
-            for hold in call.holds:
-                writer.writerow([call.call_id, hold.hold_start_ms, hold.hold_end_ms])
+    rows = (
+        [call.call_id, hold.hold_start_ms, hold.hold_end_ms]
+        for call in corpus.calls
+        for hold in call.holds
+    )
+    write_csv(path, HOLD_COLUMNS, rows, header_comment)
 
 
 def fold_plan_payload(plan: FoldPlan) -> dict:

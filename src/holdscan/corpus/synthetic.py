@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -136,11 +137,13 @@ class GeneratorProfile:
 
 
 DEFAULT_PROFILE = GeneratorProfile()
+_FIELD_TYPES = get_type_hints(GeneratorProfile)
 
 
 def load_profile(path: str | Path) -> GeneratorProfile:
     """Read a profile from a key=value file; unknown keys are rejected.
 
+    An int or float field takes the type GeneratorProfile declares for it.
     joint_counts uses ';' between rows and whitespace or ',' within a row.
     *_templates_file keys point at plain-text files, one phrase per line.
     """
@@ -163,14 +166,8 @@ def load_profile(path: str | Path) -> GeneratorProfile:
                 pool_path = base / pool_path
             lines = [ln.strip() for ln in pool_path.read_text(encoding="utf-8").splitlines()]
             kwargs[key.replace("_file", "")] = tuple(ln for ln in lines if ln)
-        elif key in ("rows_per_call_median", "rows_per_call_sigma", "unregistered_rate", "bare_hold_rate"):
-            kwargs[key] = float(value)
-        elif key in (
-            "turn_dur_min_ms", "turn_dur_max_ms", "turn_gap_min_ms", "turn_gap_max_ms",
-            "script_gap_min_ms", "script_gap_max_ms", "hold_dur_min_ms", "hold_dur_max_ms",
-            "quarantine_ms",
-        ):
-            kwargs[key] = int(value)
+        elif _FIELD_TYPES.get(key) in (int, float):
+            kwargs[key] = _FIELD_TYPES[key](value)
         else:
             raise ValueError(f"unknown generator profile key {key!r}")
     return replace(DEFAULT_PROFILE, **kwargs)

@@ -209,8 +209,9 @@ def train_fold(
     v: int,
     config: TrainConfig,
     feature_spec: FeatureSpec,
-) -> list[Checkpoint]:
-    """Train on every fold but v and the test fold; validate each epoch on v.
+) -> Iterator[Checkpoint]:
+    """Train on every fold but v and the test fold; yield each epoch's
+    Checkpoint, validated on v.
 
     The seed is config.seed + v, so a fold's model does not depend on which
     other folds are trained or in what order.

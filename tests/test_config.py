@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import pytest
 
+from holdscan.classifier import FeatureSpec, TrainConfig
+from holdscan.compliance import AuditConfig
 from holdscan.config import RunConfig, load_run_config, with_overrides
 
 # A non-default value of the declared type for every RunConfig field.
@@ -67,3 +69,10 @@ def test_class_weights_flag_string_is_parsed():
     cfg = with_overrides(RunConfig(), class_weights="0.1,1,1", seed=None)
     assert cfg.class_weights == (0.1, 1.0, 1.0)
     assert cfg.seed is None
+
+
+def test_defaults_match_the_configs_they_build():
+    assert RunConfig().feature_spec() == FeatureSpec()
+    assert RunConfig().audit_config() == AuditConfig()
+    for seed in (0, 7):
+        assert RunConfig(seed=seed).train_config() == TrainConfig(seed=seed)

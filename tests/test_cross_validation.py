@@ -1,5 +1,6 @@
 import multiprocessing
 import sys
+import weakref
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -377,3 +378,25 @@ def test_fold_error_reaches_the_caller(workers):
     assert type(raised.value) is SingleClassOnly
     assert str(raised.value) == "need at least two distinct labels for ROC AUC"
     assert multiprocessing.active_children() == []
+
+
+def test_fold_model_keeps_at_most_two_checkpoints(monkeypatch):
+    """_fold_model keeps only the best epoch's Checkpoint and the current one."""
+    refs = []
+    peak = 0
+    real_fit = tuning.fit
+
+    def counting_fit(*args, **kwargs):
+        nonlocal peak
+        for ckpt in real_fit(*args, **kwargs):
+            refs.append(weakref.ref(ckpt))
+            peak = max(peak, sum(ref() is not None for ref in refs))
+            yield ckpt
+
+    monkeypatch.setattr(tuning, "fit", counting_fit)
+    corpus = separable_corpus()
+    plan = stratified_split(corpus, k=5, seed=3)
+    matrix = tuning.fold_matrix(corpus, plan, SPEC)
+    tuning._fold_model(matrix, 1, replace(CONFIG, epochs=5), SPEC)
+    assert len(refs) == 5
+    assert peak <= 2

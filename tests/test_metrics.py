@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from holdscan.classifier import ProbTriple
 from holdscan.metrics import (
+    PROB_SUM_TOL,
     MetricBundle,
+    as_prob_array,
     binary_auc,
     confusion,
     macro_prf,
@@ -11,7 +14,12 @@ from holdscan.metrics import (
     metric_bundle,
     roc_auc_ovr_macro,
 )
-from holdscan.errors import EmptyInput, LengthMismatch, SingleClassOnly
+from holdscan.errors import (
+    EmptyInput,
+    LengthMismatch,
+    ProbabilityInvariantViolation,
+    SingleClassOnly,
+)
 
 from oracles import brute_pair_auc, naive_macro_prf, trapezoid_auc
 
@@ -139,6 +147,35 @@ class TestOvrMacro:
         y = [0, 1, 2, 0]
         probs = [(1 / 3, 1 / 3, 1 / 3)] * 4
         assert roc_auc_ovr_macro(y, probs) == 0.5
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            roc_auc_ovr_macro([0, 1, 2], [(1 / 3, 1 / 3, 1 / 3)] * 2)
+
+
+class TestAsProbArray:
+    @pytest.mark.parametrize("arr", [np.full((2, 2), 0.5), np.array([0.2, 0.3, 0.5])],
+                             ids=["n_by_2", "one_dim"])
+    def test_wrong_shape(self, arr):
+        with pytest.raises(ValueError):
+            as_prob_array(arr)
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan], ids=["negative", "nan"])
+    def test_negative_or_nan_entry(self, bad):
+        with pytest.raises(ProbabilityInvariantViolation):
+            as_prob_array(np.array([[0.5, 0.5, 0.0], [1.0 - bad, bad, 0.0]]))
+
+    def test_row_sum_tolerance(self):
+        with pytest.raises(ProbabilityInvariantViolation):
+            as_prob_array(np.array([[0.5, 0.5, 2e-9]]))
+        within = np.array([[0.5, 0.5, PROB_SUM_TOL / 2]])
+        assert np.array_equal(as_prob_array(within), within)
+
+    def test_plain_tuples_match_prob_triples(self):
+        rows = [(0.8, 0.15, 0.05), (0.0, 1.0, 0.0), (1 / 3, 1 / 3, 1 / 3)]
+        from_tuples = as_prob_array(rows)
+        assert from_tuples.dtype == np.float64 and from_tuples.shape == (3, 3)
+        assert np.array_equal(from_tuples, as_prob_array([ProbTriple(*r) for r in rows]))
 
 
 class TestBundles:

@@ -1,4 +1,5 @@
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_type_hints
 
 import pytest
 
@@ -6,6 +7,9 @@ from holdscan.corpus import generate_synthetic, load_profile
 from holdscan.corpus.synthetic import DEFAULT_PROFILE, GeneratorProfile
 from holdscan.errors import EmptyTemplatePool
 from holdscan.violations import UNREGISTERED_HOLD
+
+NUMERIC_FIELDS = [f.name for f in fields(GeneratorProfile)
+                  if get_type_hints(GeneratorProfile)[f.name] in (int, float)]
 
 ZERO_SCRIPT_PROFILE = replace(
     DEFAULT_PROFILE,
@@ -124,4 +128,29 @@ def test_unknown_profile_key_rejected(tmp_path):
     profile_file = tmp_path / "profile.cfg"
     profile_file.write_text("frobnicate = 3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="frobnicate"):
+        load_profile(profile_file)
+
+
+def test_numeric_fields_are_the_expected_ones():
+    assert len(NUMERIC_FIELDS) == 13
+    assert {"rows_per_call_median", "unregistered_rate", "quarantine_ms"} <= set(NUMERIC_FIELDS)
+
+
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_numeric_profile_key_round_trip(name, tmp_path):
+    default = getattr(DEFAULT_PROFILE, name)
+    value = default + 1 if type(default) is int else default / 2
+    profile_file = tmp_path / "profile.cfg"
+    profile_file.write_text(f"{name} = {value}\n", encoding="utf-8")
+    loaded = getattr(load_profile(profile_file), name)
+    assert loaded == value
+    assert type(loaded) is type(default)
+
+
+@pytest.mark.parametrize("line", ["quarantine_ms = soon", "quarantine_ms = 2.5",
+                                  "unregistered_rate = often"])
+def test_non_numeric_profile_value_rejected(line, tmp_path):
+    profile_file = tmp_path / "profile.cfg"
+    profile_file.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ValueError):
         load_profile(profile_file)

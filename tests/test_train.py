@@ -144,6 +144,17 @@ def test_select_best_checkpoint_rules():
         select_best_checkpoint([])
 
 
+def test_select_best_checkpoint_takes_a_generator():
+    def ckpt(epoch, auc):
+        return Checkpoint(epoch=epoch, weights=np.zeros((SPEC.hash_dim, 3)),
+                          bias=np.zeros(3), validation_auc=auc, feature_spec=SPEC)
+
+    aucs = [0.7, 0.9, 0.8, 0.9]
+    assert select_best_checkpoint(ckpt(e, a) for e, a in enumerate(aucs, start=1)).epoch == 2
+    with pytest.raises(EmptyInput):
+        select_best_checkpoint(ckpt(e, a) for e, a in [])
+
+
 def test_empty_training_set_rejected():
     with pytest.raises(EmptyTrainingSet):
         train([], TrainConfig(seed=0), SPEC, [("x", 0)])
