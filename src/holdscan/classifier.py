@@ -4,6 +4,9 @@ The scorer contract is deliberately narrow: a trained Checkpoint maps turn
 texts to probability triples over {irrelevant, opening, closing}. Scores
 produced elsewhere (e.g. by a fine-tuned transformer) enter through
 load_external_proba and flow through the identical downstream machinery.
+predict_proba and load_external_proba return ProbTriples, plain named
+tuples that check nothing; consumers take the (n, 3) float64 array that
+metrics.as_prob_array builds and checks.
 The predictions CSV is read and written by holdscan.corpus.io's read_csv
 and write_csv, as transcripts and holds are: blank lines and lines
 starting with '#' are skipped, columns beyond the five read are ignored,
@@ -58,29 +61,17 @@ PathLike = Union[str, Path]
 PROBA_COLUMNS = ("call_id", "turn_index", "p0", "p1", "p2")
 MODEL_FORMAT_VERSION = 1
 
-# Sum-of-probabilities tolerances: construction demands PROB_SUM_TOL (1e-9),
-# file loading renormalizes anything within 1e-6 and rejects the rest.
+# Sum-of-probabilities tolerance of the predictions file: rows within 1e-6 of 1
+# are renormalized (when further off than PROB_SUM_TOL), the rest rejected.
 PROB_FILE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ProbTriple:
-    """Probability vector over (irrelevant, opening, closing)."""
+class ProbTriple(NamedTuple):
+    """Probability vector over (irrelevant, opening, closing); not validated."""
 
     p0: float
     p1: float
     p2: float
-
-    def __post_init__(self):
-        for value in (self.p0, self.p1, self.p2):
-            if not (value >= 0.0):
-                raise ProbabilityInvariantViolation(f"negative or NaN component {value!r}")
-        total = self.p0 + self.p1 + self.p2
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ProbabilityInvariantViolation(f"components sum to {total!r}, expected 1")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.p0, self.p1, self.p2)
 
 
 @dataclass(frozen=True)
@@ -460,7 +451,7 @@ def predict_proba(
         start = stop
     if len(distinct) < len(rows):
         probs = probs[rows]
-    return [ProbTriple(float(p[0]), float(p[1]), float(p[2])) for p in probs]
+    return list(map(ProbTriple._make, probs.tolist()))
 
 
 # --- model files ----------------------------------------------------------
@@ -561,7 +552,7 @@ def load_external_proba(path: PathLike) -> dict[tuple[str, int], ProbTriple]:
             )
         if abs(total - 1.0) > PROB_SUM_TOL:
             p = [x / total for x in p]
-        result[key] = ProbTriple(p[0], p[1], p[2])
+        result[key] = ProbTriple._make(p)
     return result
 
 

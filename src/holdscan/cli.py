@@ -18,6 +18,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .classifier import (
@@ -48,10 +49,11 @@ from .corpus import (
     write_holds,
     write_transcripts,
 )
+from .corpus.io import write_csv
 from .corpus.synthetic import DEFAULT_PROFILE
 from .decision import DecisionRule, decide_batch
 from .errors import DataValidationError, HoldscanError, MissingPredictions
-from .metrics import MetricBundle
+from .metrics import MetricBundle, as_prob_array
 from .tuning import (
     DEFAULT_CLASS_WEIGHT_GRID,
     DEFAULT_LEARNING_RATE_GRID,
@@ -121,17 +123,17 @@ def _plan_for(cfg: RunConfig, corpus: Corpus, fold_plan_path: str | None = None)
     return stratified_split(corpus, cfg.folds, _require_seed(cfg), cfg.split_mode, cfg.test_fold)
 
 
-def _lookup(proba: dict[TurnKey, ProbTriple], keys: list[TurnKey]) -> list[ProbTriple]:
-    """The predictions for keys, in order; MissingPredictions names the first gap."""
-    for key in keys:
-        if key not in proba:
-            raise MissingPredictions(key[0])
-    return [proba[key] for key in keys]
+def _lookup(proba: dict[TurnKey, ProbTriple], keys: list[TurnKey]) -> np.ndarray:
+    """The (n, 3) probabilities of keys, in order; MissingPredictions names the first gap."""
+    try:
+        return as_prob_array([proba[key] for key in keys])
+    except KeyError as exc:
+        raise MissingPredictions(exc.args[0][0]) from None
 
 
 def _proba_by_fold(
     corpus: Corpus, plan: FoldPlan, proba: dict[TurnKey, ProbTriple]
-) -> list[tuple[list[ProbTriple], list[int]]]:
+) -> list[tuple[np.ndarray, list[int]]]:
     return [
         (_lookup(proba, keys), [corpus.turn(key).label for key in keys])
         for keys in plan.keys_by_fold()
@@ -212,22 +214,17 @@ def stats(config_file, transcripts, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     stamp = _stamp(cfg)
 
-    with open(out / "rows_per_call.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\nrows,calls\n")
-        for rows in sorted(st.rows_per_call):
-            fh.write(f"{rows},{st.rows_per_call[rows]}\n")
-    with open(out / "words_per_row.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\nlabel,words,rows\n")
-        for label in (0, 1, 2):
-            for words in sorted(st.words_per_row[label]):
-                fh.write(f"{label},{words},{st.words_per_row[label][words]}\n")
+    write_csv(out / "rows_per_call.csv", ("rows", "calls"),
+              sorted(st.rows_per_call.items()), stamp)
+    write_csv(out / "words_per_row.csv", ("label", "words", "rows"),
+              ((label, words, n) for label in (0, 1, 2)
+               for words, n in sorted(st.words_per_row[label].items())), stamp)
     max_open = max((o for o, _ in st.script_matrix), default=0)
     max_close = max((c for _, c in st.script_matrix), default=0)
-    with open(out / "script_count_matrix.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# {stamp}\nopenings," + ",".join(f"closings_{c}" for c in range(max_close + 1)) + "\n")
-        for o in range(max_open + 1):
-            cells = [str(st.script_matrix.get((o, c), 0)) for c in range(max_close + 1)]
-            fh.write(f"{o}," + ",".join(cells) + "\n")
+    write_csv(out / "script_count_matrix.csv",
+              ("openings", *(f"closings_{c}" for c in range(max_close + 1))),
+              ([o, *(st.script_matrix.get((o, c), 0) for c in range(max_close + 1))]
+               for o in range(max_open + 1)), stamp)
 
     click.echo(f"calls: {st.n_calls}  turns: {st.n_turns}")
     click.echo(

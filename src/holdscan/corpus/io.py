@@ -275,7 +275,8 @@ def load_fold_plan(path: PathLike) -> FoldPlan:
 
     Raises MalformedRow when the file is not such a JSON object: a missing
     field, an assignment row that is not [call_id, turn_index, fold], a
-    turn assigned twice, a non-integer or an out-of-range fold.
+    turn assigned twice, a call_id that is not a string, a k, test_fold,
+    turn_index or fold that is not a JSON integer, or an out-of-range fold.
     """
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -283,12 +284,20 @@ def load_fold_plan(path: PathLike) -> FoldPlan:
         for row in data["assignment"]:
             if not isinstance(row, list) or len(row) != 3:
                 raise ValueError(f"assignment row {row!r} is not [call_id, turn_index, fold]")
-            key, fold = (row[0], int(row[1])), int(row[2])
+            key = (_typed(row[0], str, "call_id"), _typed(row[1], int, "turn_index"))
             if key in assignment:
                 raise ValueError(f"turn {key!r} is assigned twice")
-            assignment[key] = fold
-        return FoldPlan(k=int(data["k"]), assignment=assignment, test_fold=int(data["test_fold"]))
+            assignment[key] = _typed(row[2], int, "fold")
+        return FoldPlan(k=_typed(data["k"], int, "k"), assignment=assignment,
+                        test_fold=_typed(data["test_fold"], int, "test_fold"))
     except KeyError as exc:
         raise MalformedRow(0, f"fold plan {str(path)!r}: missing {exc}") from None
     except (TypeError, ValueError) as exc:
         raise MalformedRow(0, f"fold plan {str(path)!r}: {exc}") from None
+
+
+def _typed(value: T, kind: type, field: str) -> T:
+    """value, if its type is exactly kind (so a bool is no int); else ValueError naming field."""
+    if type(value) is not kind:
+        raise ValueError(f"{field} must be {kind.__name__}, got {value!r}")
+    return value

@@ -37,7 +37,7 @@ def decide(p: ProbTriple, rule: DecisionRule) -> int:
 
 
 def decide_batch(probs: ProbsLike, rule: DecisionRule) -> list[int]:
-    """decide() over an (n, 3) array or a sequence of ProbTriple, as one array expression."""
+    """decide() over every row of as_prob_array(probs), as one array expression."""
     arr = as_prob_array(probs)
     gate = arr[:, 1] + arr[:, 2] >= rule.threshold
     return np.where(gate, np.where(arr[:, 1] >= arr[:, 2], 1, 2), 0).tolist()

@@ -20,24 +20,19 @@ N_CLASSES = 3
 # A probability row must sum to 1 within this tolerance.
 PROB_SUM_TOL = 1e-9
 
-ProbsLike = Union[np.ndarray, Sequence]  # (n, 3) array or sequence of ProbTriple
+ProbsLike = Union[np.ndarray, Sequence]  # (n, 3) array, or a sequence of 3-sequences
 
 
 def as_prob_array(probs: ProbsLike) -> np.ndarray:
     """Validated (n, 3) float64 array from an array or a sequence of triples.
 
-    Sequence items are ProbTriple objects or plain 3-tuples. Every entry
-    must be a non-negative number and every row must sum to 1 within
-    PROB_SUM_TOL.
+    Sequence items are ProbTriple tuples or any other 3-sequences of
+    numbers; an empty sequence gives a (0, 3) array. Every entry must be a
+    non-negative number and every row must sum to 1 within PROB_SUM_TOL.
     """
-    if isinstance(probs, np.ndarray):
-        arr = np.asarray(probs, dtype=np.float64)
-    elif len(probs) == 0:
-        arr = np.empty((0, N_CLASSES))
-    else:
-        arr = np.array(
-            [p.as_tuple() if hasattr(p, "as_tuple") else p for p in probs], dtype=np.float64
-        )
+    arr = np.asarray(probs, dtype=np.float64)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, N_CLASSES)
     if arr.ndim != 2 or arr.shape[1] != N_CLASSES:
         raise ValueError(f"expected an (n, {N_CLASSES}) probability array, got shape {arr.shape}")
     if not (arr >= 0.0).all():

@@ -269,9 +269,10 @@ def _worker_count(n_tasks: int) -> int:
     (macOS, where fork is unsafe) or without fork (Windows)."""
     import multiprocessing
 
-    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    return min(len(os.sched_getaffinity(0)), n_tasks)
+    return min(len(affinity(0)), n_tasks)
 
 
 @contextmanager

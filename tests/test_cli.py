@@ -1,10 +1,11 @@
 import json
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from holdscan import tuning
+from holdscan import cli, tuning
 from holdscan.cli import run_cli
 from holdscan.classifier import Checkpoint, FeatureSpec, ProbTriple, save_checkpoint, write_proba
 from holdscan.corpus import generate_synthetic, ingest_transcripts, write_transcripts
@@ -280,6 +281,53 @@ class TestPipeline:
         assert run(["pipeline", "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 1
 
 
+class TestProbabilityArrays:
+    def test_consumers_receive_arrays(self, corpus_dir, tmp_path):
+        """A predictions file reaches the threshold search and the decision
+        rule as (n, 3) arrays, converted once by the command."""
+        transcripts = str(corpus_dir / "transcripts.csv")
+        holds = str(corpus_dir / "holds.csv")
+        proba = tmp_path / "proba.csv"
+        smoothed_gold_proba(ingest_transcripts(transcripts), proba)
+        called = set()
+
+        def folds_of_arrays(module, name):
+            search = getattr(module, name)
+
+            def wrapper(per_fold_predictions):
+                assert all(isinstance(p, np.ndarray) for p, _ in per_fold_predictions)
+                called.add((module.__name__, name))
+                return search(per_fold_predictions)
+            return mock.patch.object(module, name, wrapper)
+
+        def array_rows(module, name):
+            decide = getattr(module, name)
+
+            def wrapper(probs, rule):
+                assert isinstance(probs, np.ndarray)
+                called.add((module.__name__, name))
+                return decide(probs, rule)
+            return mock.patch.object(module, name, wrapper)
+
+        patches = [folds_of_arrays(cli, "shared_threshold_search"),
+                   folds_of_arrays(tuning, "shared_threshold_search"),
+                   array_rows(cli, "decide_batch"), array_rows(tuning, "decide_batch")]
+        with ExitStack() as stack:
+            for patch in patches:
+                stack.enter_context(patch)
+            split = ["--folds", "4", "--seed", "9"]
+            assert run(["pipeline", "--transcripts", transcripts, "--external-proba", str(proba),
+                        *split, "--out-dir", str(tmp_path / "ext")]) == 0
+            assert run(["tune-threshold", "--transcripts", transcripts, "--proba", str(proba),
+                        *split]) == 0
+            assert run(["evaluate", "--transcripts", transcripts, "--proba", str(proba),
+                        "--threshold", "0.5"]) == 0
+            assert run(["audit", "--transcripts", transcripts, "--holds", holds,
+                        "--proba", str(proba), "--threshold", "0.5"]) == 0
+        assert called == {(m.__name__, name) for m in (cli, tuning)
+                          for name in ("shared_threshold_search", "decide_batch")}
+
+
 class TestSweepCommand:
     def test_learning_rate_sweep_writes_table(self, tmp_path):
         out = tmp_path / "sweep"
@@ -312,7 +360,9 @@ class TestFoldPlanReuse:
         assert 0.0 <= json.loads(out_file.read_text())["shared_threshold"] <= 1.0 + 1e-9
 
     @pytest.mark.parametrize("damage", ["no_assignment", "two_element_rows", "non_integer_fold",
-                                        "duplicate_row", "not_an_object"])
+                                        "duplicate_row", "not_an_object", "fractional_k",
+                                        "fractional_test_fold", "fractional_turn_index",
+                                        "fractional_fold", "boolean_fold", "non_string_call_id"])
     def test_malformed_plan_exits_two(self, corpus_dir, tmp_path, damage, capsys):
         transcripts = str(corpus_dir / "transcripts.csv")
         plan_file = tmp_path / "plan.json"
@@ -328,6 +378,18 @@ class TestFoldPlanReuse:
         elif damage == "duplicate_row":
             cid, idx, fold = plan["assignment"][0]
             plan["assignment"].append([cid, idx, (fold + 1) % 4])
+        elif damage == "fractional_k":
+            plan["k"] += 0.9
+        elif damage == "fractional_test_fold":
+            plan["test_fold"] += 0.5
+        elif damage == "fractional_turn_index":
+            plan["assignment"][0][1] += 0.7
+        elif damage == "fractional_fold":
+            plan["assignment"][0][2] += 0.9
+        elif damage == "boolean_fold":
+            plan["assignment"][0][2] = plan["assignment"][0][2] == 1
+        elif damage == "non_string_call_id":
+            plan["assignment"][0][0] = 7
         else:
             plan = plan["assignment"]
         plan_file.write_text(json.dumps(plan))

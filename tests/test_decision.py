@@ -41,7 +41,7 @@ def test_batch_is_elementwise():
     decided = decide_batch(probs, rule)
     assert decided == [decide(p, rule) for p in probs]
     assert all(type(label) is int for label in decided)
-    assert decide_batch(np.array([p.as_tuple() for p in probs]), rule) == decided
+    assert decide_batch(np.array([tuple(p) for p in probs]), rule) == decided
     assert decide_batch([], rule) == []
 
 
@@ -87,7 +87,7 @@ def test_threshold_monotonicity(p, threshold):
 
 @given(prob_triples(), st.floats(min_value=0.0, max_value=1.0))
 def test_matches_reference_restatement(p, threshold):
-    assert decide(p, DecisionRule(threshold)) == reference_decide(p.as_tuple(), threshold)
+    assert decide(p, DecisionRule(threshold)) == reference_decide(tuple(p), threshold)
 
 
 @given(prob_triples(), st.floats(min_value=0.01, max_value=1.0))
@@ -102,9 +102,9 @@ def test_positive_scaling_keeps_the_winner(p, factor):
 
 @given(st.lists(prob_triples(), max_size=20), st.floats(min_value=0.0, max_value=1.0))
 def test_batch_matches_reference_restatement(probs, threshold):
-    want = [reference_decide(p.as_tuple(), threshold) for p in probs]
+    want = [reference_decide(tuple(p), threshold) for p in probs]
     assert decide_batch(probs, DecisionRule(threshold)) == want
     # exactly at each row's own sum, the >= boundary must let it through
     for p in probs:
         at_sum = p.p1 + p.p2
-        assert decide_batch([p], DecisionRule(at_sum)) == [reference_decide(p.as_tuple(), at_sum)]
+        assert decide_batch([p], DecisionRule(at_sum)) == [reference_decide(tuple(p), at_sum)]

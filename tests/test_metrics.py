@@ -176,6 +176,19 @@ class TestAsProbArray:
         from_tuples = as_prob_array(rows)
         assert from_tuples.dtype == np.float64 and from_tuples.shape == (3, 3)
         assert np.array_equal(from_tuples, as_prob_array([ProbTriple(*r) for r in rows]))
+        assert np.array_equal(from_tuples, as_prob_array(np.array(rows)))
+
+    def test_empty_sequence(self):
+        arr = as_prob_array([])
+        assert arr.dtype == np.float64 and arr.shape == (0, 3)
+
+    @pytest.mark.parametrize("bad", [[0.2, 0.3, 0.5],
+                                     [(0.2, 0.3, 0.5), (0.5, 0.5)],
+                                     [(0.2, 0.3, 0.5, 0.0), (0.5, 0.5, 0.0, 0.0)]],
+                             ids=["flat", "ragged", "four_tuples"])
+    def test_sequences_of_the_wrong_shape(self, bad):
+        with pytest.raises(ValueError):
+            as_prob_array(bad)
 
 
 class TestBundles:

@@ -37,7 +37,7 @@ def test_all_correct_everywhere_returns_smallest_candidate():
     # and 0.15+0.05; ties resolve to the smallest threshold
     threshold, mean_f1 = shared_threshold_search([(triples, labels)])
     oracle_t, oracle_f1 = exhaustive_threshold_search(
-        [([p.as_tuple() for p in triples], labels)]
+        [([tuple(p) for p in triples], labels)]
     )
     assert mean_f1 == pytest.approx(oracle_f1, abs=1e-12)
     assert threshold == pytest.approx(oracle_t, abs=1e-12)
@@ -64,7 +64,7 @@ def test_multi_fold_averaging():
     fold_b = ([ProbTriple(0.2, 0.1, 0.7), ProbTriple(0.85, 0.1, 0.05)], [2, 0])
     threshold, mean_f1 = shared_threshold_search([fold_a, fold_b])
     oracle = exhaustive_threshold_search(
-        [([p.as_tuple() for p in probs], labels) for probs, labels in (fold_a, fold_b)]
+        [([tuple(p) for p in probs], labels) for probs, labels in (fold_a, fold_b)]
     )
     assert mean_f1 == pytest.approx(oracle[1], abs=1e-12)
     assert threshold == pytest.approx(oracle[0], abs=1e-12)
@@ -111,7 +111,7 @@ def test_out_of_range_labels_rejected_like_confusion():
 
 
 def test_array_and_triple_inputs_agree():
-    array = np.array([p.as_tuple() for p in WORKED_TRIPLES])
+    array = np.array([tuple(p) for p in WORKED_TRIPLES])
     assert shared_threshold_search([(array, WORKED_LABELS)]) == shared_threshold_search(
         [(WORKED_TRIPLES, WORKED_LABELS)]
     )

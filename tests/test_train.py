@@ -30,7 +30,7 @@ def test_separable_toy_reaches_full_accuracy():
     checkpoints = train(examples, config, SPEC, validation=examples)
     final = checkpoints[-1]
     probs = predict_proba(final, [t for t, _ in examples], SPEC)
-    preds = [int(np.argmax(p.as_tuple())) for p in probs]
+    preds = [int(np.argmax(tuple(p))) for p in probs]
     assert preds == [label for _, label in examples]
 
 
@@ -122,7 +122,7 @@ def test_raising_class_weight_never_loses_class1_predictions():
                              class_weights=(1.0, weight1, 1.0))
         final = train(examples, config, SPEC, val)[-1]
         probs = predict_proba(final, [t for t, _ in examples], SPEC)
-        return sum(1 for p in probs if np.argmax(p.as_tuple()) == 1)
+        return sum(1 for p in probs if np.argmax(tuple(p)) == 1)
 
     counts = [count_class1(w) for w in (1.0, 4.0, 16.0)]
     assert counts[0] <= counts[1] <= counts[2]
