@@ -486,10 +486,11 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     wrong shape, keys or value types.
     """
     try:
-        bundle = np.load(path)
-        if not isinstance(bundle, np.lib.npyio.NpzFile):
-            raise ValueError("it holds one array, not an npz archive")
-        with bundle:
+        # np.load leaves a path it opened unclosed when the npz turns out bad.
+        with open(path, "rb") as fh:
+            bundle = np.load(fh)
+            if not isinstance(bundle, np.lib.npyio.NpzFile):
+                raise ValueError("it holds one array, not an npz archive")
             if not {"meta", "weights", "bias"} <= set(bundle.files):
                 raise ValueError("it needs meta, weights and bias arrays")
             raw_meta, weights, bias = (bundle[name] for name in ("meta", "weights", "bias"))

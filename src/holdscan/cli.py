@@ -57,6 +57,7 @@ from .metrics import MetricBundle, as_prob_array
 from .tuning import (
     DEFAULT_CLASS_WEIGHT_GRID,
     DEFAULT_LEARNING_RATE_GRID,
+    SWEEP_AXES,
     fold_matrix,
     run_cross_validation,
     score_at,
@@ -289,9 +290,8 @@ def train_cmd(config_file, transcripts, val_fold, model_out, **flags):
     plan = _plan_for(cfg, corpus)
     if not 0 <= val_fold < plan.k or val_fold == plan.test_fold:
         raise click.UsageError(f"--val-fold must be a non-test fold in [0, {plan.k})")
-    spec = cfg.feature_spec()
-    checkpoints = list(train_fold(fold_matrix(corpus, plan, spec), val_fold,
-                                  cfg.train_config(), spec))
+    matrix = fold_matrix(corpus, plan, cfg.feature_spec())
+    checkpoints = list(train_fold(matrix, val_fold, cfg.train_config()))
     for ckpt in checkpoints:
         click.echo(f"epoch {ckpt.epoch}: validation ROC AUC {ckpt.validation_auc:.4f}")
     best = select_best_checkpoint(checkpoints)
@@ -374,7 +374,7 @@ def evaluate(config_file, transcripts, proba_file, threshold, fold_plan_file, fo
 @_config_opt
 @click.option("--transcripts", type=click.Path(exists=True), default=None)
 @click.option("--synthetic-calls", type=int, default=None, help="generate the corpus instead of reading one")
-@click.option("--axis", type=click.Choice(["class_weights", "learning_rate"]), required=True)
+@click.option("--axis", type=click.Choice(SWEEP_AXES), required=True)
 @click.option("--values", type=str, default=None,
               help="grid values; ';'-separated (class weight triples use commas inside)")
 @_add_options(_split_opts)

@@ -160,23 +160,15 @@ def _scan_transcripts(path: PathLike) -> Iterator[PhraseTurn | MalformedRow]:
 
 
 def _build_corpus(turns: Iterable[PhraseTurn]) -> Corpus:
+    """Group turns by call, in first-seen call order, and sort each call by
+    turn_index; Call raises DuplicateTurnIndex or NonMonotonicTimestamps."""
     by_call: dict[str, list[PhraseTurn]] = {}
     for turn in turns:
         by_call.setdefault(turn.call_id, []).append(turn)
-    calls = []
-    for call_id, call_turns in by_call.items():
-        call_turns.sort(key=lambda t: t.turn_index)
-        seen: set[int] = set()
-        prev_start = None
-        for turn in call_turns:
-            if turn.turn_index in seen:
-                raise DuplicateTurnIndex(call_id, turn.turn_index)
-            seen.add(turn.turn_index)
-            if prev_start is not None and turn.start_ms < prev_start:
-                raise NonMonotonicTimestamps(call_id)
-            prev_start = turn.start_ms
-        calls.append(Call(call_id=call_id, turns=tuple(call_turns)))
-    return Corpus(calls=tuple(calls))
+    return Corpus(calls=tuple(
+        Call(call_id=call_id, turns=sorted(call_turns, key=lambda t: t.turn_index))
+        for call_id, call_turns in by_call.items()
+    ))
 
 
 def ingest_transcripts(path: PathLike) -> Corpus:

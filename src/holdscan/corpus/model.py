@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
-from ..errors import ClassTooSmall
+from ..errors import ClassTooSmall, DuplicateTurnIndex, NonMonotonicTimestamps
 
 IRRELEVANT = 0
 OPENING = 1
@@ -69,8 +69,10 @@ class Call:
     """All turns of one call, ordered by turn_index, plus registered holds.
 
     Invariants checked at construction: every turn carries this call_id,
-    turn_index values are unique and sorted, start_ms never decreases along
-    the turn order, and holds are sorted and pairwise non-overlapping.
+    turn_index values are unique (else DuplicateTurnIndex) and sorted,
+    start_ms never decreases along the turn order (else
+    NonMonotonicTimestamps), and holds are sorted and pairwise
+    non-overlapping. The other violations raise ValueError.
     """
 
     call_id: str
@@ -90,14 +92,14 @@ class Call:
                 raise ValueError(
                     f"turn {turn.turn_index} has call_id {turn.call_id!r}, expected {self.call_id!r}"
                 )
-            if prev_index is not None and turn.turn_index <= prev_index:
+            if turn.turn_index == prev_index:
+                raise DuplicateTurnIndex(self.call_id, turn.turn_index)
+            if prev_index is not None and turn.turn_index < prev_index:
                 raise ValueError(
                     f"call {self.call_id!r}: turn_index {turn.turn_index} out of order"
                 )
             if prev_start is not None and turn.start_ms < prev_start:
-                raise ValueError(
-                    f"call {self.call_id!r}: start_ms decreases at turn {turn.turn_index}"
-                )
+                raise NonMonotonicTimestamps(self.call_id)
             prev_index = turn.turn_index
             prev_start = turn.start_ms
             self._turn_by_index[turn.turn_index] = turn
@@ -175,6 +177,11 @@ class FoldPlan:
         bad = [f for f in self.assignment.values() if not 0 <= f < self.k]
         if bad:
             raise ValueError(f"fold index {bad[0]} outside [0, {self.k})")
+        # Checked before anything allocates per fold, so a huge k fails fast.
+        if len(self.assignment) < self.k:
+            raise ValueError(
+                f"{len(self.assignment)} assigned turns leave one of {self.k} folds empty"
+            )
 
     def keys_by_fold(self) -> list[list[TurnKey]]:
         folds: list[list[TurnKey]] = [[] for _ in range(self.k)]

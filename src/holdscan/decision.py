@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ProbTriple
 from .metrics import ProbsLike, as_prob_array
 
 # Threshold value unreachable by any probability sum; decides 0 everywhere.
@@ -30,14 +29,8 @@ class DecisionRule:
             )
 
 
-def decide(p: ProbTriple, rule: DecisionRule) -> int:
-    if p.p1 + p.p2 >= rule.threshold:
-        return 1 if p.p1 >= p.p2 else 2
-    return 0
-
-
 def decide_batch(probs: ProbsLike, rule: DecisionRule) -> list[int]:
-    """decide() over every row of as_prob_array(probs), as one array expression."""
+    """The rule's class for every row of as_prob_array(probs), as one array expression."""
     arr = as_prob_array(probs)
     gate = arr[:, 1] + arr[:, 2] >= rule.threshold
     return np.where(gate, np.where(arr[:, 1] >= arr[:, 2], 1, 2), 0).tolist()

@@ -63,7 +63,7 @@ DEFAULT_CLASS_WEIGHT_GRID: tuple[tuple[float, float, float], ...] = (
     (0.1, 1.0, 1.0),
     (1.0, 1.0, 1.0),
 )
-DEFAULT_LEARNING_RATE_GRID: tuple[float, ...] = (5e-7, 1e-6, 3e-6, 5e-6)
+DEFAULT_LEARNING_RATE_GRID: tuple[float, ...] = (0.025, 0.05, 0.1, 0.2, 0.4)
 
 SWEEP_AXES = ("class_weights", "learning_rate")
 
@@ -178,6 +178,8 @@ class FoldMatrix:
 
     Row i holds the features and label of a turn of fold fold_of[i]; within
     a fold the turns are in key order, as FoldPlan.keys_by_fold lists them.
+    feature_spec is the spec the rows were featurized with, and so the one
+    every model trained on them uses.
     """
 
     feats: _Csr
@@ -185,6 +187,7 @@ class FoldMatrix:
     fold_of: np.ndarray
     k: int
     test_fold: int
+    feature_spec: FeatureSpec
 
     def rows(self, *folds: int) -> np.ndarray:
         """The rows of the given folds, in ascending order."""
@@ -201,15 +204,11 @@ def fold_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSpec) 
         fold_of=np.repeat(np.arange(fold_plan.k), [len(keys) for keys in keys_by_fold]),
         k=fold_plan.k,
         test_fold=fold_plan.test_fold,
+        feature_spec=feature_spec,
     )
 
 
-def train_fold(
-    matrix: FoldMatrix,
-    v: int,
-    config: TrainConfig,
-    feature_spec: FeatureSpec,
-) -> Iterator[Checkpoint]:
+def train_fold(matrix: FoldMatrix, v: int, config: TrainConfig) -> Iterator[Checkpoint]:
     """Train on every fold but v and the test fold; yield each epoch's
     Checkpoint, validated on v.
 
@@ -223,7 +222,7 @@ def train_fold(
         matrix.rows(*train_folds),
         matrix.rows(v),
         replace(config, seed=config.seed + v),
-        feature_spec,
+        matrix.feature_spec,
     )
 
 
@@ -234,33 +233,27 @@ def _checked_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSp
     return fold_matrix(corpus, fold_plan, feature_spec)
 
 
-def _fold_model(
-    matrix: FoldMatrix,
-    v: int,
-    config: TrainConfig,
-    feature_spec: FeatureSpec,
-) -> tuple[Checkpoint, np.ndarray]:
+def _fold_model(matrix: FoldMatrix, v: int, config: TrainConfig) -> tuple[Checkpoint, np.ndarray]:
     """Fold v's best checkpoint and its (n_val + n_test, 3) probabilities
     for the validation rows of v followed by the test fold's rows."""
-    best = select_best_checkpoint(train_fold(matrix, v, config, feature_spec))
+    best = select_best_checkpoint(train_fold(matrix, v, config))
     scored = matrix.feats.take(np.r_[matrix.rows(v), matrix.rows(matrix.test_fold)])
     return best, _softmax_rows(_gather(scored, best.weights) + best.bias)
 
 
-# A pool worker's (FoldMatrix, FeatureSpec), set once per worker by
-# _init_worker. Forked workers inherit it, so it is never pickled.
-_worker_state: tuple[FoldMatrix, FeatureSpec] | None = None
+# A pool worker's FoldMatrix, set once per worker by _init_worker. Forked
+# workers inherit it, so it is never pickled.
+_worker_state: FoldMatrix | None = None
 
 
-def _init_worker(matrix: FoldMatrix, feature_spec: FeatureSpec) -> None:
+def _init_worker(matrix: FoldMatrix) -> None:
     global _worker_state
-    _worker_state = (matrix, feature_spec)
+    _worker_state = matrix
 
 
 def _fold_task(config: TrainConfig, v: int) -> tuple[Checkpoint, np.ndarray]:
     """One pool task: _fold_model on the worker's matrix."""
-    matrix, feature_spec = _worker_state
-    return _fold_model(matrix, v, config, feature_spec)
+    return _fold_model(_worker_state, v, config)
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -277,9 +270,7 @@ def _worker_count(n_tasks: int) -> int:
 
 @contextmanager
 def _fold_models(
-    matrix: FoldMatrix,
-    feature_spec: FeatureSpec,
-    tasks: Sequence[tuple[TrainConfig, int]],
+    matrix: FoldMatrix, tasks: Sequence[tuple[TrainConfig, int]]
 ) -> Iterator[Iterator[tuple[Checkpoint, np.ndarray]]]:
     """An iterator of _fold_model results for the (config, v) tasks, in task order.
 
@@ -293,22 +284,18 @@ def _fold_models(
     """
     workers = _worker_count(len(tasks))
     if workers == 1:
-        yield (_fold_model(matrix, v, config, feature_spec) for config, v in tasks)
+        yield (_fold_model(matrix, v, config) for config, v in tasks)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker,
-                             initargs=(matrix, feature_spec)) as pool:
+                             initargs=(matrix,)) as pool:
         yield pool.map(_fold_task, *zip(*tasks))
 
 
-def _cross_validate(
-    matrix: FoldMatrix,
-    configs: Sequence[TrainConfig],
-    feature_spec: FeatureSpec,
-) -> Iterator[CvRun]:
+def _cross_validate(matrix: FoldMatrix, configs: Sequence[TrainConfig]) -> Iterator[CvRun]:
     """One CvRun per config, in config order.
 
     Every (config, validation fold) pair is one task of one map, so a
@@ -319,7 +306,7 @@ def _cross_validate(
     test_rows = matrix.rows(matrix.test_fold)
     val_folds = [v for v in range(matrix.k) if v != matrix.test_fold]
     tasks = [(config, v) for config in configs for v in val_folds]
-    with _fold_models(matrix, feature_spec, tasks) as fold_models:
+    with _fold_models(matrix, tasks) as fold_models:
         for _ in configs:
             results: list[FoldResult] = []
             val_sets, test_prob_sets = [], []
@@ -344,8 +331,7 @@ def run_cross_validation(
     The test fold influences nothing upstream: models see only the other
     folds and the threshold is chosen on validation predictions alone.
     """
-    (run,) = _cross_validate(_checked_matrix(corpus, fold_plan, feature_spec), [train_config],
-                             feature_spec)
+    (run,) = _cross_validate(_checked_matrix(corpus, fold_plan, feature_spec), [train_config])
     return run
 
 
@@ -388,7 +374,7 @@ def sweep(
                for v in values]
     bundles: list[MetricBundle] = []
     val_f1: list[float] = []
-    for run in _cross_validate(matrix, configs, feature_spec):
+    for run in _cross_validate(matrix, configs):
         bundles.append(run.mean_test_bundle)
         val_f1.append(run.shared_threshold_mean_f1)
 

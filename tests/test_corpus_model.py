@@ -1,7 +1,7 @@
 import pytest
 
 from holdscan.corpus import Call, Corpus, FoldPlan, HoldInterval
-from holdscan.errors import ClassTooSmall
+from holdscan.errors import ClassTooSmall, DuplicateTurnIndex, NonMonotonicTimestamps
 
 from conftest import corpus_from_labels, make_turn
 
@@ -56,7 +56,12 @@ class TestCall:
             make_turn("a", 0, start_ms=5000, end_ms=6000),
             make_turn("a", 1, start_ms=4000, end_ms=7000),
         )
-        with pytest.raises(ValueError, match="start_ms decreases"):
+        with pytest.raises(NonMonotonicTimestamps, match="start_ms decreases"):
+            Call(call_id="a", turns=turns)
+
+    def test_repeated_turn_index_rejected(self):
+        turns = (make_turn("a", 0), make_turn("a", 1), make_turn("a", 1))
+        with pytest.raises(DuplicateTurnIndex, match="duplicate turn_index 1"):
             Call(call_id="a", turns=turns)
 
     def test_overlapping_holds_rejected(self):
@@ -98,6 +103,10 @@ class TestFoldPlan:
     def test_assignment_range(self):
         with pytest.raises(ValueError, match="fold index"):
             FoldPlan(k=2, assignment={("a", 0): 2}, test_fold=0)
+
+    def test_more_folds_than_assigned_turns_rejected(self):
+        with pytest.raises(ValueError, match="folds empty"):
+            FoldPlan(k=10**12, assignment={("a", 0): 0, ("a", 1): 1}, test_fold=0)
 
     def test_validate_against_detects_missing_class(self):
         corpus = corpus_from_labels({"a": [0, 1, 2, 0, 1, 2]})

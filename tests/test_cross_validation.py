@@ -167,7 +167,19 @@ class TestSweep:
             0.005, 0.01, 0.02, 0.05, 0.075, 0.1, 1.0
         ]
         assert all(w[1:] == (1.0, 1.0) for w in DEFAULT_CLASS_WEIGHT_GRID)
-        assert DEFAULT_LEARNING_RATE_GRID == (5e-7, 1e-6, 3e-6, 5e-6)
+        assert DEFAULT_LEARNING_RATE_GRID == (0.025, 0.05, 0.1, 0.2, 0.4)
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("class_weights", DEFAULT_CLASS_WEIGHT_GRID),
+        ("learning_rate", DEFAULT_LEARNING_RATE_GRID),
+    ], ids=["class_weights", "learning_rate"])
+    def test_every_default_grid_value_trains(self, small_synthetic, axis, grid):
+        """A learning rate at the scale of transformer fine-tuning (5e-7 to
+        5e-6) leaves this trainer at chance, validation mean F1 ~0.45 here."""
+        corpus, _ = small_synthetic
+        plan = stratified_split(corpus, 3, seed=7)
+        result = sweep(corpus, plan, TrainConfig(seed=7), axis, grid, FeatureSpec())
+        assert min(result.validation_mean_f1) > 0.9, result.validation_mean_f1
 
     def test_default_class_weight_grid_yields_seven_rows(self):
         corpus = separable_corpus(n_per_class=10)
@@ -397,6 +409,6 @@ def test_fold_model_keeps_at_most_two_checkpoints(monkeypatch):
     corpus = separable_corpus()
     plan = stratified_split(corpus, k=5, seed=3)
     matrix = tuning.fold_matrix(corpus, plan, SPEC)
-    tuning._fold_model(matrix, 1, replace(CONFIG, epochs=5), SPEC)
+    tuning._fold_model(matrix, 1, replace(CONFIG, epochs=5))
     assert len(refs) == 5
     assert peak <= 2

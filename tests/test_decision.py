@@ -3,13 +3,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from holdscan.classifier import ProbTriple
-from holdscan.decision import REJECT_ALL_THRESHOLD, DecisionRule, decide, decide_batch
+from holdscan.decision import REJECT_ALL_THRESHOLD, DecisionRule, decide_batch
 
 from oracles import reference_decide
 
 
 def triple(p0, p1, p2):
     return ProbTriple(p0, p1, p2)
+
+
+def decide(p, rule):
+    """decide_batch on the single row p."""
+    (label,) = decide_batch([p], rule)
+    return label
 
 
 def test_no_positive_mass():
@@ -39,7 +45,7 @@ def test_batch_is_elementwise():
     probs = [triple(0.8, 0.1, 0.1), triple(0.1, 0.2, 0.7), triple(0.3, 0.4, 0.3)]
     rule = DecisionRule(0.45)
     decided = decide_batch(probs, rule)
-    assert decided == [decide(p, rule) for p in probs]
+    assert decided == [reference_decide(tuple(p), rule.threshold) for p in probs]
     assert all(type(label) is int for label in decided)
     assert decide_batch(np.array([tuple(p) for p in probs]), rule) == decided
     assert decide_batch([], rule) == []

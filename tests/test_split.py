@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holdscan.corpus import fold_plan_payload, load_fold_plan, stratified_split
-from holdscan.errors import ClassTooSmall, Unlabeled
+from holdscan.errors import ClassTooSmall, MalformedRow, Unlabeled
 
 from conftest import corpus_from_labels, flat_corpus
 
@@ -129,3 +129,11 @@ def test_fold_plan_json_round_trip(tmp_path):
     path.write_text(json.dumps(fold_plan_payload(plan)))
     again = load_fold_plan(path)
     assert (again.k, again.test_fold, dict(again.assignment)) == (4, 2, dict(plan.assignment))
+
+
+def test_plan_with_more_folds_than_turns_is_malformed(tmp_path):
+    """A huge k fails at load, before anything is built per fold."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"k": 10**12, "test_fold": 0, "assignment": [["a", 0, 0]]}))
+    with pytest.raises(MalformedRow, match="folds empty"):
+        load_fold_plan(path)
