@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, tuning
 from .classifier import (
     ProbTriple,
     load_checkpoint,
@@ -528,9 +528,13 @@ def run_pipeline(
         mode, table_label = "trained", "mean of folds"
         models_dir = out_dir / "models"
         models_dir.mkdir(exist_ok=True)
-        for result in run.folds:
-            save_checkpoint(models_dir / f"fold_{result.fold_index}.npz", result.checkpoint,
-                            extra_meta=_stamp_meta(cfg))
+        # zlib releases the GIL while it deflates, so the writes overlap on threads.
+        from concurrent.futures import ThreadPoolExecutor
+
+        meta = _stamp_meta(cfg)
+        with ThreadPoolExecutor(tuning._worker_count(len(run.folds))) as pool:
+            list(pool.map(lambda r: save_checkpoint(models_dir / f"fold_{r.fold_index}.npz",
+                                                    r.checkpoint, extra_meta=meta), run.folds))
 
     payload = {
         "mode": mode,

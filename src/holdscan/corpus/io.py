@@ -28,14 +28,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
-from ..errors import (
-    DuplicateTurnIndex,
-    MalformedRow,
-    MissingColumn,
-    NonMonotonicTimestamps,
-    UnknownCall,
-)
-from .model import Call, Corpus, FoldPlan, HoldInterval, PhraseTurn
+from ..errors import MalformedRow, MissingColumn, UnknownCall
+from .model import Call, Corpus, FoldPlan, HoldInterval, PhraseTurn, turn_order_error
 
 PathLike = Union[str, Path]
 
@@ -145,20 +139,6 @@ def _parse_turn(line_no: int, cells: tuple[str, ...]) -> PhraseTurn:
         raise MalformedRow(line_no, str(exc)) from None
 
 
-def _scan_transcripts(path: PathLike) -> Iterator[PhraseTurn | MalformedRow]:
-    """Yield a PhraseTurn per data row, or the MalformedRow error describing it.
-
-    Yielding errors instead of raising lets validate_transcripts keep going
-    past the first bad row; ingest_transcripts re-raises the first one.
-    Header-level problems (no header, missing columns) are raised directly.
-    """
-    for row in read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS):
-        try:
-            yield row if isinstance(row, MalformedRow) else _parse_turn(*row)
-        except MalformedRow as exc:
-            yield exc
-
-
 def _build_corpus(turns: Iterable[PhraseTurn]) -> Corpus:
     """Group turns by call, in first-seen call order, and sort each call by
     turn_index; Call raises DuplicateTurnIndex or NonMonotonicTimestamps."""
@@ -178,28 +158,39 @@ def ingest_transcripts(path: PathLike) -> Corpus:
     MissingColumn, MalformedRow, DuplicateTurnIndex or
     NonMonotonicTimestamps on the first problem found.
     """
-    return _build_corpus(strict(_scan_transcripts(path)))
+    rows = strict(read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS))
+    return _build_corpus(_parse_turn(*row) for row in rows)
 
 
 def validate_transcripts(path: PathLike) -> list[Diagnostic]:
     """Collect per-row diagnostics instead of failing on the first bad row.
 
-    Returns an empty list when the file would ingest cleanly.
+    Bad rows come first, in file order, then one diagnostic per call whose
+    turn order breaks, at the first row that breaks it in turn_index order.
+    Header-level problems (no header, missing columns) are the only
+    diagnostic. Returns an empty list when the file would ingest cleanly.
     """
     diagnostics: list[Diagnostic] = []
-    turns: list[PhraseTurn] = []
+    by_call: dict[str, list[tuple[int, PhraseTurn]]] = {}
     try:
-        for item in _scan_transcripts(path):
-            if isinstance(item, MalformedRow):
-                diagnostics.append(Diagnostic(item.line_no, item.reason))
+        for row in read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS):
+            try:
+                if isinstance(row, MalformedRow):
+                    raise row
+                turn = _parse_turn(*row)
+            except MalformedRow as exc:
+                diagnostics.append(Diagnostic(exc.line_no, exc.reason))
             else:
-                turns.append(item)
+                by_call.setdefault(turn.call_id, []).append((row[0], turn))
     except (MissingColumn, MalformedRow) as exc:
         return [Diagnostic(getattr(exc, "line_no", 1) or 1, str(exc))]
-    try:
-        _build_corpus(turns)
-    except (DuplicateTurnIndex, NonMonotonicTimestamps) as exc:
-        diagnostics.append(Diagnostic(0, str(exc)))
+    for rows in by_call.values():
+        rows.sort(key=lambda row: row[1].turn_index)  # stable: repeats keep file order
+        for (_, prev), (line_no, turn) in zip(rows, rows[1:]):
+            error = turn_order_error(prev, turn)
+            if error is not None:
+                diagnostics.append(Diagnostic(line_no, str(error)))
+                break
     return diagnostics
 
 

@@ -50,6 +50,17 @@ class PhraseTurn:
         return (self.call_id, self.turn_index)
 
 
+def turn_order_error(
+    prev: PhraseTurn, turn: PhraseTurn
+) -> DuplicateTurnIndex | NonMonotonicTimestamps | None:
+    """The error of turn following prev in turn_index order, or None when the pair is in order."""
+    if turn.turn_index == prev.turn_index:
+        return DuplicateTurnIndex(turn.call_id, turn.turn_index)
+    if turn.start_ms < prev.start_ms:
+        return NonMonotonicTimestamps(turn.call_id)
+    return None
+
+
 @dataclass(frozen=True)
 class HoldInterval:
     """A hold registered in the telephony system, [hold_start_ms, hold_end_ms)."""
@@ -85,23 +96,21 @@ class Call:
     def __post_init__(self):
         self.turns = tuple(self.turns)
         self.holds = tuple(self.holds)
-        prev_index = None
-        prev_start = None
+        prev = None
         for turn in self.turns:
             if turn.call_id != self.call_id:
                 raise ValueError(
                     f"turn {turn.turn_index} has call_id {turn.call_id!r}, expected {self.call_id!r}"
                 )
-            if turn.turn_index == prev_index:
-                raise DuplicateTurnIndex(self.call_id, turn.turn_index)
-            if prev_index is not None and turn.turn_index < prev_index:
-                raise ValueError(
-                    f"call {self.call_id!r}: turn_index {turn.turn_index} out of order"
-                )
-            if prev_start is not None and turn.start_ms < prev_start:
-                raise NonMonotonicTimestamps(self.call_id)
-            prev_index = turn.turn_index
-            prev_start = turn.start_ms
+            if prev is not None:
+                if turn.turn_index < prev.turn_index:
+                    raise ValueError(
+                        f"call {self.call_id!r}: turn_index {turn.turn_index} out of order"
+                    )
+                error = turn_order_error(prev, turn)
+                if error is not None:
+                    raise error
+            prev = turn
             self._turn_by_index[turn.turn_index] = turn
         prev_end = None
         for hold in self.holds:

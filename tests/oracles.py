@@ -11,6 +11,9 @@ versions of the package:
 - `per_example_train`: the trainer used before the shared sparse kernels,
   with its per-example logits and update loops and the `(idx, cnt)`
   feature lists it read.
+- `per_step_take_fit`: `fit` as it was before each epoch's rows were taken
+  once, copying every batch's rows out of the feature matrix; a bit-exact
+  reference for every epoch's weights, bias and validation AUC.
 - `per_text_featurize` and `per_text_featurize_many`: the featurizer used
   before the batched array passes, hashing every n-gram of every text
   through a dict; a bit-exact reference for the CSR arrays.
@@ -22,7 +25,14 @@ import zlib
 
 import numpy as np
 
-from holdscan.classifier import Checkpoint, FeatureSpec, _Csr
+from holdscan.classifier import (
+    Checkpoint,
+    FeatureSpec,
+    _ce_logit_grad,
+    _Csr,
+    _gather,
+    _scatter,
+)
 from holdscan.errors import EmptyFold, EmptyInput, EmptyTrainingSet, UnlabeledExample
 from holdscan.metrics import roc_auc_ovr_macro
 
@@ -312,6 +322,59 @@ def per_example_train(examples, config, spec, validation):
             )
         )
     return checkpoints
+
+
+# --- the per-step row-take trainer, kept as a differential reference ------------
+
+
+def per_step_take_fit(feats, y, train_rows, val_rows, config, spec):
+    """classifier.fit with a fresh feats.take(batch) at every step."""
+    if len(train_rows) == 0:
+        raise EmptyTrainingSet("training set is empty")
+    if len(val_rows) == 0:
+        raise EmptyInput("validation set is empty")
+    val_feats = feats.take(val_rows)
+    y_val = y[val_rows]
+
+    n = len(train_rows)
+    rng = np.random.default_rng(config.seed)
+
+    # weights = scale * v; the decoupled decay multiplies the scalar only.
+    v = np.zeros((spec.hash_dim, 3))
+    scale = 1.0
+    bias = np.zeros(3)
+
+    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
+    total_steps = steps_per_epoch * config.epochs
+    step = 0
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = train_rows[order[start : start + config.batch_size]]
+            lr = config.learning_rate * (1.0 - step / total_steps)
+            step += 1
+
+            batch_feats = feats.take(batch)
+            probs = _softmax_rows(scale * _gather(batch_feats, v) + bias)
+            g = _ce_logit_grad(probs, y[batch], config.class_weights)
+
+            scale *= 1.0 - lr * config.weight_decay
+            if scale < 1e-100:  # refold to keep v representable
+                v *= scale
+                scale = 1.0
+            _scatter(v, batch_feats, g, -lr / scale)
+            bias -= lr * g.sum(axis=0)
+
+        weights = scale * v
+        val_probs = _softmax_rows(_gather(val_feats, weights) + bias)
+        auc = roc_auc_ovr_macro(y_val, val_probs)
+        yield Checkpoint(
+            epoch=epoch,
+            weights=weights,
+            bias=bias.copy(),
+            validation_auc=auc,
+            feature_spec=spec,
+        )
 
 
 # --- the per-text featurizer, kept as a differential reference ----------------

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 from contextlib import ExitStack
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import holdscan
 from holdscan import cli, tuning
 from holdscan.cli import run_cli
 from holdscan.classifier import Checkpoint, FeatureSpec, ProbTriple, save_checkpoint, write_proba
@@ -60,6 +66,18 @@ class TestValidate:
 
     def test_nonexistent_path_exits_one(self, tmp_path):
         assert run(["validate", str(tmp_path / "missing.csv")]) == 1
+
+    def test_names_every_call_with_a_bad_turn_order(self, tmp_path, capsys):
+        path = tmp_path / "order.csv"
+        path.write_text(HEADER + "a,0,agent,0,10,x,0\na,1,agent,20,30,x,0\n"
+                        "a,1,agent,40,50,x,0\nb,0,client,0,10,x,0\n"
+                        "b,1,client,30,40,x,0\nb,2,client,20,25,x,0\n")
+        assert run(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "line 4: call 'a': duplicate turn_index 1",
+            "line 7: call 'b': start_ms decreases along turn_index order",
+            "2 invalid row(s)",
+        ]
 
 
 class TestStats:
@@ -250,14 +268,35 @@ class TestPipeline:
         assert len(payload["per_fold_test_metrics"]) == 3
 
     def test_pool_and_in_process_trees_are_identical(self, tmp_path):
+        """Pooled and in-process runs write the same bytes; the unmocked run
+        takes its worker count from this process's CPU affinity."""
         args = ["pipeline", "--synthetic-calls", "80", "--seed", "23", "--folds", "4",
                 "--hash-dim", "2048", "--epochs", "2"]
         for workers in (2, 1):
             with mock.patch.object(tuning, "_worker_count", return_value=workers):
                 assert run(args + ["--out-dir", str(tmp_path / f"w{workers}")]) == 0
+        assert run(args + ["--out-dir", str(tmp_path / "affinity")]) == 0
         artifacts = tree_bytes(tmp_path / "w2")
         assert sum(name.startswith("models/") for name in artifacts) == 3
-        assert artifacts == tree_bytes(tmp_path / "w1")
+        assert artifacts == tree_bytes(tmp_path / "w1") == tree_bytes(tmp_path / "affinity")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_model_write_exits_one(self, tmp_path, capsys, workers):
+        """A model file that cannot be written is a clean exit 1 with the
+        write threads joined. Later folds may already be written."""
+        out = tmp_path / "out"
+        (out / "models" / "fold_2.npz").mkdir(parents=True)
+        threads = threading.active_count()
+        with mock.patch.object(tuning, "_worker_count", return_value=workers):
+            code = run(["pipeline", "--synthetic-calls", "80", "--seed", "23", "--folds", "4",
+                        "--hash-dim", "2048", "--epochs", "1", "--out-dir", str(out)])
+        assert code == 1
+        assert json.loads((out / "fold_plan.json").read_text())["test_fold"] != 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 21] Is a directory: ")
+        assert "fold_2.npz" in err
+        assert "Traceback" not in err
+        assert threading.active_count() == threads
 
     def test_external_proba_mode(self, tmp_path):
         corpus, _ = generate_synthetic(50, 5)
@@ -419,3 +458,15 @@ class TestConfigFile:
                     "--transcripts", str(corpus_dir / "transcripts.csv"),
                     "--folds", "4", "--seed", "1", "--out", str(tmp_path / "p.json")])
         assert code == 2
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    """concurrent.futures is imported when a pipeline writes its models, not
+    when the CLI starts, so every command's start-up stays without it."""
+    src = str(Path(holdscan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, holdscan.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"

@@ -152,6 +152,48 @@ def test_validate_collects_multiple_diagnostics(tmp_path):
     assert [d.line_no for d in diagnostics] == [3, 4]
 
 
+TWO_BAD_CALLS = (
+    "a,0,agent,0,10,x,0\n"
+    "a,1,agent,20,30,x,0\n"
+    "a,1,agent,40,50,x,0\n"
+    "b,0,client,0,10,x,0\n"
+    "b,1,client,30,40,x,0\n"
+    "b,2,client,20,25,x,0\n"
+)
+
+
+def test_validate_names_each_bad_call_at_its_row(tmp_path):
+    path = write_csv(tmp_path, TWO_BAD_CALLS)
+    assert [str(d) for d in validate_transcripts(path)] == [
+        "line 4: call 'a': duplicate turn_index 1",
+        "line 7: call 'b': start_ms decreases along turn_index order",
+    ]
+    with pytest.raises(DuplicateTurnIndex, match="call 'a'"):
+        ingest_transcripts(path)
+
+
+def test_validate_finds_the_breaking_row_in_turn_index_order(tmp_path):
+    """Rows out of file order: the repeat reported is the later row, and the
+    decreasing start is the row that follows its predecessor in turn_index order."""
+    path = write_csv(
+        tmp_path,
+        "a,1,agent,40,50,x,0\n"    # line 2
+        "a,0,agent,0,10,x,0\n"     # line 3
+        "a,1,agent,20,30,x,0\n"    # line 4: repeats line 2's index
+        "b,2,client,20,25,x,0\n"   # line 5: starts before b's turn 1
+        "b,0,client,0,10,x,0\n"    # line 6
+        "b,1,client,30,40,x,0\n"   # line 7
+        "c,0,agent,0,1,x,0\n"
+        "c,1,agent,5,6,x,0\n",
+    )
+    assert [d.line_no for d in validate_transcripts(path)] == [4, 5]
+
+
+def test_validate_lists_bad_rows_before_bad_calls(tmp_path):
+    path = write_csv(tmp_path, TWO_BAD_CALLS + "c,0,agent,9,1,x,0\n")
+    assert [d.line_no for d in validate_transcripts(path)] == [8, 4, 7]
+
+
 def test_validate_clean_file(tmp_path):
     path = write_csv(tmp_path, "a,0,agent,0,1000,ok,0\n")
     assert validate_transcripts(path) == []

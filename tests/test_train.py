@@ -6,6 +6,7 @@ from holdscan.classifier import (
     FeatureSpec,
     TrainConfig,
     _featurize_many,
+    fit,
     predict_proba,
     select_best_checkpoint,
     train,
@@ -14,7 +15,7 @@ from holdscan.classifier import (
 from holdscan.corpus import generate_synthetic
 from holdscan.errors import EmptyInput, EmptyTrainingSet, UnlabeledExample
 
-from oracles import per_example_train
+from oracles import per_example_train, per_step_take_fit
 
 SPEC = FeatureSpec(hash_dim=2 ** 10)
 
@@ -216,3 +217,80 @@ def test_matches_per_example_trainer(case):
         assert np.max(np.abs(g.bias - w.bias)) <= 1e-12
         assert g.validation_auc == w.validation_auc
     assert select_best_checkpoint(got).epoch == select_best_checkpoint(want).epoch
+
+
+# --- differential test against the per-step row-take trainer -----------------
+
+
+def _fit_inputs(distinct: bool, spec: FeatureSpec):
+    """A feature matrix of synthetic turns, 405 shuffled train rows and 53 validation rows.
+
+    The corpus has five scripted turns; each side gets some of them.
+    """
+    examples = _synthetic_examples(distinct)
+    feats = _featurize_many([t for t, _ in examples], spec)
+    y = np.array([label for _, label in examples])
+    scripted, plain = np.flatnonzero(y > 0), np.flatnonzero(y == 0)
+    train_rows = np.random.default_rng(5).permutation(np.concatenate([scripted[1::2], plain[:400]]))
+    return feats, y, train_rows, np.concatenate([scripted[::2], plain[400:450]])
+
+
+_REFOLD = TrainConfig(batch_size=2, learning_rate=0.5, weight_decay=1.98, seed=2)
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
+@pytest.mark.parametrize("batch_size", [1, 3, 16, 50, "n-1", "n", "n+5", "refold"])
+def test_fit_matches_per_step_take(distinct, batch_size):
+    spec = FeatureSpec(hash_dim=2 ** 12)
+    feats, y, train_rows, val_rows = _fit_inputs(distinct, spec)
+    n = len(train_rows)
+    if batch_size == "refold":
+        # As in test_matches_per_example_trainer: the decay reaches below the
+        # smallest float, so v is refolded mid-run.
+        config = _REFOLD
+        steps = -(-n // config.batch_size) * config.epochs
+        lrs = config.learning_rate * (1.0 - np.arange(steps) / steps)
+        assert np.log10(1.0 - lrs * config.weight_decay).sum() < -400
+    else:
+        size = {"n-1": n - 1, "n": n, "n+5": n + 5}.get(batch_size, batch_size)
+        config = TrainConfig(batch_size=size, class_weights=(0.5, 2.0, 3.0), seed=9)
+
+    got = list(fit(feats, y, train_rows, val_rows, config, spec))
+    want = list(per_step_take_fit(feats, y, train_rows, val_rows, config, spec))
+    assert [c.epoch for c in got] == [c.epoch for c in want] == list(range(1, config.epochs + 1))
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(g.weights))
+        assert g.weights.tobytes() == w.weights.tobytes()
+        assert g.bias.tobytes() == w.bias.tobytes()
+        assert g.validation_auc == w.validation_auc
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 128, 300])
+def test_csr_take_matches_row_by_row(n_rows):
+    """take holds each asked-for row's entries, concatenated in the order asked for."""
+    examples = _synthetic_examples(distinct=True)[:90] + [("", 0)]  # the last row is empty
+    feats = _featurize_many([t for t, _ in examples], FeatureSpec(hash_dim=2 ** 12))
+    rows = np.random.default_rng(n_rows).integers(0, len(examples), n_rows)
+    got = feats.take(rows)
+    spans = [slice(feats.indptr[r], feats.indptr[r + 1]) for r in rows]
+    assert got.indptr.dtype == np.int64
+    assert np.array_equal(got.indptr, np.cumsum([0] + [s.stop - s.start for s in spans]))
+    for name in ("indices", "data"):
+        whole = getattr(feats, name)
+        want = np.concatenate([whole[:0]] + [whole[s] for s in spans])
+        assert getattr(got, name).dtype == whole.dtype
+        assert np.array_equal(getattr(got, name), want)
+
+
+@pytest.mark.parametrize("start, stop", [(0, 0), (7, 7), (0, 16), (5, 21), (32, 48),
+                                         (48, 53), (48, 64), (53, 53), (0, 53)])
+def test_csr_slice_equals_take(start, stop):
+    """A slice is take over the same row range, array for array and dtype for
+    dtype, for empty slices and a last partial batch (53 rows, stop past the end)."""
+    examples = _synthetic_examples(distinct=True)[:53]
+    feats = _featurize_many([t for t, _ in examples], FeatureSpec(hash_dim=2 ** 12))
+    got = feats.slice(start, stop)
+    want = feats.take(np.arange(start, min(stop, 53)))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
