@@ -440,9 +440,22 @@ def select_best_checkpoint(checkpoints: Iterable[Checkpoint]) -> Checkpoint:
     """Checkpoint with maximal validation AUC; ties go to the earliest epoch.
 
     Takes any iterable, so a generator such as fit is consumed one
-    Checkpoint at a time and only the best so far is kept.
+    Checkpoint at a time and only the best so far is kept. It stops at the
+    first AUC of 1.0 and asks for no later Checkpoint, so fit trains no
+    later epoch; the pick is the same, since no AUC exceeds 1.0 and a tie
+    keeps the earlier epoch. binary_auc computes (positive rank sum -
+    n_pos(n_pos+1)/2) / (n_pos * n_neg) from half-integer ranks, exact in
+    float64 for any realistic row count, so a class's AUC is at most 1.0
+    and equals it only under perfect separation; the macro mean is at most
+    1.0 and equals it only when every class reads 1.0.
     """
-    best = max(checkpoints, key=lambda ckpt: ckpt.validation_auc, default=None)
+    best = None
+    for ckpt in checkpoints:
+        if best is None or ckpt.validation_auc > best.validation_auc:
+            best = ckpt
+        if best.validation_auc == 1.0:
+            break
+        del ckpt  # so only the best is held while fit trains the next epoch
     if best is None:
         raise EmptyInput("no checkpoints to select from")
     return best

@@ -184,13 +184,17 @@ def _add_options(options):
 @click.argument("transcripts", type=click.Path(exists=True))
 def validate(transcripts):
     """Check a transcript CSV; exit 0 only when it ingests cleanly."""
-    diagnostics = validate_transcripts(transcripts)
-    if diagnostics:
+    try:
+        corpus = ingest_transcripts(transcripts)
+    except DataValidationError:
+        # Only a file that fails to ingest is read again, to list every bad row.
+        diagnostics = validate_transcripts(transcripts)
+        if not diagnostics:
+            raise
         for diag in diagnostics:
             click.echo(str(diag))
         click.echo(f"{len(diagnostics)} invalid row(s)")
         sys.exit(2)
-    corpus = ingest_transcripts(transcripts)
     counts = corpus.label_counts()
     unlabeled = corpus.n_turns() - sum(counts.values())
     click.echo(f"calls: {len(corpus.calls)}")

@@ -195,24 +195,26 @@ def validate_transcripts(path: PathLike) -> list[Diagnostic]:
 
 
 def ingest_holds(path: PathLike) -> dict[str, tuple[HoldInterval, ...]]:
-    """Parse a holds CSV into per-call sorted hold intervals."""
-    by_call: dict[str, list[HoldInterval]] = {}
+    """Parse a holds CSV into per-call sorted hold intervals.
+
+    A hold that starts before the one preceding it in start order ends is
+    a MalformedRow at its own line.
+    """
+    by_call: dict[str, list[tuple[HoldInterval, int]]] = {}
     for line_no, (call_id, start, end) in strict(read_csv(path, HOLD_COLUMNS)):
         try:
             interval = HoldInterval(int(start), int(end))
         except ValueError as exc:
             raise MalformedRow(line_no, str(exc)) from None
-        by_call.setdefault(call_id, []).append(interval)
+        by_call.setdefault(call_id, []).append((interval, line_no))
 
     result: dict[str, tuple[HoldInterval, ...]] = {}
-    for call_id, intervals in by_call.items():
-        intervals.sort(key=lambda h: h.hold_start_ms)
-        prev_end = None
-        for hold in intervals:
-            if prev_end is not None and hold.hold_start_ms < prev_end:
-                raise MalformedRow(0, f"call {call_id!r}: overlapping holds")
-            prev_end = hold.hold_end_ms
-        result[call_id] = tuple(intervals)
+    for call_id, holds in by_call.items():
+        holds.sort(key=lambda hold: hold[0].hold_start_ms)  # stable: ties keep file order
+        for (prev, _), (hold, line_no) in zip(holds, holds[1:]):
+            if hold.hold_start_ms < prev.hold_end_ms:
+                raise MalformedRow(line_no, f"call {call_id!r}: overlapping holds")
+        result[call_id] = tuple(hold for hold, _ in holds)
     return result
 
 

@@ -4,9 +4,11 @@ A run featurizes the fold plan's labeled turns once, into one feature
 matrix whose rows run fold after fold; every fold is a range of its rows.
 One fold is reserved for testing. Each remaining fold serves once as the
 validation fold for a model trained on the rows of all the others; the
-best epoch checkpoint per fold is picked by validation ROC AUC. The fold
-models are independent, so they train in parallel worker processes, one
-per usable CPU, with the same bits as one after another. A single
+best epoch checkpoint per fold is picked by validation ROC AUC. A fold
+trains no epoch after its first AUC of 1.0: no AUC exceeds 1.0, so no
+later checkpoint could be picked. The fold models are independent, so
+they train in parallel worker processes, one per usable CPU, with the
+same bits as one after another. A single
 threshold is then chosen for every checkpoint at once: candidates are all
 unique p1 + p2 sums observed across the concatenated validation
 predictions (plus a reject-all sentinel), scored by the mean validation

@@ -17,6 +17,8 @@ versions of the package:
 - `per_text_featurize` and `per_text_featurize_many`: the featurizer used
   before the batched array passes, hashing every n-gram of every text
   through a dict; a bit-exact reference for the CSR arrays.
+- `reference_select_best`: the checkpoint pick used before it stopped at
+  the first validation AUC of 1.0, a `max` over every checkpoint.
 """
 
 from __future__ import annotations
@@ -322,6 +324,17 @@ def per_example_train(examples, config, spec, validation):
             )
         )
     return checkpoints
+
+
+# --- the checkpoint pick over every epoch, kept as a differential reference ----
+
+
+def reference_select_best(checkpoints):
+    """The checkpoint with maximal validation AUC; ties go to the earliest epoch."""
+    best = max(checkpoints, key=lambda ckpt: ckpt.validation_auc, default=None)
+    if best is None:
+        raise EmptyInput("no checkpoints to select from")
+    return best
 
 
 # --- the per-step row-take trainer, kept as a differential reference ------------

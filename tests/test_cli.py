@@ -58,6 +58,12 @@ class TestValidate:
         assert "calls: 1" in out
         assert "rows per class" in out
 
+    def test_clean_file_is_read_once(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text(HEADER + "a,0,agent,0,1000,hello,0\n")
+        with mock.patch.object(cli, "validate_transcripts", side_effect=AssertionError):
+            assert run(["validate", str(path)]) == 0
+
     def test_bad_row_exits_two_and_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "a,0,agent,0,1000,hello,0\na,1,agent,9000,2000,bad,0\n")
@@ -242,6 +248,16 @@ class TestAudit:
                     "--holds", str(corpus_dir / "holds.csv"),
                     "--proba", str(proba), "--threshold", "0.5"])
         assert code == 0
+
+    def test_overlapping_holds_exit_two_and_name_the_row(self, corpus_dir, tmp_path, capsys):
+        call_id = ingest_transcripts(corpus_dir / "transcripts.csv").calls[0].call_id
+        holds = tmp_path / "holds.csv"
+        holds.write_text(f"call_id,hold_start_ms,hold_end_ms\n{call_id},9000,12000\n"
+                         f"{call_id},1000,2000\n{call_id},1500,3000\n")
+        code = run(["audit", "--transcripts", str(corpus_dir / "transcripts.csv"),
+                    "--holds", str(holds), "--gold"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line 4: call {call_id!r}: overlapping holds\n"
 
     def test_needs_gold_or_proba(self, corpus_dir):
         assert run(["audit", "--transcripts", str(corpus_dir / "transcripts.csv"),

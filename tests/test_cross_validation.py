@@ -28,13 +28,19 @@ from holdscan.tuning import (
 )
 
 from conftest import flat_corpus, make_turn
+from oracles import reference_select_best
 
 SPEC = FeatureSpec(hash_dim=2 ** 11)
 CONFIG = TrainConfig(epochs=2, seed=17)
 
 
-def separable_corpus(n_per_class=100):
-    """300 turns with unmistakable per-class texts, spread over calls."""
+def separable_corpus(n_per_class=100, mislabel_every=None):
+    """300 turns with unmistakable per-class texts, spread over calls.
+
+    With mislabel_every=m, every m-th turn keeps its class's text but
+    carries the next class's label, so a text occurs under two labels and
+    no model separates the classes: validation AUC stays below 1.0.
+    """
     texts = {0: "let me check the account balance", 1: "please hold the line now",
              2: "thanks for waiting patiently"}
     calls = []
@@ -42,11 +48,15 @@ def separable_corpus(n_per_class=100):
     labels = [c for c in (0, 1, 2) for _ in range(n_per_class)]
     rng = np.random.default_rng(0)
     rng.shuffle(labels)
+    texts_in_order = [texts[label] for label in labels]
+    if mislabel_every:
+        labels[::mislabel_every] = [(label + 1) % 3 for label in labels[::mislabel_every]]
     for start in range(0, len(labels), per_call):
         call_id = f"call{start // per_call:03d}"
         turns = tuple(
-            make_turn(call_id, i, label=label, text=texts[label])
-            for i, label in enumerate(labels[start : start + per_call])
+            make_turn(call_id, i, label=label, text=text)
+            for i, (label, text) in enumerate(zip(labels[start : start + per_call],
+                                                  texts_in_order[start : start + per_call]))
         )
         calls.append(Call(call_id=call_id, turns=turns))
     return Corpus(calls=tuple(calls))
@@ -392,23 +402,76 @@ def test_fold_error_reaches_the_caller(workers):
     assert multiprocessing.active_children() == []
 
 
+class _FitRecorder:
+    """tuning.fit, patched to keep a weak reference to each Checkpoint it
+    yields and the most of them alive at any one yield."""
+
+    def __init__(self, monkeypatch):
+        self.refs = []
+        self.peak = 0
+        real_fit = tuning.fit
+
+        def recording_fit(*args, **kwargs):
+            for ckpt in real_fit(*args, **kwargs):
+                self.refs.append(weakref.ref(ckpt))
+                self.peak = max(self.peak, sum(ref() is not None for ref in self.refs))
+                yield ckpt
+
+        monkeypatch.setattr(tuning, "fit", recording_fit)
+
+
 def test_fold_model_keeps_at_most_two_checkpoints(monkeypatch):
-    """_fold_model keeps only the best epoch's Checkpoint and the current one."""
-    refs = []
-    peak = 0
-    real_fit = tuning.fit
+    """_fold_model keeps only the best epoch's Checkpoint and the current one.
 
-    def counting_fit(*args, **kwargs):
-        nonlocal peak
-        for ckpt in real_fit(*args, **kwargs):
-            refs.append(weakref.ref(ckpt))
-            peak = max(peak, sum(ref() is not None for ref in refs))
-            yield ckpt
-
-    monkeypatch.setattr(tuning, "fit", counting_fit)
-    corpus = separable_corpus()
+    The corpus has mislabeled turns, so no epoch reaches AUC 1.0 and every
+    one of the 5 epochs is trained."""
+    fits = _FitRecorder(monkeypatch)
+    corpus = separable_corpus(mislabel_every=10)
     plan = stratified_split(corpus, k=5, seed=3)
     matrix = tuning.fold_matrix(corpus, plan, SPEC)
     tuning._fold_model(matrix, 1, replace(CONFIG, epochs=5))
-    assert len(refs) == 5
-    assert peak <= 2
+    assert len(fits.refs) == 5
+    assert fits.peak <= 2
+
+
+# Folds of k=5 splits at seed 3 whose validation AUC first reads 1.0 at
+# epoch 1, at epoch 2, and at no epoch of 5.
+EXIT_CASES = {
+    "perfect_at_1": (lambda: separable_corpus(), 1, 1),
+    "perfect_at_2": (lambda: _distinct_texts(generate_synthetic(60, 2)[0]), 1, 2),
+    "never_perfect": (lambda: separable_corpus(mislabel_every=10), 1, None),
+}
+
+
+@pytest.fixture(scope="module", params=list(EXIT_CASES), ids=list(EXIT_CASES))
+def exit_case(request):
+    """(fold matrix, validation fold, first epoch at AUC 1.0 or None, 5-epoch config)."""
+    make_corpus, v, first_perfect = EXIT_CASES[request.param]
+    corpus = make_corpus()
+    matrix = tuning.fold_matrix(corpus, stratified_split(corpus, k=5, seed=3), SPEC)
+    return matrix, v, first_perfect, replace(CONFIG, epochs=5)
+
+
+def test_fold_model_exit_picks_the_checkpoint_of_every_epoch(exit_case):
+    """Every fold's _fold_model checkpoint, in-process or on the worker pool,
+    is the one a max over all 5 epochs' checkpoints picks."""
+    matrix, _, _, config = exit_case
+    folds = [f for f in range(matrix.k) if f != matrix.test_fold]
+    with tuning._fold_models(matrix, [(config, f) for f in folds]) as results:
+        picked = [best for best, _ in results]
+    for f, got in zip(folds, picked):
+        want = reference_select_best(list(tuning.train_fold(matrix, f, config)))
+        assert (got.epoch, got.validation_auc) == (want.epoch, want.validation_auc)
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.bias.tobytes() == want.bias.tobytes()
+
+
+def test_fold_model_trains_no_epoch_after_auc_one(exit_case, monkeypatch):
+    """A fold whose validation AUC first reads 1.0 at epoch k trains k epochs;
+    one that never reads 1.0 trains all 5."""
+    matrix, v, first_perfect, config = exit_case
+    curve = [ckpt.validation_auc for ckpt in tuning.train_fold(matrix, v, config)]
+    assert next((e for e, auc in enumerate(curve, 1) if auc == 1.0), None) == first_perfect
+    fits = _FitRecorder(monkeypatch)
+    tuning._fold_model(matrix, v, config)
+    assert len(fits.refs) == (first_perfect or config.epochs)

@@ -131,8 +131,24 @@ def test_roundtrip_holds(tmp_path):
 def test_holds_overlap_rejected(tmp_path):
     hpath = tmp_path / "holds.csv"
     hpath.write_text("call_id,hold_start_ms,hold_end_ms\na,5000,20000\na,10000,40000\n")
-    with pytest.raises(MalformedRow):
+    with pytest.raises(MalformedRow) as err:
         ingest_holds(hpath)
+    assert (err.value.line_no, err.value.reason) == (3, "call 'a': overlapping holds")
+
+
+def test_holds_overlap_names_the_later_starting_row(tmp_path):
+    """Rows out of start order: the row reported is the one that starts
+    inside the hold before it in start order, not the later row in the file."""
+    hpath = tmp_path / "holds.csv"
+    hpath.write_text("call_id,hold_start_ms,hold_end_ms\n"
+                     "b,0,100\n"          # line 2
+                     "a,60000,70000\n"    # line 3: starts inside line 6's hold
+                     "a,0,1000\n"         # line 4
+                     "# comment\n"        # line 5
+                     "a,50000,65000\n")   # line 6
+    with pytest.raises(MalformedRow) as err:
+        ingest_holds(hpath)
+    assert str(err.value) == "line 3: call 'a': overlapping holds"
 
 
 def test_attach_holds_unknown_call(tmp_path):

@@ -242,3 +242,46 @@ def test_auc_bounds_property(seed):
         return
     value = binary_auc(scores, flags.tolist())
     assert 0.0 <= value <= 1.0
+
+
+def _separates(scores, positives):
+    """Whether every positive scores strictly above every negative."""
+    pos = [s for s, p in zip(scores, positives) if p]
+    neg = [s for s, p in zip(scores, positives) if not p]
+    return min(pos) > max(neg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=2, max_size=60))
+def test_binary_auc_reaches_one_only_under_separation(rows):
+    """A coarse score grid forces ties; the AUC never exceeds 1.0 and is
+    exactly 1.0 when, and only when, the positives separate."""
+    scores = [score / 4 for score, _ in rows]
+    positives = [flag for _, flag in rows]
+    if all(positives) or not any(positives):
+        return
+    value = binary_auc(scores, positives)
+    assert value <= 1.0
+    assert (value == 1.0) == _separates(scores, positives)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(0, 1), (0, 2), (1, 2), (0, 1, 2)]).flatmap(lambda classes: st.lists(
+    st.tuples(st.sampled_from(classes), st.tuples(*[st.integers(0, 3)] * 3)),
+    min_size=2, max_size=60)))
+def test_ovr_macro_auc_reaches_one_only_when_every_class_separates(rows):
+    """2- and 3-class label sets over rows of tied probabilities: the macro
+    AUC never exceeds 1.0 and is exactly 1.0 when, and only when, every
+    present class separates from the rest."""
+    y = [label for label, _ in rows]
+    weights = np.array([w for _, w in rows], dtype=float) + np.eye(3)[y]  # no all-zero row
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    present = sorted(set(y))
+    if len(present) < 2:
+        return
+    value = roc_auc_ovr_macro(y, probs)
+    assert value <= 1.0
+    every_class_separates = all(
+        _separates(probs[:, c].tolist(), [label == c for label in y]) for c in present
+    )
+    assert (value == 1.0) == every_class_separates

@@ -152,6 +152,16 @@ def test_select_best_checkpoint_takes_a_generator():
 
     aucs = [0.7, 0.9, 0.8, 0.9]
     assert select_best_checkpoint(ckpt(e, a) for e, a in enumerate(aucs, start=1)).epoch == 2
+    asked = []
+
+    def epochs(aucs):
+        for e, a in enumerate(aucs, start=1):
+            asked.append(e)
+            yield ckpt(e, a)
+
+    # No AUC exceeds 1.0, so the pick asks for nothing after the first 1.0.
+    assert select_best_checkpoint(epochs([0.7, 1.0, 1.0, 0.9])).epoch == 2
+    assert asked == [1, 2]
     with pytest.raises(EmptyInput):
         select_best_checkpoint(ckpt(e, a) for e, a in [])
 
