@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, tuning
+from . import __version__
 from .classifier import (
     ProbTriple,
     load_checkpoint,
@@ -528,17 +528,14 @@ def run_pipeline(
         run = tune_and_test(by_fold, [test_probs], test_labels)
         mode, table_label = "external", "external"
     else:
-        run = run_cross_validation(corpus, plan, cfg.train_config(), cfg.feature_spec())
-        mode, table_label = "trained", "mean of folds"
         models_dir = out_dir / "models"
         models_dir.mkdir(exist_ok=True)
-        # zlib releases the GIL while it deflates, so the writes overlap on threads.
-        from concurrent.futures import ThreadPoolExecutor
-
         meta = _stamp_meta(cfg)
-        with ThreadPoolExecutor(tuning._worker_count(len(run.folds))) as pool:
-            list(pool.map(lambda r: save_checkpoint(models_dir / f"fold_{r.fold_index}.npz",
-                                                    r.checkpoint, extra_meta=meta), run.folds))
+        run = run_cross_validation(  # each fold's worker writes the model it trained
+            corpus, plan, cfg.train_config(), cfg.feature_spec(),
+            save=lambda v, best: save_checkpoint(models_dir / f"fold_{v}.npz", best,
+                                                 extra_meta=meta))
+        mode, table_label = "trained", "mean of folds"
 
     payload = {
         "mode": mode,
@@ -551,7 +548,7 @@ def run_pipeline(
     }
     if run.folds:
         payload["per_fold_validation_auc"] = {
-            str(r.fold_index): r.checkpoint.validation_auc for r in run.folds
+            str(r.fold_index): r.validation_auc for r in run.folds
         }
     _write_json(out_dir / "shared_threshold.json",
                 {"shared_threshold": run.shared_threshold,

@@ -183,7 +183,7 @@ def validate_transcripts(path: PathLike) -> list[Diagnostic]:
             else:
                 by_call.setdefault(turn.call_id, []).append((row[0], turn))
     except (MissingColumn, MalformedRow) as exc:
-        return [Diagnostic(getattr(exc, "line_no", 1) or 1, str(exc))]
+        return [Diagnostic(getattr(exc, "line_no", 1) or 1, getattr(exc, "reason", str(exc)))]
     for rows in by_call.values():
         rows.sort(key=lambda row: row[1].turn_index)  # stable: repeats keep file order
         for (_, prev), (line_no, turn) in zip(rows, rows[1:]):

@@ -8,15 +8,16 @@ best epoch checkpoint per fold is picked by validation ROC AUC. A fold
 trains no epoch after its first AUC of 1.0: no AUC exceeds 1.0, so no
 later checkpoint could be picked. The fold models are independent, so
 they train in parallel worker processes, one per usable CPU, with the
-same bits as one after another. A single
-threshold is then chosen for every checkpoint at once: candidates are all
-unique p1 + p2 sums observed across the concatenated validation
-predictions (plus a reject-all sentinel), scored by the mean validation
-F1-macro over folds. Finally every per-fold checkpoint scores the test
-fold's rows at that shared threshold and the reported test metrics are
-the per-fold mean. A sweep runs this once per grid value on one shared
-matrix and picks its best value by that validation mean F1-macro, so the
-test fold plays no part in the pick either.
+same bits as one after another; a caller's save function writes each
+fold model in the process that trained it. A single threshold is then
+chosen for every checkpoint at once: candidates are all unique p1 + p2
+sums observed across the concatenated validation predictions (plus a
+reject-all sentinel), scored by the mean validation F1-macro over folds.
+Finally every per-fold checkpoint scores the test fold's rows at that
+shared threshold and the reported test metrics are the per-fold mean. A
+sweep runs this once per grid value on one shared matrix and picks its
+best value by that validation mean F1-macro, so the test fold plays no
+part in the pick either.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .metrics import (
 )
 
 FoldPredictions = tuple[ProbsLike, Sequence[int]]
+SaveFold = Callable[[int, Checkpoint], object]  # see run_cross_validation
 
 # Default hyperparameter grids for the two supported sweep axes.
 DEFAULT_CLASS_WEIGHT_GRID: tuple[tuple[float, float, float], ...] = (
@@ -137,10 +140,11 @@ def score_at(probs: ProbsLike, labels: Sequence[int], threshold: float) -> Metri
 
 @dataclass
 class FoldResult:
-    """The best checkpoint of one validation fold inside a cross-validation run."""
+    """The epoch and validation AUC of one validation fold's best checkpoint."""
 
     fold_index: int
-    checkpoint: Checkpoint
+    epoch: int
+    validation_auc: float
 
 
 @dataclass
@@ -235,27 +239,32 @@ def _checked_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSp
     return fold_matrix(corpus, fold_plan, feature_spec)
 
 
-def _fold_model(matrix: FoldMatrix, v: int, config: TrainConfig) -> tuple[Checkpoint, np.ndarray]:
-    """Fold v's best checkpoint and its (n_val + n_test, 3) probabilities
-    for the validation rows of v followed by the test fold's rows."""
+def _fold_model(matrix: FoldMatrix, v: int, config: TrainConfig,
+                save: SaveFold | None = None) -> tuple[FoldResult, np.ndarray, np.ndarray]:
+    """Fold v's best checkpoint, passed to save, as its FoldResult and the
+    probabilities of v's rows and of the test fold's rows, scored in one pass."""
     best = select_best_checkpoint(train_fold(matrix, v, config))
-    scored = matrix.feats.take(np.r_[matrix.rows(v), matrix.rows(matrix.test_fold)])
-    return best, _softmax_rows(_gather(scored, best.weights) + best.bias)
+    if save is not None:
+        save(v, best)
+    val_rows = matrix.rows(v)
+    scored = matrix.feats.take(np.r_[val_rows, matrix.rows(matrix.test_fold)])
+    probs = _softmax_rows(_gather(scored, best.weights) + best.bias)
+    return (FoldResult(v, best.epoch, best.validation_auc), *np.split(probs, [len(val_rows)]))
 
 
-# A pool worker's FoldMatrix, set once per worker by _init_worker. Forked
-# workers inherit it, so it is never pickled.
-_worker_state: FoldMatrix | None = None
+# A pool worker's (FoldMatrix, save), set by _init_worker; fork passes both unpickled.
+_worker_state: tuple[FoldMatrix, SaveFold | None] | None = None
 
 
-def _init_worker(matrix: FoldMatrix) -> None:
+def _init_worker(matrix: FoldMatrix, save: SaveFold | None) -> None:
     global _worker_state
-    _worker_state = matrix
+    _worker_state = (matrix, save)
 
 
-def _fold_task(config: TrainConfig, v: int) -> tuple[Checkpoint, np.ndarray]:
-    """One pool task: _fold_model on the worker's matrix."""
-    return _fold_model(_worker_state, v, config)
+def _fold_task(config: TrainConfig, v: int) -> tuple[FoldResult, np.ndarray, np.ndarray]:
+    """One pool task: _fold_model on the worker's matrix and save function."""
+    matrix, save = _worker_state
+    return _fold_model(matrix, v, config, save)
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -272,53 +281,51 @@ def _worker_count(n_tasks: int) -> int:
 
 @contextmanager
 def _fold_models(
-    matrix: FoldMatrix, tasks: Sequence[tuple[TrainConfig, int]]
-) -> Iterator[Iterator[tuple[Checkpoint, np.ndarray]]]:
+    matrix: FoldMatrix, tasks: Sequence[tuple[TrainConfig, int]], save: SaveFold | None = None
+) -> Iterator[Iterator[tuple[FoldResult, np.ndarray, np.ndarray]]]:
     """An iterator of _fold_model results for the (config, v) tasks, in task order.
 
     Tasks are independent, so they run on a pool of forked worker
     processes when more than one CPU is usable, and the results are the
-    same bits as in-process. Fork hands each worker the matrix without
-    pickling it, and the pool forks every worker before it starts any
-    thread. The pool lives inside this context, so its workers are joined
-    on success and on error. A worker's exception reaches the caller, and
-    the tasks not yet started are dropped.
+    same bits as in-process. Fork hands each worker the matrix and save
+    without pickling them, and the pool forks every worker before it
+    starts any thread. The pool lives inside this context, so its workers
+    are joined on success and on error. A worker's exception reaches the
+    caller (ChildProcessError if it died), and unstarted tasks are dropped.
     """
     workers = _worker_count(len(tasks))
     if workers == 1:
-        yield (_fold_model(matrix, v, config) for config, v in tasks)
+        yield (_fold_model(matrix, v, config, save) for config, v in tasks)
         return
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker,
-                             initargs=(matrix,)) as pool:
-        yield pool.map(_fold_task, *zip(*tasks))
+                             initargs=(matrix, save)) as pool:
+        try:
+            yield pool.map(_fold_task, *zip(*tasks))
+        except BrokenProcessPool as exc:
+            raise ChildProcessError(f"a fold worker process died: {exc}") from None
 
 
-def _cross_validate(matrix: FoldMatrix, configs: Sequence[TrainConfig]) -> Iterator[CvRun]:
+def _cross_validate(matrix: FoldMatrix, configs: Sequence[TrainConfig],
+                    save: SaveFold | None = None) -> Iterator[CvRun]:
     """One CvRun per config, in config order.
 
     Every (config, validation fold) pair is one task of one map, so a
     sweep keeps every worker busy across its grid. A run is yielded as
-    soon as its fold models arrive, so a sweep that drops each run does
-    not hold the checkpoints of its whole grid at once.
+    soon as its fold results arrive.
     """
-    test_rows = matrix.rows(matrix.test_fold)
+    test_labels = matrix.labels[matrix.rows(matrix.test_fold)]
     val_folds = [v for v in range(matrix.k) if v != matrix.test_fold]
+    val_labels = [matrix.labels[matrix.rows(v)] for v in val_folds]
     tasks = [(config, v) for config in configs for v in val_folds]
-    with _fold_models(matrix, tasks) as fold_models:
+    with _fold_models(matrix, tasks, save) as fold_models:
         for _ in configs:
-            results: list[FoldResult] = []
-            val_sets, test_prob_sets = [], []
-            for v, (best, probs) in zip(val_folds, fold_models):
-                val_rows = matrix.rows(v)
-                val_sets.append((probs[: len(val_rows)], matrix.labels[val_rows]))
-                test_prob_sets.append(probs[len(val_rows) :])
-                results.append(FoldResult(fold_index=v, checkpoint=best))
-            run = tune_and_test(val_sets, test_prob_sets, matrix.labels[test_rows])
-            run.folds = results
+            results, val_probs, test_probs = zip(*islice(fold_models, len(val_folds)))
+            run = tune_and_test(list(zip(val_probs, val_labels)), test_probs, test_labels)
+            run.folds = list(results)
             yield run
 
 
@@ -327,13 +334,17 @@ def run_cross_validation(
     fold_plan: FoldPlan,
     train_config: TrainConfig,
     feature_spec: FeatureSpec,
+    save: SaveFold | None = None,
 ) -> CvRun:
     """Execute the full train / select / shared-threshold / test protocol.
 
     The test fold influences nothing upstream: models see only the other
     folds and the threshold is chosen on validation predictions alone.
+    save(v, checkpoint), if given, runs on each validation fold's best
+    checkpoint in the process that trained it, a pool worker or this one,
+    so no weights cross processes; it returns nothing that is kept.
     """
-    (run,) = _cross_validate(_checked_matrix(corpus, fold_plan, feature_spec), [train_config])
+    (run,) = _cross_validate(_checked_matrix(corpus, fold_plan, feature_spec), [train_config], save)
     return run
 
 

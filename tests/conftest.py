@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,24 @@ def flat_corpus(label_counts: dict[int, int], per_call: int = 50) -> Corpus:
     for i in range(0, len(labels), per_call):
         per_call_labels[f"call{i // per_call:04d}"] = labels[i : i + per_call]
     return corpus_from_labels(per_call_labels)
+
+
+class SavedFoldModels:
+    """A save function for run_cross_validation that pickles each fold's best
+    Checkpoint into a directory, from whichever process trained it, so a
+    test can read the fold models of a pooled run too."""
+
+    def __init__(self, directory: Path):
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+
+    def __call__(self, v, checkpoint) -> None:
+        (self.directory / f"fold_{v}.pkl").write_bytes(pickle.dumps(checkpoint))
+
+    def load(self) -> dict:
+        """{validation fold: Checkpoint} for every fold saved so far."""
+        return {int(path.stem.removeprefix("fold_")): pickle.loads(path.read_bytes())
+                for path in self.directory.glob("fold_*.pkl")}
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:

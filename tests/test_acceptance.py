@@ -25,7 +25,7 @@ from holdscan.decision import DecisionRule, decide_batch
 from holdscan.metrics import binary_auc, confusion, macro_prf
 from holdscan.tuning import run_cross_validation, shared_threshold_search
 
-from conftest import flat_corpus, tree_bytes
+from conftest import SavedFoldModels, flat_corpus, tree_bytes
 from oracles import (
     exhaustive_threshold_search,
     random_prob_triple,
@@ -172,12 +172,13 @@ def test_criterion_4_split_invariants():
     )
 
 
-def test_criterion_5_protocol_isolation():
+def test_criterion_5_protocol_isolation(tmp_path):
     corpus, _ = generate_synthetic(100, 17)
     plan = stratified_split(corpus, 4, seed=17)
     spec = FeatureSpec(hash_dim=2 ** 11)
     config = TrainConfig(epochs=2, seed=17)
-    base = run_cross_validation(corpus, plan, config, spec)
+    base_models = SavedFoldModels(tmp_path / "base")
+    base = run_cross_validation(corpus, plan, config, spec, save=base_models)
 
     test_keys = {key for key, fold in plan.assignment.items() if fold == plan.test_fold}
     perturbed_calls = []
@@ -191,16 +192,20 @@ def test_criterion_5_protocol_isolation():
             for t in call.turns
         )
         perturbed_calls.append(Call(call_id=call.call_id, turns=turns, holds=call.holds))
+    perturbed_models = SavedFoldModels(tmp_path / "perturbed")
     perturbed = run_cross_validation(
-        Corpus(calls=tuple(perturbed_calls)), plan, config, spec
+        Corpus(calls=tuple(perturbed_calls)), plan, config, spec, save=perturbed_models
     )
 
     same_threshold = perturbed.shared_threshold == base.shared_threshold
-    same_checkpoints = all(
-        np.array_equal(a.checkpoint.weights, b.checkpoint.weights)
-        and np.array_equal(a.checkpoint.bias, b.checkpoint.bias)
-        and a.checkpoint.epoch == b.checkpoint.epoch
-        for a, b in zip(base.folds, perturbed.folds)
+    # The fold models, as the save hook received them in the processes that trained them.
+    a, b = base_models.load(), perturbed_models.load()
+    folds = [r.fold_index for r in base.folds]
+    same_checkpoints = sorted(a) == sorted(b) == folds and all(
+        np.array_equal(a[v].weights, b[v].weights)
+        and np.array_equal(a[v].bias, b[v].bias)
+        and a[v].epoch == b[v].epoch
+        for v in folds
     )
     report(
         5,

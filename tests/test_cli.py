@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -69,6 +70,16 @@ class TestValidate:
         path.write_text(HEADER + "a,0,agent,0,1000,hello,0\na,1,agent,9000,2000,bad,0\n")
         assert run(["validate", str(path)]) == 2
         assert "line 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", ["", "# only a comment\n\n"], ids=["empty", "comment_only"])
+    def test_headerless_file_names_line_one(self, tmp_path, capsys, content):
+        path = tmp_path / "headerless.csv"
+        path.write_text(content)
+        assert run(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "line 1: file has no header row",
+            "1 invalid row(s)",
+        ]
 
     def test_nonexistent_path_exits_one(self, tmp_path):
         assert run(["validate", str(tmp_path / "missing.csv")]) == 1
@@ -298,8 +309,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_model_write_exits_one(self, tmp_path, capsys, workers):
-        """A model file that cannot be written is a clean exit 1 with the
-        write threads joined. Later folds may already be written."""
+        """A model file that the save hook cannot write, in a fold worker or
+        in-process, is a clean exit 1 with no thread left. Other folds may
+        already be written."""
         out = tmp_path / "out"
         (out / "models" / "fold_2.npz").mkdir(parents=True)
         threads = threading.active_count()
@@ -313,6 +325,29 @@ class TestPipeline:
         assert "fold_2.npz" in err
         assert "Traceback" not in err
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    def test_dead_fold_worker_exits_one(self, tmp_path, capsys, monkeypatch, command):
+        """A fold worker that dies, as an OOM kill would end it, ends the run
+        with one error line and exit 1, and leaves no worker running."""
+        parent = os.getpid()
+
+        def die(*args, **kwargs):
+            assert os.getpid() != parent, "the fold model was trained in-process"
+            os._exit(9)
+
+        monkeypatch.setattr(tuning, "_fold_model", die)  # the forked workers inherit it
+        args = [command, "--synthetic-calls", "40", "--seed", "23", "--folds", "4",
+                "--hash-dim", "2048", "--epochs", "1", "--out-dir", str(tmp_path / "out")]
+        if command == "sweep":
+            args += ["--axis", "learning_rate", "--values", "0.1;0.2"]
+        with mock.patch.object(tuning, "_worker_count", return_value=2):
+            code = run(args)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a fold worker process died: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_external_proba_mode(self, tmp_path):
         corpus, _ = generate_synthetic(50, 5)
@@ -477,8 +512,9 @@ class TestConfigFile:
 
 
 def test_import_leaves_the_thread_pool_unloaded():
-    """concurrent.futures is imported when a pipeline writes its models, not
-    when the CLI starts, so every command's start-up stays without it."""
+    """concurrent.futures is imported when fold models train on a worker
+    pool, not when the CLI starts, so every command's start-up stays
+    without it."""
     src = str(Path(holdscan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}

@@ -1,4 +1,5 @@
 import multiprocessing
+import pickle
 import sys
 import weakref
 from contextlib import ExitStack, contextmanager
@@ -27,7 +28,7 @@ from holdscan.tuning import (
     tune_and_test,
 )
 
-from conftest import flat_corpus, make_turn
+from conftest import SavedFoldModels, flat_corpus, make_turn
 from oracles import reference_select_best
 
 SPEC = FeatureSpec(hash_dim=2 ** 11)
@@ -62,26 +63,36 @@ def separable_corpus(n_per_class=100, mislabel_every=None):
     return Corpus(calls=tuple(calls))
 
 
+def _run_and_models(directory, corpus, plan, config=CONFIG):
+    """run_cross_validation and {fold: Checkpoint} as its save hook received them."""
+    models = SavedFoldModels(directory)
+    run = run_cross_validation(corpus, plan, config, SPEC, save=models)
+    saved = models.load()
+    assert sorted(saved) == [r.fold_index for r in run.folds]
+    return run, saved
+
+
 @pytest.fixture(scope="module")
-def separable_run():
+def separable_run(tmp_path_factory):
+    """(corpus, plan, run, {fold: Checkpoint})."""
     corpus = separable_corpus()
     plan = stratified_split(corpus, 3, seed=2)
-    return corpus, plan, run_cross_validation(corpus, plan, CONFIG, SPEC)
+    return corpus, plan, *_run_and_models(tmp_path_factory.mktemp("separable"), corpus, plan)
 
 
 def test_separable_corpus_scores_perfectly(separable_run):
-    _, plan, run = separable_run
+    _, plan, run, _ = separable_run
     assert len(run.folds) == plan.k - 1 == 2
     assert run.mean_test_bundle.f1_macro == pytest.approx(1.0)
 
 
 def test_one_shared_threshold(separable_run):
-    _, _, run = separable_run
+    _, _, run, _ = separable_run
     assert all(b.threshold_used == run.shared_threshold for b in run.test_bundles)
 
 
 def test_mean_is_arithmetic_mean(separable_run):
-    _, _, run = separable_run
+    _, _, run, _ = separable_run
     recomputed = mean_bundle(run.test_bundles)
     assert run.mean_test_bundle == recomputed
     for name, value in run.mean_test_bundle.as_dict().items():
@@ -89,13 +100,15 @@ def test_mean_is_arithmetic_mean(separable_run):
         assert min(per_fold) - 1e-12 <= value <= max(per_fold) + 1e-12
 
 
-def test_deterministic_rerun(separable_run):
-    corpus, plan, run = separable_run
-    again = run_cross_validation(corpus, plan, CONFIG, SPEC)
+def test_deterministic_rerun(separable_run, tmp_path):
+    corpus, plan, run, models = separable_run
+    again, again_models = _run_and_models(tmp_path, corpus, plan)
     assert again.shared_threshold == run.shared_threshold
-    for a, b in zip(run.folds, again.folds):
-        assert np.array_equal(a.checkpoint.weights, b.checkpoint.weights)
-        assert a.checkpoint.validation_auc == b.checkpoint.validation_auc
+    assert again.folds == run.folds
+    for v, a in models.items():
+        b = again_models[v]
+        assert np.array_equal(a.weights, b.weights)
+        assert a.validation_auc == b.validation_auc
     assert again.test_bundles == run.test_bundles
 
 
@@ -110,13 +123,15 @@ def _relabel_test_fold(corpus, plan):
     ))
 
 
-def test_test_fold_labels_cannot_leak(separable_run):
-    corpus, plan, run = separable_run
-    other = run_cross_validation(_relabel_test_fold(corpus, plan), plan, CONFIG, SPEC)
+def test_test_fold_labels_cannot_leak(separable_run, tmp_path):
+    corpus, plan, run, models = separable_run
+    other, other_models = _run_and_models(tmp_path, _relabel_test_fold(corpus, plan), plan)
     assert other.shared_threshold == run.shared_threshold
-    for a, b in zip(run.folds, other.folds):
-        assert np.array_equal(a.checkpoint.weights, b.checkpoint.weights)
-        assert np.array_equal(a.checkpoint.bias, b.checkpoint.bias)
+    assert sorted(other_models) == sorted(models)
+    for v, a in models.items():
+        b = other_models[v]
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.bias, b.bias)
 
 
 def test_k_below_three_rejected():
@@ -253,14 +268,14 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
 @pytest.mark.parametrize("mode", ["row", "call_grouped"])
-def test_shared_matrix_matches_per_fold_text_path(mode, distinct):
+def test_shared_matrix_matches_per_fold_text_path(mode, distinct, tmp_path):
     corpus, _ = generate_synthetic(60, 2)
     if distinct:
         corpus = _distinct_texts(corpus)
     plan = stratified_split(corpus, 4, seed=3, mode=mode, test_fold=1)
     config = TrainConfig(epochs=3, seed=11)
     with mock.patch("holdscan.tuning.tune_and_test", wraps=tune_and_test) as tail:
-        run = run_cross_validation(corpus, plan, config, SPEC)
+        run, models = _run_and_models(tmp_path, corpus, plan, config)
     ((val_folds, test_sets, test_labels), _), = tail.call_args_list
 
     reference = list(_text_path(corpus, plan, config, SPEC))
@@ -269,10 +284,11 @@ def test_shared_matrix_matches_per_fold_text_path(mode, distinct):
     assert list(test_labels) == ref_test_labels
     for result, (val_probs, val_labels), test_probs, (_, best, ref_val, ref_val_labels, ref_test) \
             in zip(run.folds, val_folds, test_sets, reference):
-        got = result.checkpoint
+        got = models[result.fold_index]
         assert _same_bits(got.weights, best.weights)
         assert _same_bits(got.bias, best.bias)
         assert (got.epoch, got.validation_auc) == (best.epoch, best.validation_auc)
+        assert (result.epoch, result.validation_auc) == (best.epoch, best.validation_auc)
         assert np.array_equal(as_prob_array(val_probs), as_prob_array(ref_val))
         assert np.array_equal(as_prob_array(test_probs), as_prob_array(ref_test))
         assert list(val_labels) == ref_val_labels
@@ -336,11 +352,12 @@ def test_pool_run_featurizes_in_the_parent_and_trains_in_workers():
 # --- fold models on a worker pool against the in-process path ------------------
 
 
-def _tails(workers, fn, *args):
-    """fn(*args) on the given worker count, and the arguments of each tune_and_test call."""
+def _tails(workers, fn, *args, **kwargs):
+    """fn(*args, **kwargs) on the given worker count, and the arguments of
+    each tune_and_test call."""
     with _fold_workers(workers), \
             mock.patch("holdscan.tuning.tune_and_test", wraps=tune_and_test) as tail:
-        result = fn(*args)
+        result = fn(*args, **kwargs)
     return result, [call.args for call in tail.call_args_list]
 
 
@@ -357,20 +374,23 @@ def _assert_same_tails(tails_a, tails_b, n_folds):
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
 @pytest.mark.parametrize("mode", ["row", "call_grouped"])
-def test_pool_matches_in_process(mode, distinct):
+def test_pool_matches_in_process(mode, distinct, tmp_path):
     corpus, _ = generate_synthetic(60, 2)
     if distinct:
         corpus = _distinct_texts(corpus)
     plan = stratified_split(corpus, 4, seed=3, mode=mode, test_fold=1)
     args = (run_cross_validation, corpus, plan, TrainConfig(epochs=3, seed=11), SPEC)
-    pooled, pooled_tails = _tails(2, *args)
-    serial, serial_tails = _tails(1, *args)
-    assert [r.fold_index for r in pooled.folds] == [r.fold_index for r in serial.folds]
-    for a, b in zip(pooled.folds, serial.folds):
-        assert _same_bits(a.checkpoint.weights, b.checkpoint.weights)
-        assert _same_bits(a.checkpoint.bias, b.checkpoint.bias)
-        assert (a.checkpoint.epoch, a.checkpoint.validation_auc) == (
-            b.checkpoint.epoch, b.checkpoint.validation_auc)
+    pooled_models, serial_models = SavedFoldModels(tmp_path / "w2"), SavedFoldModels(tmp_path / "w1")
+    pooled, pooled_tails = _tails(2, *args, save=pooled_models)
+    serial, serial_tails = _tails(1, *args, save=serial_models)
+    assert pooled.folds == serial.folds
+    pooled_ckpts, serial_ckpts = pooled_models.load(), serial_models.load()
+    assert sorted(pooled_ckpts) == sorted(serial_ckpts) == [r.fold_index for r in serial.folds]
+    for v, a in pooled_ckpts.items():
+        b = serial_ckpts[v]
+        assert _same_bits(a.weights, b.weights)
+        assert _same_bits(a.bias, b.bias)
+        assert (a.epoch, a.validation_auc) == (b.epoch, b.validation_auc)
     _assert_same_tails(pooled_tails, serial_tails, n_folds=3)
     assert pooled.test_bundles == serial.test_bundles
     assert (pooled.shared_threshold, pooled.shared_threshold_mean_f1) == (
@@ -452,18 +472,39 @@ def exit_case(request):
     return matrix, v, first_perfect, replace(CONFIG, epochs=5)
 
 
-def test_fold_model_exit_picks_the_checkpoint_of_every_epoch(exit_case):
+def test_fold_model_exit_picks_the_checkpoint_of_every_epoch(exit_case, tmp_path):
     """Every fold's _fold_model checkpoint, in-process or on the worker pool,
     is the one a max over all 5 epochs' checkpoints picks."""
     matrix, _, _, config = exit_case
     folds = [f for f in range(matrix.k) if f != matrix.test_fold]
-    with tuning._fold_models(matrix, [(config, f) for f in folds]) as results:
-        picked = [best for best, _ in results]
-    for f, got in zip(folds, picked):
+    models = SavedFoldModels(tmp_path)
+    with tuning._fold_models(matrix, [(config, f) for f in folds], models) as results:
+        picked = [result for result, _, _ in results]
+    saved = models.load()
+    assert [r.fold_index for r in picked] == folds == sorted(saved)
+    for f, result in zip(folds, picked):
+        got = saved[f]
         want = reference_select_best(list(tuning.train_fold(matrix, f, config)))
         assert (got.epoch, got.validation_auc) == (want.epoch, want.validation_auc)
+        assert (result.epoch, result.validation_auc) == (want.epoch, want.validation_auc)
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.bias.tobytes() == want.bias.tobytes()
+
+
+def test_pool_task_results_hold_no_weights(tmp_path):
+    """A pool task sends back less than one weight matrix: the model stays in
+    the worker that trained it, which hands it to the save function."""
+    corpus = separable_corpus(n_per_class=30)
+    plan = stratified_split(corpus, 4, seed=1)
+    matrix = tuning.fold_matrix(corpus, plan, SPEC)
+    folds = [f for f in range(plan.k) if f != plan.test_fold]
+    models = SavedFoldModels(tmp_path)
+    with _fold_workers(2), \
+            tuning._fold_models(matrix, [(CONFIG, f) for f in folds], models) as results:
+        sizes = [len(pickle.dumps(result)) for result in results]
+    assert len(sizes) == len(folds)
+    assert max(sizes) < SPEC.hash_dim * 3 * 8
+    assert sorted(models.load()) == folds
 
 
 def test_fold_model_trains_no_epoch_after_auc_one(exit_case, monkeypatch):
