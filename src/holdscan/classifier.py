@@ -29,13 +29,17 @@ Featurization is feature hashing: each word token and character n-gram
 counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _feature_blocks
 yields one CSR matrix per block of distinct texts, built in array passes;
 _featurize_many stacks the blocks into one row per text, and featurize is
-its one-row view.
+its one-row view. zlib hashes each distinct word token; the character
+n-grams get the same crc32 bits from a vectorised kernel
+(_gram_registers), one array pass per n over the block's characters
+instead of a zlib call per distinct gram. On a 2-vCPU Xeon VM that is
+about 11-14 us per distinct 59-character turn, against 27-35 us when each
+n's grams were ranked with np.unique and hashed one zlib call at a time.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -178,7 +182,6 @@ _BLOCK = 2048
 # a 2-vCPU Xeon VM); a copy of a whole epoch's rows raised fit's peak memory by
 # their size.
 _RUN_ROWS = 128
-_CODE_POINTS = sys.maxunicode + 1
 
 
 def featurize(text: str, spec: FeatureSpec) -> dict[int, int]:
@@ -221,13 +224,16 @@ def _feature_blocks(distinct: Sequence[str], spec: FeatureSpec) -> Iterator[_Csr
 def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
     """One CSR row of counts per distinct text, buckets ascending per row.
 
-    Python only lowercases, splits and truncates each text. Every word token
-    and character n-gram then gets an integer id (a dict for tokens; for an
-    n-gram, the rank of its (n-1)-gram's id * _CODE_POINTS + its last code
-    point), crc32 runs once per distinct id, and one sort over
-    (row, bucket) gives the counts.
+    Python only lowercases, splits and truncates each text. Word tokens get
+    ids from a dict and crc32 runs once per distinct token. Character
+    n-grams are hashed by _gram_registers over the block's concatenated
+    text; a gram that crosses a text boundary is dropped. Every (row,
+    bucket) pair becomes one integer key, and one in-place sort plus a
+    run-length pass gives the counts.
     """
     span = min(spec.hash_dim, 1 << 32)  # crc32 < 2**32, so crc % hash_dim == crc % span
+    bits = span.bit_length() - 1
+    low = np.uint32(span - 1)  # span is a power of two, so crc % span == crc & low
     tokens: list[str] = []
     n_tokens, joined = [], []
     for text in texts:
@@ -237,47 +243,112 @@ def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
         tokens += words
         n_tokens.append(len(words))
         joined.append(" ".join(words))
-    row_ids = np.arange(len(texts))
-    rows, buckets = [], []  # (row, bucket) of every token and n-gram
+    # Keys are (row << bits) | bucket, below len(texts) << bits <= _BLOCK * 2**32:
+    # uint32 when that bound is below 2**32 (hash_dim <= 2**20 at a full block), else int64.
+    key_type = np.uint32 if len(texts) << bits < 1 << 32 else np.int64
+    row_keys = np.arange(len(texts), dtype=key_type) << key_type(bits)
+    keys = [np.empty(0, key_type)]  # the key of every token and n-gram
     if spec.word_unigrams:
         vocab = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
         ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
-        rows.append(np.repeat(row_ids, n_tokens))
-        buckets.append(_crc_buckets("w", vocab, span)[ids])
+        keys.append(np.repeat(row_keys, n_tokens) | _crc_buckets("w", vocab, low)[ids])
 
     chars = "".join(joined)
+    try:
+        raw = chars.encode("utf-8")
+    except UnicodeEncodeError:
+        # A lone surrogate has no UTF-8 form. It is an error only inside a
+        # hashed gram, that is in a text of at least char_ngram_min characters.
+        for text in joined:
+            if len(text) >= spec.char_ngram_min:
+                text.encode("utf-8")
+        raw = chars.encode("utf-8", "surrogatepass")
     lengths = [len(j) for j in joined]
-    row = np.repeat(row_ids, lengths)
-    stop = np.repeat(np.cumsum(lengths), lengths)  # one past the end of each position's text
-    code = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
-    pos, ids = np.arange(len(chars)), code  # the n-grams starting at pos; ids exact per gram
-    for n in range(1, spec.char_ngram_max + 1):
-        if n > 1:
-            keep = pos + n <= stop[pos]
-            pos = pos[keep]
-            # ids < max(len(chars), _CODE_POINTS), so this stays far below 2**63.
-            ids = ids[keep] * _CODE_POINTS + code[pos + n - 1]
-        if n > 1 or spec.char_ngram_min == 1:
-            uniq, ids = np.unique(ids, return_inverse=True)
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(chars))  # chars to its text's end
+    pos_keys = np.repeat(row_keys, lengths)
+    for n, (reg, nbytes) in enumerate(_gram_registers(raw, spec.char_ngram_max), 1):
         if n >= spec.char_ngram_min:
-            at = np.empty(len(uniq), np.int64)
-            at[ids] = pos  # one start of each distinct gram; any of them spells it
-            grams = [chars[p : p + n] for p in at.tolist()]
-            rows.append(row[pos])
-            buckets.append(_crc_buckets(f"c{n}", grams, span)[ids])
+            crcs = reg ^ _tag_registers(f"c{n}", 4 * n)[nbytes]
+            m = len(crcs)
+            keys.append((pos_keys[:m] | (crcs & low))[left[:m] >= n])
 
-    # row < _BLOCK and bucket < span <= 2**32, so the keys fit int64 for any hash_dim.
-    keys, counts = np.unique(np.concatenate(rows) * span + np.concatenate(buckets),
-                             return_counts=True)
-    lengths = np.bincount(keys // span, minlength=len(texts))
-    return _Csr(np.concatenate(([0], np.cumsum(lengths))), keys % span, counts.astype(np.float64))
+    keys = np.concatenate(keys)
+    keys.sort()
+    edges = np.empty(len(keys) + 1, bool)  # where a run of equal keys starts, and the end
+    edges[0] = edges[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    edges = np.flatnonzero(edges)
+    keys = keys[edges[:-1]]
+    indptr = np.append(np.searchsorted(keys, row_keys), len(keys))
+    return _Csr(indptr, (keys & low).astype(np.int64), np.diff(edges).astype(np.float64))
 
 
-def _crc_buckets(tag: str, grams: Iterable[str], span: int) -> np.ndarray:
-    """crc32(f"{tag}\\x00{gram}") % span for each gram, as int64."""
+def _crc_buckets(tag: str, grams: Iterable[str], low: np.uint32) -> np.ndarray:
+    """crc32(f"{tag}\\x00{gram}") & low for each gram, as uint32."""
     seed = zlib.crc32(f"{tag}\x00".encode("utf-8"))
-    crcs = np.fromiter((zlib.crc32(g.encode("utf-8"), seed) for g in grams), dtype=np.int64)
-    return crcs % span
+    return np.fromiter((zlib.crc32(g.encode("utf-8"), seed) for g in grams), np.uint32) & low
+
+
+# --- vectorised CRC-32 of character n-grams ---------------------------------
+#
+# zlib's CRC-32 keeps a 32-bit register. A byte b advances a register r to
+# _CRC_TABLE[(r ^ b) & 0xFF] ^ (r >> 8), and crc32(data) is the ones'
+# complement of the register after data from ~0. The map is linear over
+# GF(2), so with R0(data) the register after data from zero,
+#     crc32(tag + data) == R0(data) ^ crc32(tag + bytes(len(data))).
+# R0 of an n-gram is R0 of its (n-1)-gram advanced by the UTF-8 bytes of its
+# last character: by that character's byte count in zero bytes, then XORed
+# with the character's own R0. All arithmetic stays in uint32.
+
+_CRC_TABLE = np.array([zlib.crc32(bytes([b])) ^ zlib.crc32(b"\0") for b in range(256)],
+                      dtype=np.uint32)  # R0 of each single byte
+_LOW_BYTE = np.uint32(0xFF)
+_BYTE_BITS = np.uint32(8)
+
+
+def _crc_zero_byte(reg: np.ndarray) -> np.ndarray:
+    """Each uint32 register advanced by one zero byte."""
+    return _CRC_TABLE[reg & _LOW_BYTE] ^ (reg >> _BYTE_BITS)
+
+
+def _tag_registers(tag: str, max_bytes: int) -> np.ndarray:
+    """crc32(f"{tag}\\x00" + bytes(length)) for length 0 to max_bytes, as uint32."""
+    seed = zlib.crc32(f"{tag}\x00".encode("utf-8"))
+    return np.array([zlib.crc32(bytes(k), seed) for k in range(max_bytes + 1)], dtype=np.uint32)
+
+
+def _gram_registers(raw: bytes, n_max: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """R0 and UTF-8 byte count of the n characters at each position, for n = 1 to n_max.
+
+    raw is UTF-8 text (a lone surrogate in its 3-byte "surrogatepass" form).
+    For each n this yields two arrays with one entry per start position p
+    of an n-character gram: its uint32 register and its byte count. A
+    gram's register is the (n-1)-gram's at the same position advanced by
+    one character, so each n costs one shifted slice: one unmasked zero-byte
+    round, plus one masked round per extra byte of the longest character.
+    Stops early when no gram of n characters fits.
+    """
+    data = np.frombuffer(raw, dtype=np.uint8)
+    starts = np.flatnonzero((data & 0xC0) != 0x80)  # every byte but continuation bytes
+    offsets = np.append(starts, len(data))
+    nbytes = np.diff(offsets)
+    char_reg = _CRC_TABLE[data[starts]]
+    longer = [nbytes > j for j in range(1, nbytes.max(initial=1))]
+    for j, more in enumerate(longer, 1):
+        at = np.flatnonzero(more)
+        char_reg[at] = _CRC_TABLE[(char_reg[at] ^ data[starts[at] + j]) & _LOW_BYTE] \
+            ^ (char_reg[at] >> _BYTE_BITS)
+    reg = char_reg
+    for n in range(1, n_max + 1):
+        m = len(starts) - n + 1
+        if m <= 0:
+            return
+        if n > 1:
+            reg = _crc_zero_byte(reg[:m])
+            for more in longer:
+                reg = np.where(more[n - 1 :], _crc_zero_byte(reg), reg)
+            reg ^= char_reg[n - 1 :]
+        yield reg, offsets[n:] - offsets[:m]
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ Exit codes: 0 ok, 1 usage or IO problem, 2 data validation failure,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -516,49 +517,66 @@ def run_pipeline(
     out_dir: Path,
     external_proba_file: str | None = None,
 ) -> dict:
-    """Programmatic pipeline entry; returns the metrics payload it writes."""
+    """Programmatic pipeline entry; returns the metrics payload it writes.
+
+    A run that fails leaves no fold plan and no fold model file behind.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     plan = _plan_for(cfg, corpus)
-    _write_json(out_dir / "fold_plan.json", fold_plan_payload(plan), cfg)
+    try:
+        _write_json(out_dir / "fold_plan.json", fold_plan_payload(plan), cfg)
 
-    if external_proba_file:
-        by_fold = _proba_by_fold(corpus, plan, load_external_proba(external_proba_file))
-        test_probs, test_labels = by_fold.pop(plan.test_fold)
-        run = tune_and_test(by_fold, [test_probs], test_labels)
-        mode, table_label = "external", "external"
-    else:
-        models_dir = out_dir / "models"
-        models_dir.mkdir(exist_ok=True)
-        meta = _stamp_meta(cfg)
-        run = run_cross_validation(  # each fold's worker writes the model it trained
-            corpus, plan, cfg.train_config(), cfg.feature_spec(),
-            save=lambda v, best: save_checkpoint(models_dir / f"fold_{v}.npz", best,
-                                                 extra_meta=meta))
-        mode, table_label = "trained", "mean of folds"
+        if external_proba_file:
+            by_fold = _proba_by_fold(corpus, plan, load_external_proba(external_proba_file))
+            test_probs, test_labels = by_fold.pop(plan.test_fold)
+            run = tune_and_test(by_fold, [test_probs], test_labels)
+            mode, table_label = "external", "external"
+        else:
+            models_dir = out_dir / "models"
+            models_dir.mkdir(exist_ok=True)
+            meta = _stamp_meta(cfg)
+            run = run_cross_validation(  # each fold's worker writes the model it trained
+                corpus, plan, cfg.train_config(), cfg.feature_spec(),
+                save=lambda v, best: save_checkpoint(models_dir / f"fold_{v}.npz", best,
+                                                     extra_meta=meta))
+            mode, table_label = "trained", "mean of folds"
 
-    payload = {
-        "mode": mode,
-        "k": plan.k,
-        "test_fold": plan.test_fold,
-        "shared_threshold": run.shared_threshold,
-        "validation_mean_f1": run.shared_threshold_mean_f1,
-        "per_fold_test_metrics": [b.as_dict() for b in run.test_bundles],
-        "mean_test_metrics": run.mean_test_bundle.as_dict(),
-    }
-    if run.folds:
-        payload["per_fold_validation_auc"] = {
-            str(r.fold_index): r.validation_auc for r in run.folds
+        payload = {
+            "mode": mode,
+            "k": plan.k,
+            "test_fold": plan.test_fold,
+            "shared_threshold": run.shared_threshold,
+            "validation_mean_f1": run.shared_threshold_mean_f1,
+            "per_fold_test_metrics": [b.as_dict() for b in run.test_bundles],
+            "mean_test_metrics": run.mean_test_bundle.as_dict(),
         }
-    _write_json(out_dir / "shared_threshold.json",
-                {"shared_threshold": run.shared_threshold,
-                 "mean_f1_macro": run.shared_threshold_mean_f1}, cfg)
-    _write_json(out_dir / "metrics.json", payload, cfg)
-    (out_dir / "results_table.txt").write_text(
-        f"# {_stamp(cfg)}\n{_format_table('Run', [(table_label, run.mean_test_bundle)])}",
-        encoding="utf-8",
-    )
-    return payload
+        if run.folds:
+            payload["per_fold_validation_auc"] = {
+                str(r.fold_index): r.validation_auc for r in run.folds
+            }
+        _write_json(out_dir / "shared_threshold.json",
+                    {"shared_threshold": run.shared_threshold,
+                     "mean_f1_macro": run.shared_threshold_mean_f1}, cfg)
+        _write_json(out_dir / "metrics.json", payload, cfg)
+        (out_dir / "results_table.txt").write_text(
+            f"# {_stamp(cfg)}\n{_format_table('Run', [(table_label, run.mean_test_bundle)])}",
+            encoding="utf-8",
+        )
+        return payload
+    except BaseException:
+        _remove_partial_run(out_dir, plan)
+        raise
+
+
+def _remove_partial_run(out_dir: Path, plan: FoldPlan) -> None:
+    """Remove the fold plan and the regular-file fold models of a failed pipeline run."""
+    paths = [out_dir / "fold_plan.json"]
+    paths += [out_dir / "models" / f"fold_{v}.npz" for v in range(plan.k) if v != plan.test_fold]
+    for path in paths:
+        if path.is_file():
+            with contextlib.suppress(OSError):  # the run's own error is the one to report
+                path.unlink()
 
 
 def run_cli(argv: list[str] | None = None) -> None:

@@ -17,13 +17,20 @@ versions of the package:
 - `per_text_featurize` and `per_text_featurize_many`: the featurizer used
   before the batched array passes, hashing every n-gram of every text
   through a dict; a bit-exact reference for the CSR arrays.
+- `unique_rank_featurize_block` and `unique_rank_featurize_many`: the
+  blocked featurizer used before character n-grams were hashed by the
+  vectorised CRC-32 kernel, ranking each n's gram ids with `np.unique` and
+  calling `zlib.crc32` once per distinct gram; a bit-exact reference for
+  the CSR arrays, block by block.
 - `reference_select_best`: the checkpoint pick used before it stopped at
   the first validation AUC of 1.0, a `max` over every checkpoint.
 """
 
 from __future__ import annotations
 
+import sys
 import zlib
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from holdscan.classifier import (
     FeatureSpec,
     _ce_logit_grad,
     _Csr,
+    _distinct,
     _gather,
     _scatter,
 )
@@ -431,3 +439,89 @@ def per_text_featurize_many(texts, spec: FeatureSpec) -> _Csr:
         cnt.append(np.fromiter((c for _, c in items), dtype=np.float64, count=len(items)))
     indptr = np.cumsum([0, *map(len, idx[1:])])
     return _Csr(indptr, np.concatenate(idx), np.concatenate(cnt)).take(rows)
+
+
+# --- the np.unique-ranking block featurizer, kept as a differential reference --
+
+_CODE_POINTS = sys.maxunicode + 1
+
+
+def unique_rank_featurize_many(texts, spec: FeatureSpec, block: int) -> _Csr:
+    """One CSR row per text, featurized block by block of distinct texts."""
+    distinct, rows = _distinct(texts)
+    blocks = [unique_rank_featurize_block(distinct[i : i + block], spec)
+              for i in range(0, max(len(distinct), 1), block)]
+    lengths = np.concatenate([np.diff(b.indptr) for b in blocks])
+    feats = _Csr(np.concatenate(([0], np.cumsum(lengths))),
+                 np.concatenate([b.indices for b in blocks]),
+                 np.concatenate([b.data for b in blocks]))
+    return feats.take(rows)
+
+
+def unique_rank_featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
+    """One CSR row of counts per distinct text, buckets ascending per row.
+
+    Python only lowercases, splits and truncates each text. Every word token
+    and character n-gram then gets an integer id (a dict for tokens; for an
+    n-gram, the rank of its (n-1)-gram's id * _CODE_POINTS + its last code
+    point), crc32 runs once per distinct id, and one sort over
+    (row, bucket) gives the counts.
+    """
+    span = min(spec.hash_dim, 1 << 32)  # crc32 < 2**32, so crc % hash_dim == crc % span
+    tokens: list[str] = []
+    n_tokens, joined = [], []
+    for text in texts:
+        if spec.lowercase:
+            text = text.lower()
+        words = text.split()[: spec.max_tokens]
+        tokens += words
+        n_tokens.append(len(words))
+        joined.append(" ".join(words))
+    row_ids = np.arange(len(texts))
+    rows, buckets = [], []  # (row, bucket) of every token and n-gram
+    if spec.word_unigrams:
+        vocab = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+        ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
+        rows.append(np.repeat(row_ids, n_tokens))
+        buckets.append(_unique_rank_crc_buckets("w", vocab, span)[ids])
+
+    chars = "".join(joined)
+    lengths = [len(j) for j in joined]
+    row = np.repeat(row_ids, lengths)
+    stop = np.repeat(np.cumsum(lengths), lengths)  # one past the end of each position's text
+    code = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+    pos, ids = np.arange(len(chars)), code  # the n-grams starting at pos; ids exact per gram
+    for n in range(1, spec.char_ngram_max + 1):
+        if n > 1:
+            keep = pos + n <= stop[pos]
+            pos = pos[keep]
+            # ids < max(len(chars), _CODE_POINTS), so this stays far below 2**63.
+            ids = ids[keep] * _CODE_POINTS + code[pos + n - 1]
+        if n > 1 or spec.char_ngram_min == 1:
+            uniq, ids = np.unique(ids, return_inverse=True)
+        if n >= spec.char_ngram_min:
+            at = np.empty(len(uniq), np.int64)
+            at[ids] = pos  # one start of each distinct gram; any of them spells it
+            grams = [chars[p : p + n] for p in at.tolist()]
+            rows.append(row[pos])
+            buckets.append(_unique_rank_crc_buckets(f"c{n}", grams, span)[ids])
+
+    # row < _BLOCK and bucket < span <= 2**32, so the keys fit int64 for any hash_dim.
+    keys, counts = np.unique(np.concatenate(rows) * span + np.concatenate(buckets),
+                             return_counts=True)
+    lengths = np.bincount(keys // span, minlength=len(texts))
+    return _Csr(np.concatenate(([0], np.cumsum(lengths))), keys % span, counts.astype(np.float64))
+
+
+def _unique_rank_crc_buckets(tag: str, grams: Iterable[str], span: int) -> np.ndarray:
+    """crc32(f"{tag}\\x00{gram}") % span for each gram, as int64."""
+    seed = zlib.crc32(f"{tag}\x00".encode("utf-8"))
+    crcs = np.fromiter((zlib.crc32(g.encode("utf-8"), seed) for g in grams), dtype=np.int64)
+    return crcs % span
+
+
+def _unique_rank_crc_buckets(tag: str, grams, span: int) -> np.ndarray:
+    """crc32(f"{tag}\\x00{gram}") % span for each gram, as int64."""
+    seed = zlib.crc32(f"{tag}\x00".encode("utf-8"))
+    crcs = np.fromiter((zlib.crc32(g.encode("utf-8"), seed) for g in grams), dtype=np.int64)
+    return crcs % span

@@ -310,8 +310,8 @@ class TestPipeline:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_model_write_exits_one(self, tmp_path, capsys, workers):
         """A model file that the save hook cannot write, in a fold worker or
-        in-process, is a clean exit 1 with no thread left. Other folds may
-        already be written."""
+        in-process, is a clean exit 1 with no thread left. The run leaves
+        no fold plan and no model file behind: only the pre-made directory."""
         out = tmp_path / "out"
         (out / "models" / "fold_2.npz").mkdir(parents=True)
         threads = threading.active_count()
@@ -319,7 +319,9 @@ class TestPipeline:
             code = run(["pipeline", "--synthetic-calls", "80", "--seed", "23", "--folds", "4",
                         "--hash-dim", "2048", "--epochs", "1", "--out-dir", str(out)])
         assert code == 1
-        assert json.loads((out / "fold_plan.json").read_text())["test_fold"] != 2
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "models", "models/fold_2.npz"]
+        assert (out / "models" / "fold_2.npz").is_dir()
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 21] Is a directory: ")
         assert "fold_2.npz" in err

@@ -1,3 +1,4 @@
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from holdscan import classifier
 from holdscan.classifier import FeatureSpec, _featurize_many, featurize
 
-from oracles import per_text_featurize, per_text_featurize_many
+from oracles import per_text_featurize, per_text_featurize_many, unique_rank_featurize_many
 
 CHAR_ONLY = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=2, char_ngram_max=2, word_unigrams=False)
 
@@ -105,18 +106,29 @@ def assert_same_csr(got, want):
 @given(TEXTS, SPECS, st.sampled_from([1, 3, classifier._BLOCK]))
 def test_matches_per_text_featurizer(texts, spec, block):
     with mock.patch.object(classifier, "_BLOCK", block):
-        assert_same_csr(_featurize_many(texts, spec), per_text_featurize_many(texts, spec))
+        got = _featurize_many(texts, spec)
+    assert_same_csr(got, per_text_featurize_many(texts, spec))
+    assert_same_csr(got, unique_rank_featurize_many(texts, spec, block))
     for text in texts:
         assert featurize(text, spec) == per_text_featurize(text, spec)
+
+
+# Turn-like texts beyond ASCII: Cyrillic (2-byte UTF-8), CJK (3-byte) and emoji
+# (4-byte), alone and mixed within a text.
+WIDE_SUFFIXES = ("", "ожидайте на линии", "спасибо за ожидание 😀", "少々お待ちください",
+                 "ok 🫠 минутку", "Ёж ẞ İ")
 
 
 def test_matches_per_text_featurizer_on_corpus_turns(small_synthetic):
     # Distinct turn texts with repeats, enough for several blocks of distinct texts.
     corpus, _ = small_synthetic
-    texts = [f"{turn.text} {turn.call_id[-3:]} {turn.turn_index % 3}"
+    texts = [f"{turn.text} {turn.call_id[-3:]} {turn.turn_index % 3} "
+             f"{WIDE_SUFFIXES[turn.turn_index % len(WIDE_SUFFIXES)]}"
              for turn in corpus.iter_turns()]
     for spec in (FeatureSpec(), FeatureSpec(hash_dim=2 ** 10, char_ngram_min=1, char_ngram_max=6)):
-        assert_same_csr(_featurize_many(texts, spec), per_text_featurize_many(texts, spec))
+        got = _featurize_many(texts, spec)
+        assert_same_csr(got, per_text_featurize_many(texts, spec))
+        assert_same_csr(got, unique_rank_featurize_many(texts, spec, classifier._BLOCK))
 
 
 def test_lone_surrogate_fails_only_inside_a_gram():
@@ -126,3 +138,40 @@ def test_lone_surrogate_fails_only_inside_a_gram():
         per_text_featurize("a\ud800", spec)
     with pytest.raises(UnicodeEncodeError):
         featurize("a\ud800", spec)
+    # In a block, a surrogate in a text too short for a gram does not taint the others.
+    texts = ["\ud800", "hold on", "x\udfff"]
+    spec = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=3, word_unigrams=False)
+    assert_same_csr(_featurize_many(texts, spec), per_text_featurize_many(texts, spec))
+    with pytest.raises(UnicodeEncodeError):
+        _featurize_many(["hold on", "ab\ud800"], spec)
+
+
+TAGS = st.sampled_from(["w", *(f"c{n}" for n in range(1, 7))])
+
+
+@given(st.binary(max_size=64), TAGS)
+def test_crc_table_and_tag_shift_match_zlib(data, tag):
+    """R0(data), the register after data from zero by the byte table, XOR the
+    tag's register shifted by len(data) zero bytes is crc32 of tag + data."""
+    table, reg = classifier._CRC_TABLE, np.uint32(0)
+    for byte in data:
+        reg = table[(reg ^ np.uint32(byte)) & np.uint32(0xFF)] ^ (reg >> np.uint32(8))
+    tags = classifier._tag_registers(tag, 64)
+    assert classifier._CRC_TABLE.dtype == tags.dtype == reg.dtype == np.uint32
+    assert int(reg ^ tags[len(data)]) == zlib.crc32(f"{tag}\x00".encode("utf-8") + data)
+
+
+# One to four UTF-8 bytes per character, including each length's first and last code point.
+UTF8_CHARS = st.one_of(st.characters(codec="utf-8"),
+                       st.sampled_from("a \x00\x7f\x80ÿЖё\u07ff\u0800中\uffff\U00010000😀\U0010ffff"))
+
+
+@given(st.text(UTF8_CHARS, max_size=24), st.integers(1, 6))
+def test_gram_registers_match_zlib(text, n_max):
+    grams = list(classifier._gram_registers(text.encode("utf-8"), n_max))
+    assert len(grams) == min(n_max, len(text))
+    for n, (reg, nbytes) in enumerate(grams, 1):
+        crcs = reg ^ classifier._tag_registers(f"c{n}", 4 * n)[nbytes]
+        assert reg.dtype == crcs.dtype == np.uint32
+        assert crcs.tolist() == [zlib.crc32(f"c{n}\x00{text[p : p + n]}".encode("utf-8"))
+                                 for p in range(len(text) - n + 1)]
