@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import stat
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -519,21 +520,26 @@ def run_pipeline(
 ) -> dict:
     """Programmatic pipeline entry; returns the metrics payload it writes.
 
-    A run that fails leaves no fold plan and no fold model file behind.
+    The fold plan and the result files are written once the run has its
+    results. A run that fails removes each output file it wrote or changed
+    and leaves every other file, an earlier run's too, as it was.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     plan = _plan_for(cfg, corpus)
+    models_dir = out_dir / "models"
+    outputs = [out_dir / name for name in
+               ("fold_plan.json", "shared_threshold.json", "metrics.json", "results_table.txt")]
+    if not external_proba_file:
+        outputs += [models_dir / f"fold_{v}.npz" for v in range(plan.k) if v != plan.test_fold]
+    before = {path: _file_identity(path) for path in outputs}
     try:
-        _write_json(out_dir / "fold_plan.json", fold_plan_payload(plan), cfg)
-
         if external_proba_file:
             by_fold = _proba_by_fold(corpus, plan, load_external_proba(external_proba_file))
             test_probs, test_labels = by_fold.pop(plan.test_fold)
             run = tune_and_test(by_fold, [test_probs], test_labels)
             mode, table_label = "external", "external"
         else:
-            models_dir = out_dir / "models"
             models_dir.mkdir(exist_ok=True)
             meta = _stamp_meta(cfg)
             run = run_cross_validation(  # each fold's worker writes the model it trained
@@ -555,6 +561,7 @@ def run_pipeline(
             payload["per_fold_validation_auc"] = {
                 str(r.fold_index): r.validation_auc for r in run.folds
             }
+        _write_json(out_dir / "fold_plan.json", fold_plan_payload(plan), cfg)
         _write_json(out_dir / "shared_threshold.json",
                     {"shared_threshold": run.shared_threshold,
                      "mean_f1_macro": run.shared_threshold_mean_f1}, cfg)
@@ -565,18 +572,21 @@ def run_pipeline(
         )
         return payload
     except BaseException:
-        _remove_partial_run(out_dir, plan)
+        for path in outputs:
+            identity = _file_identity(path)
+            if identity is not None and identity != before[path]:
+                with contextlib.suppress(OSError):  # the run's own error is the one to report
+                    path.unlink()
         raise
 
 
-def _remove_partial_run(out_dir: Path, plan: FoldPlan) -> None:
-    """Remove the fold plan and the regular-file fold models of a failed pipeline run."""
-    paths = [out_dir / "fold_plan.json"]
-    paths += [out_dir / "models" / f"fold_{v}.npz" for v in range(plan.k) if v != plan.test_fold]
-    for path in paths:
-        if path.is_file():
-            with contextlib.suppress(OSError):  # the run's own error is the one to report
-                path.unlink()
+def _file_identity(path: Path) -> tuple[int, int] | None:
+    """A regular file's inode and ctime, which every write to it changes; None for no file."""
+    try:
+        st = path.stat()
+    except OSError:
+        return None
+    return (st.st_ino, st.st_ctime_ns) if stat.S_ISREG(st.st_mode) else None
 
 
 def run_cli(argv: list[str] | None = None) -> None:

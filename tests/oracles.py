@@ -17,11 +17,11 @@ versions of the package:
 - `per_text_featurize` and `per_text_featurize_many`: the featurizer used
   before the batched array passes, hashing every n-gram of every text
   through a dict; a bit-exact reference for the CSR arrays.
-- `unique_rank_featurize_block` and `unique_rank_featurize_many`: the
-  blocked featurizer used before character n-grams were hashed by the
-  vectorised CRC-32 kernel, ranking each n's gram ids with `np.unique` and
-  calling `zlib.crc32` once per distinct gram; a bit-exact reference for
-  the CSR arrays, block by block.
+- `unique_rank_featurize_block`: the block featurizer used before
+  character n-grams were hashed by the vectorised CRC-32 kernel, ranking
+  each n's gram ids with `np.unique` and calling `zlib.crc32` once per
+  distinct gram; a bit-exact reference for the CSR arrays of a block, in
+  place of `classifier._featurize_block`.
 - `reference_select_best`: the checkpoint pick used before it stopped at
   the first validation AUC of 1.0, a `max` over every checkpoint.
 """
@@ -39,7 +39,6 @@ from holdscan.classifier import (
     FeatureSpec,
     _ce_logit_grad,
     _Csr,
-    _distinct,
     _gather,
     _scatter,
 )
@@ -446,18 +445,6 @@ def per_text_featurize_many(texts, spec: FeatureSpec) -> _Csr:
 _CODE_POINTS = sys.maxunicode + 1
 
 
-def unique_rank_featurize_many(texts, spec: FeatureSpec, block: int) -> _Csr:
-    """One CSR row per text, featurized block by block of distinct texts."""
-    distinct, rows = _distinct(texts)
-    blocks = [unique_rank_featurize_block(distinct[i : i + block], spec)
-              for i in range(0, max(len(distinct), 1), block)]
-    lengths = np.concatenate([np.diff(b.indptr) for b in blocks])
-    feats = _Csr(np.concatenate(([0], np.cumsum(lengths))),
-                 np.concatenate([b.indices for b in blocks]),
-                 np.concatenate([b.data for b in blocks]))
-    return feats.take(rows)
-
-
 def unique_rank_featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
     """One CSR row of counts per distinct text, buckets ascending per row.
 
@@ -514,13 +501,6 @@ def unique_rank_featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr
 
 
 def _unique_rank_crc_buckets(tag: str, grams: Iterable[str], span: int) -> np.ndarray:
-    """crc32(f"{tag}\\x00{gram}") % span for each gram, as int64."""
-    seed = zlib.crc32(f"{tag}\x00".encode("utf-8"))
-    crcs = np.fromiter((zlib.crc32(g.encode("utf-8"), seed) for g in grams), dtype=np.int64)
-    return crcs % span
-
-
-def _unique_rank_crc_buckets(tag: str, grams, span: int) -> np.ndarray:
     """crc32(f"{tag}\\x00{gram}") % span for each gram, as int64."""
     seed = zlib.crc32(f"{tag}\x00".encode("utf-8"))
     crcs = np.fromiter((zlib.crc32(g.encode("utf-8"), seed) for g in grams), dtype=np.int64)

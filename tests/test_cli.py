@@ -328,6 +328,43 @@ class TestPipeline:
         assert "Traceback" not in err
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("second", ["external", "trained"])
+    def test_failed_run_keeps_an_earlier_runs_files(self, tmp_path, second):
+        """A run that fails in a directory holding a finished trained run
+        removes only the files it wrote: here the two models it overwrote
+        before a full disk stopped it. The earlier plan, results and the
+        models the failed run did not reach stay byte for byte."""
+        corpus, _ = generate_synthetic(50, 5)
+        transcripts = tmp_path / "t.csv"
+        write_transcripts(corpus, transcripts)
+        out = tmp_path / "out"
+        args = ["pipeline", "--transcripts", str(transcripts), "--folds", "4", "--seed", "9",
+                "--out-dir", str(out)]
+        trained = ["--hash-dim", "2048", "--epochs", "1"]
+        assert run(args + trained) == 0
+        earlier = tree_bytes(out)
+        test_fold = json.loads((out / "metrics.json").read_text())["test_fold"]
+        models = [f"models/fold_{v}.npz" for v in range(4) if v != test_fold]
+        assert set(models) < set(earlier)
+        if second == "external":
+            proba = tmp_path / "p.csv"
+            smoothed_gold_proba(corpus, proba)
+            lines = proba.read_text().splitlines(keepends=True)
+            proba.write_text("".join(lines[:-1]))  # the last turn has no prediction
+            assert run(args + ["--external-proba", str(proba)]) == 2
+            kept = earlier
+        else:
+            def save_until_disk_full(path, *a, **kw):
+                if Path(path).name == Path(models[-1]).name:
+                    raise OSError(28, "No space left on device")
+                save_checkpoint(path, *a, **kw)
+
+            with mock.patch.object(tuning, "_worker_count", return_value=1), \
+                    mock.patch.object(cli, "save_checkpoint", save_until_disk_full):
+                assert run(args + trained) == 1
+            kept = {name: data for name, data in earlier.items() if name not in models[:-1]}
+        assert tree_bytes(out) == kept
+
     @pytest.mark.parametrize("command", ["pipeline", "sweep"])
     def test_dead_fold_worker_exits_one(self, tmp_path, capsys, monkeypatch, command):
         """A fold worker that dies, as an OOM kill would end it, ends the run
