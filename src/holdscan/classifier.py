@@ -14,16 +14,21 @@ and a row without a cell for each of them is a MalformedRow.
 
 Training is plain mini-batch gradient descent on class-weighted
 cross-entropy with decoupled weight decay and a step size that decays
-linearly to zero. Internally the weight matrix is kept as scale * V so the
-decay multiplies a scalar instead of the full matrix each step. Features
-are one CSR matrix, one row per turn; training, prediction and the loss
-share one gather (logits), one softmax-gradient function and one in-order
-scatter (gradients, touching only the feature rows present in a batch).
-fit trains on chosen rows of such a matrix, so a cross-validation run
+linearly to zero. A weight row stays +0.0 unless a training feature
+hashes to its bucket, so a run's buckets are ranked once (_compact) and
+training keeps weights only for the buckets its feature matrix uses: the
+(U, 3) matrix scale * V over those U columns, where the decay multiplies
+the scalar instead of the matrix each step. A Checkpoint and its model
+file hold the same U rows and their bucket numbers. Features are one CSR
+matrix, one row per turn; training, prediction and the loss share one
+gather (logits), one softmax-gradient function and one in-order scatter
+(gradients, touching only the feature rows present in a batch). fit
+trains on chosen rows of such a matrix, so a cross-validation run
 featurizes its turns once and every fold is a set of rows; train
 featurizes texts and then uses the same kernels. predict_proba never
 builds the whole batch's matrix: it featurizes and scores one block of
-distinct texts at a time, keeping only each block's (n, 3) probabilities.
+distinct texts at a time against the checkpoint's dense (hash_dim, 3)
+weights, keeping only each block's (n, 3) probabilities.
 
 Featurization is feature hashing: each word token and character n-gram
 counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _feature_blocks
@@ -63,7 +68,7 @@ from .metrics import PROB_SUM_TOL, roc_auc_ovr_macro
 PathLike = Union[str, Path]
 
 PROBA_COLUMNS = ("call_id", "turn_index", "p0", "p1", "p2")
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # Sum-of-probabilities tolerance of the predictions file: rows within 1e-6 of 1
 # are renormalized (when further off than PROB_SUM_TOL), the rest rejected.
@@ -128,10 +133,15 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
-    """Model snapshot at an epoch boundary, scored on the validation fold."""
+    """Model snapshot at an epoch boundary, scored on the validation fold.
+
+    Row i of weights holds the weights of bucket columns[i]; every bucket
+    not in columns has weights +0.0.
+    """
 
     epoch: int
-    weights: np.ndarray  # (hash_dim, 3)
+    columns: np.ndarray  # (U,) integer buckets, strictly ascending, in [0, hash_dim)
+    weights: np.ndarray  # (U, 3)
     bias: np.ndarray     # (3,)
     validation_auc: float
     feature_spec: FeatureSpec
@@ -139,9 +149,22 @@ class Checkpoint:
     def __post_init__(self):
         if self.epoch < 1:
             raise ValueError(f"epoch must be >= 1, got {self.epoch}")
-        if self.weights.shape != (self.feature_spec.hash_dim, 3) or self.bias.shape != (3,):
+        cols = self.columns
+        if cols.dtype.kind not in "iu" or cols.ndim != 1:
+            raise ValueError(f"columns must be a 1-D integer array, not {cols.dtype} {cols.shape}")
+        if not np.all(cols[1:] > cols[:-1]):
+            raise ValueError("columns must be strictly ascending")
+        if len(cols) and (cols[0] < 0 or cols[-1] >= self.feature_spec.hash_dim):
+            raise ValueError(f"columns must lie in [0, {self.feature_spec.hash_dim})")
+        if self.weights.shape != (len(cols), 3) or self.bias.shape != (3,):
             raise ValueError(f"weights {self.weights.shape} and bias {self.bias.shape} do not "
-                             f"have shapes ({self.feature_spec.hash_dim}, 3) and (3,)")
+                             f"have shapes ({len(cols)}, 3) and (3,)")
+
+    def dense_weights(self) -> np.ndarray:
+        """The (hash_dim, 3) weight matrix: weights on columns, +0.0 elsewhere."""
+        dense = np.zeros((self.feature_spec.hash_dim, 3))
+        dense[self.columns] = self.weights
+        return dense
 
 
 class _Csr(NamedTuple):
@@ -177,6 +200,8 @@ class _Csr(NamedTuple):
 # Distinct texts featurized (and, in predict_proba, scored) together; bounds the
 # temporary arrays of one pass.
 _BLOCK = 2048
+# Stored entries _compact remaps at once; bounds its temporary array.
+_REMAP_SLICE = 1 << 16
 # Training rows fit copies out of the feature matrix at once, rounded to whole
 # batches. A copy per batch took ~47 us of a ~265 us step on templated text (on
 # a 2-vCPU Xeon VM); a copy of a whole epoch's rows raised fit's peak memory by
@@ -279,6 +304,24 @@ def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
     keys = keys[edges[:-1]]
     indptr = np.append(np.searchsorted(keys, row_keys), len(keys))
     return _Csr(indptr, keys & (span - 1), np.diff(edges).astype(np.float64))
+
+
+def _compact(feats: _Csr, hash_dim: int) -> tuple[np.ndarray, _Csr]:
+    """The buckets feats uses (columns, ascending int64), and feats with each
+    bucket replaced by its rank among them, in place.
+
+    A lookup table over the hash_dim buckets ranks them without sorting the
+    stored entries. The indices are remapped a slice at a time, so no
+    temporary array grows with them.
+    """
+    used = np.zeros(hash_dim, bool)
+    used[feats.indices] = True
+    rank = np.cumsum(used, dtype=np.int32)
+    rank -= 1
+    for start in range(0, len(feats.indices), _REMAP_SLICE):
+        part = feats.indices[start : start + _REMAP_SLICE]
+        part[:] = rank[part]
+    return np.flatnonzero(used), feats
 
 
 def _crc_buckets(tag: str, grams: Iterable[str], low: np.uint32) -> np.ndarray:
@@ -421,21 +464,23 @@ def train(
 ) -> list[Checkpoint]:
     """Train on (text, label) examples; one Checkpoint per epoch, scored on validation.
 
-    Checks the labels, featurizes both sequences in one call and runs fit
-    on their rows, keeping every epoch's Checkpoint.
+    Checks the labels, featurizes both sequences in one call, keeps the
+    buckets they use and runs fit on their rows, keeping every epoch's
+    Checkpoint.
     """
     labeled = list(examples) + list(validation)
     for text, label in labeled:
         if label is None or label not in (0, 1, 2):
             raise UnlabeledExample(f"example {text[:40]!r} has label {label!r}")
-    feats = _featurize_many([t for t, _ in labeled], spec)
+    columns, feats = _compact(_featurize_many([t for t, _ in labeled], spec), spec.hash_dim)
     y = np.array([label for _, label in labeled])
     n = len(examples)
-    return list(fit(feats, y, np.arange(n), np.arange(n, len(labeled)), config, spec))
+    return list(fit(feats, columns, y, np.arange(n), np.arange(n, len(labeled)), config, spec))
 
 
 def fit(
     feats: _Csr,
+    columns: np.ndarray,
     y: np.ndarray,
     train_rows: np.ndarray,
     val_rows: np.ndarray,
@@ -446,6 +491,8 @@ def fit(
 
     Trains on the rows train_rows of feats and y (labels in {0, 1, 2}) and
     scores each epoch's macro one-vs-rest ROC AUC on the rows val_rows.
+    feats' indices are ranks into columns, as _compact returns them, so the
+    weights are one row per column.
     Deterministic given the rows, config and spec: the per-epoch shuffle of
     train_rows is driven solely by config.seed. Each epoch is trained when
     the next Checkpoint is asked for, and fit keeps none it has yielded, so
@@ -462,7 +509,7 @@ def fit(
     rng = np.random.default_rng(config.seed)
 
     # weights = scale * v; the decoupled decay multiplies the scalar only.
-    v = np.zeros((spec.hash_dim, 3))
+    v = np.zeros((len(columns), 3))
     scale = 1.0
     bias = np.zeros(3)
 
@@ -497,6 +544,7 @@ def fit(
         auc = roc_auc_ovr_macro(y_val, val_probs)
         yield Checkpoint(
             epoch=epoch,
+            columns=columns,
             weights=weights,
             bias=bias.copy(),
             validation_auc=auc,
@@ -537,15 +585,17 @@ def predict_proba(
 
     Each distinct text is featurized and scored once, one block of _BLOCK
     distinct texts at a time, so no array grows with the batch's non-zeros.
+    Every block is scored against the model's dense weights, built once.
     """
     if spec != model.feature_spec:
         raise SpecMismatch("supplied FeatureSpec differs from the one the model was trained with")
     distinct, rows = _distinct(turns)
+    weights = model.dense_weights()
     probs = np.empty((len(distinct), 3))
     start = 0
     for block in _feature_blocks(distinct, spec):
         stop = start + len(block.indptr) - 1
-        probs[start:stop] = _softmax_rows(_gather(block, model.weights) + model.bias)
+        probs[start:stop] = _softmax_rows(_gather(block, weights) + model.bias)
         start = stop
     if len(distinct) < len(rows):
         probs = probs[rows]
@@ -556,7 +606,8 @@ def predict_proba(
 
 
 def save_checkpoint(path: PathLike, model: Checkpoint, extra_meta: dict | None = None) -> None:
-    """Write a checkpoint as a compressed npz with a JSON metadata record.
+    """Write a checkpoint as an npz of its columns, weights and bias, with a
+    JSON metadata record.
 
     extra_meta lets callers stamp provenance fields (tool version, config
     hash); unknown keys are preserved but ignored on load.
@@ -568,8 +619,9 @@ def save_checkpoint(path: PathLike, model: Checkpoint, extra_meta: dict | None =
         "feature_spec": asdict(model.feature_spec),
         **(extra_meta or {}),
     }
-    np.savez_compressed(
+    np.savez(
         path,
+        columns=model.columns,
         weights=model.weights,
         bias=model.bias,
         meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
@@ -580,8 +632,9 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     """Read a model file written by save_checkpoint.
 
     Raises ValueError naming the file for anything else: an empty, truncated
-    or non-npz file, missing or non-float arrays, or a meta record of the
-    wrong shape, keys or value types.
+    or non-npz file, another format version, missing or mistyped arrays,
+    columns that are not strictly ascending buckets in [0, hash_dim), one
+    per weight row, or a meta record of the wrong shape, keys or value types.
     """
     try:
         # np.load leaves a path it opened unclosed when the npz turns out bad.
@@ -589,16 +642,20 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
             bundle = np.load(fh)
             if not isinstance(bundle, np.lib.npyio.NpzFile):
                 raise ValueError("it holds one array, not an npz archive")
-            if not {"meta", "weights", "bias"} <= set(bundle.files):
-                raise ValueError("it needs meta, weights and bias arrays")
-            raw_meta, weights, bias = (bundle[name] for name in ("meta", "weights", "bias"))
-        if weights.dtype.kind != "f" or bias.dtype.kind != "f":
-            raise ValueError(f"weights ({weights.dtype}) and bias ({bias.dtype}) must be floats")
-        meta = json.loads(raw_meta.tobytes().decode("utf-8"))
+            arrays = {name: bundle[name] for name in ("meta", "columns", "weights", "bias")
+                      if name in bundle.files}
+        if "meta" not in arrays:
+            raise ValueError("it has no meta array")
+        meta = json.loads(arrays["meta"].tobytes().decode("utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("its meta record is not a JSON object")
         if meta.get("format_version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {meta.get('format_version')!r}")
+        if not {"columns", "weights", "bias"} <= arrays.keys():
+            raise ValueError("it needs columns, weights and bias arrays")
+        columns, weights, bias = (arrays[name] for name in ("columns", "weights", "bias"))
+        if weights.dtype.kind != "f" or bias.dtype.kind != "f":
+            raise ValueError(f"weights ({weights.dtype}) and bias ({bias.dtype}) must be floats")
         missing = {"epoch", "validation_auc", "feature_spec"} - set(meta)
         if missing:
             raise ValueError(f"meta lacks {', '.join(sorted(missing))}")
@@ -613,6 +670,7 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
             raise ValueError("meta needs an integer epoch and a numeric validation_auc")
         return Checkpoint(
             epoch=meta["epoch"],
+            columns=columns,
             weights=weights,
             bias=bias,
             validation_auc=float(meta["validation_auc"]),

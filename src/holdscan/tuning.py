@@ -34,6 +34,7 @@ from .classifier import (
     Checkpoint,
     FeatureSpec,
     TrainConfig,
+    _compact,
     _Csr,
     _featurize_many,
     _gather,
@@ -184,11 +185,14 @@ class FoldMatrix:
 
     Row i holds the features and label of a turn of fold fold_of[i]; within
     a fold the turns are in key order, as FoldPlan.keys_by_fold lists them.
-    feature_spec is the spec the rows were featurized with, and so the one
-    every model trained on them uses.
+    The features' indices are ranks into columns, the buckets any row uses,
+    so every fold model's weights have one row per column. feature_spec is
+    the spec the rows were featurized with, and so the one every model
+    trained on them uses.
     """
 
     feats: _Csr
+    columns: np.ndarray
     labels: np.ndarray
     fold_of: np.ndarray
     k: int
@@ -201,11 +205,14 @@ class FoldMatrix:
 
 
 def fold_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSpec) -> FoldMatrix:
-    """Featurize the plan's labeled turns, all in one call."""
+    """Featurize the plan's labeled turns, all in one call, and keep the buckets they use."""
     keys_by_fold = fold_plan.keys_by_fold()
     turns = [corpus.turn(key) for keys in keys_by_fold for key in keys]
+    columns, feats = _compact(_featurize_many((t.text for t in turns), feature_spec),
+                              feature_spec.hash_dim)
     return FoldMatrix(
-        feats=_featurize_many((t.text for t in turns), feature_spec),
+        feats=feats,
+        columns=columns,
         labels=np.array([t.label for t in turns]),
         fold_of=np.repeat(np.arange(fold_plan.k), [len(keys) for keys in keys_by_fold]),
         k=fold_plan.k,
@@ -224,6 +231,7 @@ def train_fold(matrix: FoldMatrix, v: int, config: TrainConfig) -> Iterator[Chec
     train_folds = [f for f in range(matrix.k) if f not in (v, matrix.test_fold)]
     return fit(
         matrix.feats,
+        matrix.columns,
         matrix.labels,
         matrix.rows(*train_folds),
         matrix.rows(v),

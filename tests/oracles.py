@@ -10,9 +10,12 @@ versions of the package:
   called; a bit-exact reference.
 - `per_example_train`: the trainer used before the shared sparse kernels,
   with its per-example logits and update loops and the `(idx, cnt)`
-  feature lists it read.
+  feature lists it read. Its Checkpoints hold dense `(hash_dim, 3)`
+  weights, with every bucket as a column.
 - `per_step_take_fit`: `fit` as it was before each epoch's rows were taken
-  once, copying every batch's rows out of the feature matrix; a bit-exact
+  once, copying every batch's rows out of the feature matrix, and before
+  weights were kept for the used buckets only: it trains dense
+  `(hash_dim, 3)` weights on bucket-indexed features. A bit-exact
   reference for every epoch's weights, bias and validation AUC.
 - `per_text_featurize` and `per_text_featurize_many`: the featurizer used
   before the batched array passes, hashing every n-gram of every text
@@ -324,6 +327,7 @@ def per_example_train(examples, config, spec, validation):
         checkpoints.append(
             Checkpoint(
                 epoch=epoch,
+                columns=np.arange(spec.hash_dim),
                 weights=weights,
                 bias=bias.copy(),
                 validation_auc=auc,
@@ -390,6 +394,7 @@ def per_step_take_fit(feats, y, train_rows, val_rows, config, spec):
         auc = roc_auc_ovr_macro(y_val, val_probs)
         yield Checkpoint(
             epoch=epoch,
+            columns=np.arange(spec.hash_dim),
             weights=weights,
             bias=bias.copy(),
             validation_auc=auc,

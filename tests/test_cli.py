@@ -183,25 +183,42 @@ class TestSplitTrainPredict:
                                         "no_feature_spec", "unknown_spec_key", "no_spec_key",
                                         "meta_is_a_list", "null_epoch", "list_validation_auc",
                                         "string_hash_dim", "string_weights", "truncated_file",
-                                        "empty_file"])
+                                        "empty_file", "unsorted_columns", "duplicate_columns",
+                                        "negative_column", "column_at_hash_dim",
+                                        "float_columns", "two_dim_columns",
+                                        "columns_longer_than_weights", "no_columns",
+                                        "format_version_1"])
     def test_malformed_model_file_exits_two(self, corpus_dir, tmp_path, damage, capsys):
         spec = FeatureSpec(hash_dim=4096)
         model = tmp_path / "model.npz"
-        save_checkpoint(model, Checkpoint(epoch=1, weights=np.zeros((4096, 3)), bias=np.zeros(3),
+        save_checkpoint(model, Checkpoint(epoch=1, columns=np.array([3, 17, 900, 4095]),
+                                          weights=np.ones((4, 3)), bias=np.zeros(3),
                                           validation_auc=0.5, feature_spec=spec))
         with np.load(model) as bundle:
             arrays = dict(bundle)
-        if damage == "weights_for_other_hash_dim":
+        bad_columns = {"unsorted_columns": [3, 900, 17, 4095], "duplicate_columns": [3, 17, 17, 900],
+                       "negative_column": [-1, 17, 900, 4095], "column_at_hash_dim": [3, 17, 900, 4096],
+                       "float_columns": [3.0, 17.0, 900.0, 4095.0],
+                       "two_dim_columns": [[3, 17], [900, 4095]],
+                       "columns_longer_than_weights": [3, 17, 900, 1000, 4095]}
+        if damage in bad_columns:
+            arrays["columns"] = np.array(bad_columns[damage])
+        elif damage == "weights_for_other_hash_dim":
             arrays["weights"] = np.zeros((1024, 3))
         elif damage == "two_element_bias":
             arrays["bias"] = np.zeros(2)
         elif damage == "string_weights":
-            arrays["weights"] = np.full((4096, 3), "x")
-        elif damage == "no_meta":
-            del arrays["meta"]
+            arrays["weights"] = np.full((4, 3), "x")
+        elif damage in ("no_meta", "no_columns"):
+            del arrays[damage.removeprefix("no_")]
         else:
             meta = json.loads(arrays["meta"].tobytes())
-            if damage == "unknown_spec_key":
+            if damage == "format_version_1":
+                # A format 1 file: dense (hash_dim, 3) weights and no columns.
+                meta["format_version"] = 1
+                del arrays["columns"]
+                arrays["weights"] = np.zeros((4096, 3))
+            elif damage == "unknown_spec_key":
                 meta["feature_spec"]["ngram_step"] = 1
             elif damage == "no_spec_key":
                 del meta["feature_spec"]["max_tokens"]
@@ -228,6 +245,8 @@ class TestSplitTrainPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(model) in err
+        if damage == "format_version_1":
+            assert "unsupported model format version 1" in err
 
     @pytest.mark.parametrize("fold", ["99", "-1"])
     def test_evaluate_rejects_fold_outside_plan(self, corpus_dir, tmp_path, fold, capsys):

@@ -285,7 +285,8 @@ def test_shared_matrix_matches_per_fold_text_path(mode, distinct, tmp_path):
     for result, (val_probs, val_labels), test_probs, (_, best, ref_val, ref_val_labels, ref_test) \
             in zip(run.folds, val_folds, test_sets, reference):
         got = models[result.fold_index]
-        assert _same_bits(got.weights, best.weights)
+        # The run's columns are every fold's buckets; train's are its examples'.
+        assert _same_bits(got.dense_weights(), best.dense_weights())
         assert _same_bits(got.bias, best.bias)
         assert (got.epoch, got.validation_auc) == (best.epoch, best.validation_auc)
         assert (result.epoch, result.validation_auc) == (best.epoch, best.validation_auc)
@@ -492,18 +493,22 @@ def test_fold_model_exit_picks_the_checkpoint_of_every_epoch(exit_case, tmp_path
 
 
 def test_pool_task_results_hold_no_weights(tmp_path):
-    """A pool task sends back less than one weight matrix: the model stays in
-    the worker that trained it, which hands it to the save function."""
-    corpus = separable_corpus(n_per_class=30)
+    """A pool task sends back its probabilities and little else: the model
+    stays in the worker that trained it, which hands it to the save function."""
+    corpus = _distinct_texts(separable_corpus(n_per_class=30))
     plan = stratified_split(corpus, 4, seed=1)
     matrix = tuning.fold_matrix(corpus, plan, SPEC)
     folds = [f for f in range(plan.k) if f != plan.test_fold]
+    allowance = 1024  # the pickled FoldResult and the arrays' headers
+    assert len(matrix.columns) * 3 * 8 > allowance  # so compact weights would not fit in it
     models = SavedFoldModels(tmp_path)
     with _fold_workers(2), \
             tuning._fold_models(matrix, [(CONFIG, f) for f in folds], models) as results:
-        sizes = [len(pickle.dumps(result)) for result in results]
-    assert len(sizes) == len(folds)
-    assert max(sizes) < SPEC.hash_dim * 3 * 8
+        results = list(results)
+    assert len(results) == len(folds)
+    for result in results:
+        probs_bytes = sum(probs.nbytes for probs in result[1:])
+        assert len(pickle.dumps(result)) < probs_bytes + allowance
     assert sorted(models.load()) == folds
 
 

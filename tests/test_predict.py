@@ -21,7 +21,8 @@ SPEC = FeatureSpec(hash_dim=2 ** 10)
 
 
 def zero_model(spec=SPEC):
-    return Checkpoint(epoch=1, weights=np.zeros((spec.hash_dim, 3)), bias=np.zeros(3),
+    return Checkpoint(epoch=1, columns=np.arange(spec.hash_dim),
+                      weights=np.zeros((spec.hash_dim, 3)), bias=np.zeros(3),
                       validation_auc=0.5, feature_spec=spec)
 
 
@@ -96,6 +97,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.epoch == model.epoch
     assert loaded.validation_auc == model.validation_auc
     assert loaded.feature_spec == model.feature_spec
+    assert np.array_equal(loaded.columns, model.columns)
     assert np.array_equal(loaded.weights, model.weights)
     assert np.array_equal(loaded.bias, model.bias)
     texts = ["alpha one", "fresh text"]
@@ -104,7 +106,8 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def random_model(seed=5, spec=SPEC):
     rng = np.random.default_rng(seed)
-    return Checkpoint(epoch=1, weights=rng.normal(size=(spec.hash_dim, 3)),
+    return Checkpoint(epoch=1, columns=np.arange(spec.hash_dim),
+                      weights=rng.normal(size=(spec.hash_dim, 3)),
                       bias=rng.normal(size=3), validation_auc=0.5, feature_spec=spec)
 
 
@@ -124,7 +127,7 @@ def with_repeats(n_distinct):
 def full_matrix_proba(model, texts):
     """Reference: the whole batch's feature matrix, scored in one gather."""
     feats = classifier._featurize_many(texts, model.feature_spec)
-    probs = classifier._softmax_rows(classifier._gather(feats, model.weights) + model.bias)
+    probs = classifier._softmax_rows(classifier._gather(feats, model.dense_weights()) + model.bias)
     return [ProbTriple(float(p[0]), float(p[1]), float(p[2])) for p in probs]
 
 
@@ -145,12 +148,15 @@ def test_scoring_never_gathers_more_than_one_block():
     # The memory bound: no array of prediction grows with the whole batch's non-zeros.
     texts = with_repeats(160)
     assert 250 < len(texts) < 350
+    model = random_model()
     with mock.patch.object(classifier, "_BLOCK", 64), \
             mock.patch.object(classifier, "_gather", wraps=classifier._gather) as gather, \
             mock.patch.object(classifier, "_featurize_many",
-                              wraps=classifier._featurize_many) as featurize_many:
-        predict_proba(random_model(), texts, SPEC)
+                              wraps=classifier._featurize_many) as featurize_many, \
+            mock.patch.object(model, "dense_weights", wraps=model.dense_weights) as dense:
+        predict_proba(model, texts, SPEC)
     rows = [len(call.args[0].indptr) - 1 for call in gather.call_args_list]
     assert max(rows) <= 64
     assert sum(rows) == len(set(texts))
     assert featurize_many.call_count == 0
+    assert dense.call_count == 1  # one dense weight matrix for all the blocks

@@ -1,13 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from holdscan import classifier
 from holdscan.classifier import (
     Checkpoint,
     FeatureSpec,
     TrainConfig,
+    _compact,
     _featurize_many,
     fit,
+    load_checkpoint,
     predict_proba,
+    save_checkpoint,
     select_best_checkpoint,
     train,
     weighted_ce_loss_and_grad,
@@ -108,7 +114,7 @@ def test_single_step_matches_reference_gradient():
     zero_w = np.zeros((SPEC.hash_dim, 3))
     zero_b = np.zeros(3)
     _, grad_w, grad_b = weighted_ce_loss_and_grad(zero_w, zero_b, feats, y, config.class_weights)
-    assert np.array_equal(ckpt.weights, -config.learning_rate * grad_w)
+    assert np.array_equal(ckpt.dense_weights(), -config.learning_rate * grad_w)
     assert np.array_equal(ckpt.bias, -config.learning_rate * grad_b)
 
 
@@ -130,10 +136,13 @@ def test_raising_class_weight_never_loses_class1_predictions():
     assert counts[-1] > 0
 
 
+def _no_weights_checkpoint(epoch, auc):
+    return Checkpoint(epoch=epoch, columns=np.zeros(0, np.int64), weights=np.zeros((0, 3)),
+                      bias=np.zeros(3), validation_auc=auc, feature_spec=SPEC)
+
+
 def test_select_best_checkpoint_rules():
-    def ckpt(epoch, auc):
-        return Checkpoint(epoch=epoch, weights=np.zeros((SPEC.hash_dim, 3)),
-                          bias=np.zeros(3), validation_auc=auc, feature_spec=SPEC)
+    ckpt = _no_weights_checkpoint
 
     picked = select_best_checkpoint([ckpt(1, 0.7), ckpt(2, 0.9), ckpt(3, 0.8)])
     assert picked.epoch == 2
@@ -146,9 +155,7 @@ def test_select_best_checkpoint_rules():
 
 
 def test_select_best_checkpoint_takes_a_generator():
-    def ckpt(epoch, auc):
-        return Checkpoint(epoch=epoch, weights=np.zeros((SPEC.hash_dim, 3)),
-                          bias=np.zeros(3), validation_auc=auc, feature_spec=SPEC)
+    ckpt = _no_weights_checkpoint
 
     aucs = [0.7, 0.9, 0.8, 0.9]
     assert select_best_checkpoint(ckpt(e, a) for e, a in enumerate(aucs, start=1)).epoch == 2
@@ -223,13 +230,13 @@ def test_matches_per_example_trainer(case):
     assert len(got) == len(want) == config.epochs
     for g, w in zip(got, want):
         assert np.all(np.isfinite(g.weights))
-        assert np.max(np.abs(g.weights - w.weights)) <= 1e-12
+        assert np.max(np.abs(g.dense_weights() - w.weights)) <= 1e-12
         assert np.max(np.abs(g.bias - w.bias)) <= 1e-12
         assert g.validation_auc == w.validation_auc
     assert select_best_checkpoint(got).epoch == select_best_checkpoint(want).epoch
 
 
-# --- differential test against the per-step row-take trainer -----------------
+# --- differential tests against the dense per-step row-take trainer -----------
 
 
 def _fit_inputs(distinct: bool, spec: FeatureSpec):
@@ -245,14 +252,22 @@ def _fit_inputs(distinct: bool, spec: FeatureSpec):
     return feats, y, train_rows, np.concatenate([scripted[::2], plain[400:450]])
 
 
+def _copy(feats):
+    """feats with its own indices, which _compact remaps in place."""
+    return feats._replace(indices=feats.indices.copy())
+
+
 _REFOLD = TrainConfig(batch_size=2, learning_rate=0.5, weight_decay=1.98, seed=2)
 
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
 @pytest.mark.parametrize("batch_size", [1, 3, 16, 50, "n-1", "n", "n+5", "refold"])
 def test_fit_matches_per_step_take(distinct, batch_size):
+    """fit's compact weights are the dense trainer's on their columns, bit
+    for bit, and every other bucket's dense weights are +0.0."""
     spec = FeatureSpec(hash_dim=2 ** 12)
     feats, y, train_rows, val_rows = _fit_inputs(distinct, spec)
+    columns, compact = _compact(_copy(feats), spec.hash_dim)
     n = len(train_rows)
     if batch_size == "refold":
         # As in test_matches_per_example_trainer: the decay reaches below the
@@ -265,14 +280,62 @@ def test_fit_matches_per_step_take(distinct, batch_size):
         size = {"n-1": n - 1, "n": n, "n+5": n + 5}.get(batch_size, batch_size)
         config = TrainConfig(batch_size=size, class_weights=(0.5, 2.0, 3.0), seed=9)
 
-    got = list(fit(feats, y, train_rows, val_rows, config, spec))
+    got = list(fit(compact, columns, y, train_rows, val_rows, config, spec))
     want = list(per_step_take_fit(feats, y, train_rows, val_rows, config, spec))
     assert [c.epoch for c in got] == [c.epoch for c in want] == list(range(1, config.epochs + 1))
+    unused = np.setdiff1d(np.arange(spec.hash_dim), columns)
     for g, w in zip(got, want):
+        assert g.columns is columns
         assert np.all(np.isfinite(g.weights))
-        assert g.weights.tobytes() == w.weights.tobytes()
+        assert g.weights.tobytes() == w.weights[columns].tobytes()
+        assert w.weights[unused].tobytes() == bytes(len(unused) * 3 * 8)
+        assert g.dense_weights().tobytes() == w.weights.tobytes()
         assert g.bias.tobytes() == w.bias.tobytes()
         assert g.validation_auc == w.validation_auc
+
+
+@pytest.mark.parametrize("texts", ["templated", "distinct", "with_empty", "all_empty"])
+def test_compact_ranks_buckets_as_unique_does(texts):
+    """_compact's columns and remapped indices are np.unique's values and
+    inverse; indptr and data are unchanged."""
+    spec = FeatureSpec(hash_dim=2 ** 12)
+    examples = _synthetic_examples(distinct=texts == "distinct")[:200]
+    corpus = {"with_empty": ["", *[t for t, _ in examples], ""], "all_empty": ["", ""]}.get(
+        texts, [t for t, _ in examples])
+    feats = _featurize_many(corpus, spec)
+    want_columns, want_indices = np.unique(feats.indices, return_inverse=True)
+    indptr, data = feats.indptr.copy(), feats.data.copy()
+    with mock.patch.object(classifier, "_REMAP_SLICE", 100):  # several slices and a partial one
+        columns, compact = _compact(feats, spec.hash_dim)
+    assert columns.dtype == compact.indices.dtype == np.int64
+    assert np.array_equal(columns, want_columns)
+    assert np.array_equal(compact.indices, want_indices)
+    assert np.array_equal(compact.indptr, indptr) and np.array_equal(compact.data, data)
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
+def test_saved_model_predicts_as_the_dense_model(distinct, tmp_path):
+    """save -> load -> predict_proba of a compact model gives the dense
+    model's probabilities bit for bit, with rows of -0.0 and subnormals too."""
+    spec = FeatureSpec(hash_dim=2 ** 12)
+    feats, y, train_rows, val_rows = _fit_inputs(distinct, spec)
+    columns, compact = _compact(_copy(feats), spec.hash_dim)
+    config = TrainConfig(epochs=2, seed=9)
+    got = list(fit(compact, columns, y, train_rows, val_rows, config, spec))[-1]
+    dense = list(per_step_take_fit(feats, y, train_rows, val_rows, config, spec))[-1]
+    special = np.array([-0.0, 5e-324, -2.5e-310])  # a negative zero and two subnormals
+    got.weights[::7] = special
+    dense.weights[columns[::7]] = special
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, got)
+    loaded = load_checkpoint(path)
+    for name in ("columns", "weights", "bias"):
+        a, b = getattr(loaded, name), getattr(got, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert loaded.dense_weights().tobytes() == dense.weights.tobytes()
+    texts = [t for t, _ in _synthetic_examples(distinct)] + ["words no model has seen", ""]
+    assert np.array(predict_proba(loaded, texts, spec)).tobytes() == \
+        np.array(predict_proba(dense, texts, spec)).tobytes()
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 128, 300])
