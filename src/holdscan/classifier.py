@@ -619,13 +619,14 @@ def save_checkpoint(path: PathLike, model: Checkpoint, extra_meta: dict | None =
         "feature_spec": asdict(model.feature_spec),
         **(extra_meta or {}),
     }
-    np.savez(
-        path,
-        columns=model.columns,
-        weights=model.weights,
-        bias=model.bias,
-        meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
-    )
+    with open(path, "wb") as f:  # np.savez appends ".npz" to a path, not to a handle
+        np.savez(
+            f,
+            columns=model.columns,
+            weights=model.weights,
+            bias=model.bias,
+            meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
+        )
 
 
 def load_checkpoint(path: PathLike) -> Checkpoint:

@@ -12,10 +12,11 @@ Exit codes: 0 ok, 1 usage or IO problem, 2 data validation failure,
 
 from __future__ import annotations
 
-import contextlib
 import json
-import stat
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -520,33 +521,30 @@ def run_pipeline(
 ) -> dict:
     """Programmatic pipeline entry; returns the metrics payload it writes.
 
-    The fold plan and the result files are written once the run has its
-    results. A run that fails removes each output file it wrote or changed
-    and leaves every other file, an earlier run's too, as it was.
+    Every artifact is written into a staging directory inside out_dir and
+    renamed into place once the run has its results; models/ is replaced
+    whole, and an external run leaves none. A run that fails leaves out_dir
+    as it was. Files the pipeline does not write are never touched.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     plan = _plan_for(cfg, corpus)
-    models_dir = out_dir / "models"
-    outputs = [out_dir / name for name in
-               ("fold_plan.json", "shared_threshold.json", "metrics.json", "results_table.txt")]
-    if not external_proba_file:
-        outputs += [models_dir / f"fold_{v}.npz" for v in range(plan.k) if v != plan.test_fold]
-    before = {path: _file_identity(path) for path in outputs}
+    stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".run-"))  # in out_dir: publishing is renames
     try:
         if external_proba_file:
             by_fold = _proba_by_fold(corpus, plan, load_external_proba(external_proba_file))
             test_probs, test_labels = by_fold.pop(plan.test_fold)
             run = tune_and_test(by_fold, [test_probs], test_labels)
-            mode, table_label = "external", "external"
+            mode, table_label, published = "external", "external", []
         else:
-            models_dir.mkdir(exist_ok=True)
+            models_dir = stage / "models"
+            models_dir.mkdir()
             meta = _stamp_meta(cfg)
             run = run_cross_validation(  # each fold's worker writes the model it trained
                 corpus, plan, cfg.train_config(), cfg.feature_spec(),
                 save=lambda v, best: save_checkpoint(models_dir / f"fold_{v}.npz", best,
                                                      extra_meta=meta))
-            mode, table_label = "trained", "mean of folds"
+            mode, table_label, published = "trained", "mean of folds", ["models"]
 
         payload = {
             "mode": mode,
@@ -561,32 +559,23 @@ def run_pipeline(
             payload["per_fold_validation_auc"] = {
                 str(r.fold_index): r.validation_auc for r in run.folds
             }
-        _write_json(out_dir / "fold_plan.json", fold_plan_payload(plan), cfg)
-        _write_json(out_dir / "shared_threshold.json",
+        _write_json(stage / "fold_plan.json", fold_plan_payload(plan), cfg)
+        _write_json(stage / "shared_threshold.json",
                     {"shared_threshold": run.shared_threshold,
                      "mean_f1_macro": run.shared_threshold_mean_f1}, cfg)
-        _write_json(out_dir / "metrics.json", payload, cfg)
-        (out_dir / "results_table.txt").write_text(
+        _write_json(stage / "metrics.json", payload, cfg)
+        (stage / "results_table.txt").write_text(
             f"# {_stamp(cfg)}\n{_format_table('Run', [(table_label, run.mean_test_bundle)])}",
             encoding="utf-8",
         )
+        if os.path.lexists(out_dir / "models"):  # an earlier run's; removed with the stage
+            os.replace(out_dir / "models", stage / "earlier-models")
+        for name in published + ["fold_plan.json", "shared_threshold.json", "metrics.json",
+                                 "results_table.txt"]:
+            os.replace(stage / name, out_dir / name)
         return payload
-    except BaseException:
-        for path in outputs:
-            identity = _file_identity(path)
-            if identity is not None and identity != before[path]:
-                with contextlib.suppress(OSError):  # the run's own error is the one to report
-                    path.unlink()
-        raise
-
-
-def _file_identity(path: Path) -> tuple[int, int] | None:
-    """A regular file's inode and ctime, which every write to it changes; None for no file."""
-    try:
-        st = path.stat()
-    except OSError:
-        return None
-    return (st.st_ino, st.st_ctime_ns) if stat.S_ISREG(st.st_mode) else None
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def run_cli(argv: list[str] | None = None) -> None:

@@ -168,6 +168,17 @@ class TestSplitTrainPredict:
         metrics = json.loads(metrics_file.read_text())["metrics"]
         assert 0.0 <= metrics["f1_macro"] <= 1.0
 
+    def test_model_out_is_written_at_the_path_given(self, corpus_dir, tmp_path):
+        """A --model-out path without the .npz suffix is the file predict reads."""
+        transcripts = str(corpus_dir / "transcripts.csv")
+        model = tmp_path / "fold_1.model"
+        assert run(["train", "--transcripts", transcripts, "--folds", "4", "--seed", "3",
+                    "--val-fold", "1", "--hash-dim", "2048", "--epochs", "1",
+                    "--model-out", str(model)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [model.name]
+        assert run(["predict", "--model", str(model), "--transcripts", transcripts,
+                    "--out", str(tmp_path / "proba.csv")]) == 0
+
     @pytest.mark.parametrize("split_mode", ["row", "call_grouped"])
     def test_train_writes_the_pipeline_fold_model(self, corpus_dir, tmp_path, split_mode):
         transcripts = str(corpus_dir / "transcripts.csv")
@@ -329,18 +340,24 @@ class TestPipeline:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_model_write_exits_one(self, tmp_path, capsys, workers):
         """A model file that the save hook cannot write, in a fold worker or
-        in-process, is a clean exit 1 with no thread left. The run leaves
-        no fold plan and no model file behind: only the pre-made directory."""
+        in-process, is a clean exit 1 with no thread left, and the run
+        leaves --out-dir as it was."""
         out = tmp_path / "out"
-        (out / "models" / "fold_2.npz").mkdir(parents=True)
+        out.mkdir()
+
+        def save_refused(path, *a, **kw):
+            if Path(path).name == "fold_2.npz":
+                raise IsADirectoryError(21, "Is a directory", str(path))
+            save_checkpoint(path, *a, **kw)
+
         threads = threading.active_count()
-        with mock.patch.object(tuning, "_worker_count", return_value=workers):
+        # the forked fold workers inherit the patched save_checkpoint
+        with mock.patch.object(tuning, "_worker_count", return_value=workers), \
+                mock.patch.object(cli, "save_checkpoint", save_refused):
             code = run(["pipeline", "--synthetic-calls", "80", "--seed", "23", "--folds", "4",
                         "--hash-dim", "2048", "--epochs", "1", "--out-dir", str(out)])
         assert code == 1
-        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
-            "models", "models/fold_2.npz"]
-        assert (out / "models" / "fold_2.npz").is_dir()
+        assert list(out.iterdir()) == []
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno 21] Is a directory: ")
         assert "fold_2.npz" in err
@@ -349,10 +366,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("second", ["external", "trained"])
     def test_failed_run_keeps_an_earlier_runs_files(self, tmp_path, second):
-        """A run that fails in a directory holding a finished trained run
-        removes only the files it wrote: here the two models it overwrote
-        before a full disk stopped it. The earlier plan, results and the
-        models the failed run did not reach stay byte for byte."""
+        """A run that fails in a directory holding a finished trained run,
+        here after writing two fold models before a full disk stopped it,
+        leaves every earlier file byte for byte and no staging directory."""
         corpus, _ = generate_synthetic(50, 5)
         transcripts = tmp_path / "t.csv"
         write_transcripts(corpus, transcripts)
@@ -371,7 +387,6 @@ class TestPipeline:
             lines = proba.read_text().splitlines(keepends=True)
             proba.write_text("".join(lines[:-1]))  # the last turn has no prediction
             assert run(args + ["--external-proba", str(proba)]) == 2
-            kept = earlier
         else:
             def save_until_disk_full(path, *a, **kw):
                 if Path(path).name == Path(models[-1]).name:
@@ -381,8 +396,40 @@ class TestPipeline:
             with mock.patch.object(tuning, "_worker_count", return_value=1), \
                     mock.patch.object(cli, "save_checkpoint", save_until_disk_full):
                 assert run(args + trained) == 1
-            kept = {name: data for name, data in earlier.items() if name not in models[:-1]}
-        assert tree_bytes(out) == kept
+        assert tree_bytes(out) == earlier
+        assert not list(out.glob(".run-*"))
+
+    def test_out_dir_holds_only_the_last_run(self, tmp_path):
+        """A k=4 run over a k=10 run's directory leaves what a fresh k=4 run
+        leaves, an interrupted run changes nothing, and an external run
+        removes models/ and keeps files the pipeline does not write. No
+        staging directory outlives a run."""
+        corpus, _ = generate_synthetic(50, 5)
+        transcripts = tmp_path / "t.csv"
+        write_transcripts(corpus, transcripts)
+        out = tmp_path / "out"
+        args = ["pipeline", "--transcripts", str(transcripts), "--seed", "9"]
+        trained = args + ["--hash-dim", "2048", "--epochs", "1"]
+
+        def files(root):
+            assert not list(root.glob(".run-*"))
+            return tree_bytes(root)
+
+        assert run(trained + ["--folds", "10", "--out-dir", str(out)]) == 0
+        assert run(trained + ["--folds", "4", "--out-dir", str(out)]) == 0
+        assert run(trained + ["--folds", "4", "--out-dir", str(tmp_path / "fresh")]) == 0
+        earlier = files(out)
+        assert earlier == files(tmp_path / "fresh")
+        with mock.patch.object(cli, "run_cross_validation", side_effect=KeyboardInterrupt):
+            assert run(trained + ["--folds", "4", "--out-dir", str(out)]) == 1
+        assert files(out) == earlier
+        proba = out / "p.csv"
+        smoothed_gold_proba(corpus, proba)
+        assert run(args + ["--folds", "4", "--external-proba", str(proba),
+                           "--out-dir", str(out)]) == 0
+        assert set(files(out)) == {"p.csv", "fold_plan.json", "shared_threshold.json",
+                                   "metrics.json", "results_table.txt"}
+        assert not (out / "models").exists()
 
     @pytest.mark.parametrize("command", ["pipeline", "sweep"])
     def test_dead_fold_worker_exits_one(self, tmp_path, capsys, monkeypatch, command):
