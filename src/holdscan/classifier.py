@@ -27,19 +27,21 @@ trains on chosen rows of such a matrix, so a cross-validation run
 featurizes its turns once and every fold is a set of rows; train
 featurizes texts and then uses the same kernels. predict_proba never
 builds the whole batch's matrix: it featurizes and scores one block of
-distinct texts at a time against the checkpoint's dense (hash_dim, 3)
-weights, keeping only each block's (n, 3) probabilities.
+distinct texts at a time against the checkpoint's own (U, 3) weights,
+keeping only each block's (n, 3) probabilities. A bucket the model never
+saw is sent to one appended row of zeros, so every score equals the one
+dense (hash_dim, 3) weights would give, bit for bit.
 
 Featurization is feature hashing: each word token and character n-gram
 counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _feature_blocks
 yields one CSR matrix per block of distinct texts, built in array passes;
-_featurize_many stacks the blocks into one row per text, and featurize is
-its one-row view. zlib hashes each distinct word token; the character
-n-grams get the same crc32 bits from a vectorised kernel
-(_gram_registers), one array pass per n over the block's characters
-instead of a zlib call per distinct gram. On a 2-vCPU Xeon VM that is
-about 14-15 us per distinct 59-character turn, against 31-32 us when each
-n's grams were ranked with np.unique and hashed one zlib call at a time.
+_featurize_many stacks the blocks into one row per text. zlib hashes each
+distinct word token; the character n-grams get the same crc32 bits from a
+vectorised kernel (_gram_registers), one array pass per n over the block's
+characters instead of a zlib call per distinct gram. On a 2-vCPU Xeon VM
+that is about 14-15 us per distinct 59-character turn, against 31-32 us
+when each n's grams were ranked with np.unique and hashed one zlib call at
+a time.
 """
 
 from __future__ import annotations
@@ -99,8 +101,9 @@ class FeatureSpec:
     max_tokens: int = 128
 
     def __post_init__(self):
-        if self.hash_dim < 2 ** 10 or self.hash_dim & (self.hash_dim - 1):
-            raise ValueError(f"hash_dim must be a power of two >= 1024, got {self.hash_dim}")
+        if not 2 ** 10 <= self.hash_dim <= 2 ** 24 or self.hash_dim & (self.hash_dim - 1):
+            raise ValueError("hash_dim must be a power of two from 1024 to 16777216 (2**24), "
+                             f"got {self.hash_dim}")
         if not 1 <= self.char_ngram_min <= self.char_ngram_max:
             raise ValueError("need 1 <= char_ngram_min <= char_ngram_max")
         if self.max_tokens < 1:
@@ -160,12 +163,6 @@ class Checkpoint:
             raise ValueError(f"weights {self.weights.shape} and bias {self.bias.shape} do not "
                              f"have shapes ({len(cols)}, 3) and (3,)")
 
-    def dense_weights(self) -> np.ndarray:
-        """The (hash_dim, 3) weight matrix: weights on columns, +0.0 elsewhere."""
-        dense = np.zeros((self.feature_spec.hash_dim, 3))
-        dense[self.columns] = self.weights
-        return dense
-
 
 class _Csr(NamedTuple):
     """Sparse count rows in CSR form.
@@ -200,23 +197,13 @@ class _Csr(NamedTuple):
 # Distinct texts featurized (and, in predict_proba, scored) together; bounds the
 # temporary arrays of one pass.
 _BLOCK = 2048
-# Stored entries _compact remaps at once; bounds its temporary array.
+# Stored entries _remap rewrites at once; bounds its temporary array.
 _REMAP_SLICE = 1 << 16
 # Training rows fit copies out of the feature matrix at once, rounded to whole
 # batches. A copy per batch took ~47 us of a ~265 us step on templated text (on
 # a 2-vCPU Xeon VM); a copy of a whole epoch's rows raised fit's peak memory by
 # their size.
 _RUN_ROWS = 128
-
-
-def featurize(text: str, spec: FeatureSpec) -> dict[int, int]:
-    """Sparse count vector of dimension spec.hash_dim, as {bucket: count}.
-
-    Deterministic (crc32 hashing, no process salt). Empty text maps to the
-    all-zero vector. A one-row view of _featurize_many.
-    """
-    feats = _featurize_many([text], spec)
-    return dict(zip(feats.indices.tolist(), map(int, feats.data.tolist())))
 
 
 def _featurize_many(texts: Iterable[str], spec: FeatureSpec) -> _Csr:
@@ -256,9 +243,8 @@ def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
     bucket) pair becomes one integer key, and one in-place sort plus a
     run-length pass gives the counts.
     """
-    span = min(spec.hash_dim, 1 << 32)  # crc32 < 2**32, so crc % hash_dim == crc % span
-    bits = span.bit_length() - 1
-    low = np.uint32(span - 1)  # span is a power of two, so crc % span == crc & low
+    bits = spec.hash_dim.bit_length() - 1
+    low = np.uint32(spec.hash_dim - 1)  # hash_dim is a power of two, so crc % hash_dim == crc & low
     tokens: list[str] = []
     n_tokens, joined = [], []
     for text in texts:
@@ -268,7 +254,7 @@ def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
         tokens += words
         n_tokens.append(len(words))
         joined.append(" ".join(words))
-    # Keys are (row << bits) | bucket; row < _BLOCK and bucket < span <= 2**32 fit int64.
+    # Keys are (row << bits) | bucket; row < _BLOCK and bucket < hash_dim fit int64.
     row_keys = np.arange(len(texts), dtype=np.int64) << bits
     keys = [np.empty(0, np.int64)]  # the key of every token and n-gram
     if spec.word_unigrams:
@@ -303,7 +289,7 @@ def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
     edges = np.flatnonzero(edges)
     keys = keys[edges[:-1]]
     indptr = np.append(np.searchsorted(keys, row_keys), len(keys))
-    return _Csr(indptr, keys & (span - 1), np.diff(edges).astype(np.float64))
+    return _Csr(indptr, keys & (spec.hash_dim - 1), np.diff(edges).astype(np.float64))
 
 
 def _compact(feats: _Csr, hash_dim: int) -> tuple[np.ndarray, _Csr]:
@@ -311,17 +297,29 @@ def _compact(feats: _Csr, hash_dim: int) -> tuple[np.ndarray, _Csr]:
     bucket replaced by its rank among them, in place.
 
     A lookup table over the hash_dim buckets ranks them without sorting the
-    stored entries. The indices are remapped a slice at a time, so no
-    temporary array grows with them.
+    stored entries.
     """
     used = np.zeros(hash_dim, bool)
     used[feats.indices] = True
-    rank = np.cumsum(used, dtype=np.int32)
-    rank -= 1
+    columns = np.flatnonzero(used)
+    return columns, _remap(feats, _rank_table(columns, hash_dim))
+
+
+def _rank_table(columns: np.ndarray, hash_dim: int) -> np.ndarray:
+    """An int32 table over the hash_dim buckets: columns[i] maps to i, and
+    every bucket not in columns to len(columns)."""
+    rank = np.full(hash_dim, len(columns), np.int32)
+    rank[columns] = np.arange(len(columns), dtype=np.int32)
+    return rank
+
+
+def _remap(feats: _Csr, rank: np.ndarray) -> _Csr:
+    """feats with each bucket b replaced by rank[b], in place, a slice at a
+    time so no temporary array grows with the stored entries."""
     for start in range(0, len(feats.indices), _REMAP_SLICE):
         part = feats.indices[start : start + _REMAP_SLICE]
         part[:] = rank[part]
-    return np.flatnonzero(used), feats
+    return feats
 
 
 def _crc_buckets(tag: str, grams: Iterable[str], low: np.uint32) -> np.ndarray:
@@ -585,17 +583,21 @@ def predict_proba(
 
     Each distinct text is featurized and scored once, one block of _BLOCK
     distinct texts at a time, so no array grows with the batch's non-zeros.
-    Every block is scored against the model's dense weights, built once.
+    Every block's buckets are sent to the model's weight rows by one rank
+    table, built once; a bucket the model never saw goes to a row of +0.0
+    appended to the weights, as its dense weight row would be.
     """
     if spec != model.feature_spec:
         raise SpecMismatch("supplied FeatureSpec differs from the one the model was trained with")
     distinct, rows = _distinct(turns)
-    weights = model.dense_weights()
+    rank = _rank_table(model.columns, spec.hash_dim)
+    weights = np.zeros((len(model.columns) + 1, 3))
+    weights[:-1] = model.weights
     probs = np.empty((len(distinct), 3))
     start = 0
     for block in _feature_blocks(distinct, spec):
         stop = start + len(block.indptr) - 1
-        probs[start:stop] = _softmax_rows(_gather(block, weights) + model.bias)
+        probs[start:stop] = _softmax_rows(_gather(_remap(block, rank), weights) + model.bias)
         start = stop
     if len(distinct) < len(rows):
         probs = probs[rows]

@@ -14,7 +14,6 @@ from .model import (
     TurnKey,
 )
 from .io import (
-    Diagnostic,
     attach_holds,
     fold_plan_payload,
     ingest_holds,
@@ -43,7 +42,6 @@ __all__ = [
     "Corpus",
     "CorpusStats",
     "DEFAULT_PROFILE",
-    "Diagnostic",
     "FoldPlan",
     "GeneratorProfile",
     "HoldInterval",

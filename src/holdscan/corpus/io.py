@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TypeVar, Union
@@ -39,15 +38,6 @@ OPTIONAL_COLUMNS = ("channel", "label")
 HOLD_COLUMNS = ("call_id", "hold_start_ms", "hold_end_ms")
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    line_no: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"line {self.line_no}: {self.message}"
 
 
 def read_csv(
@@ -100,10 +90,11 @@ def write_csv(
     rows: Iterable[Sequence[object]],
     header_comment: str | None = None,
 ) -> None:
-    """Write an optional '# header_comment' line, the header and the rows, CRLF-terminated."""
+    """Write an optional '# header_comment' line, the header and the rows, each
+    line CRLF-terminated."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header_comment:
-            fh.write(f"# {header_comment}\n")
+            fh.write(f"# {header_comment}\r\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
@@ -162,15 +153,15 @@ def ingest_transcripts(path: PathLike) -> Corpus:
     return _build_corpus(_parse_turn(*row) for row in rows)
 
 
-def validate_transcripts(path: PathLike) -> list[Diagnostic]:
-    """Collect per-row diagnostics instead of failing on the first bad row.
+def validate_transcripts(path: PathLike) -> list[MalformedRow]:
+    """Collect every bad row instead of failing on the first.
 
-    Bad rows come first, in file order, then one diagnostic per call whose
+    Bad rows come first, in file order, then one MalformedRow per call whose
     turn order breaks, at the first row that breaks it in turn_index order.
-    Header-level problems (no header, missing columns) are the only
-    diagnostic. Returns an empty list when the file would ingest cleanly.
+    A header-level problem (no header, missing columns) is the only entry,
+    at line 1. Returns an empty list when the file would ingest cleanly.
     """
-    diagnostics: list[Diagnostic] = []
+    bad: list[MalformedRow] = []
     by_call: dict[str, list[tuple[int, PhraseTurn]]] = {}
     try:
         for row in read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS):
@@ -179,19 +170,19 @@ def validate_transcripts(path: PathLike) -> list[Diagnostic]:
                     raise row
                 turn = _parse_turn(*row)
             except MalformedRow as exc:
-                diagnostics.append(Diagnostic(exc.line_no, exc.reason))
+                bad.append(exc)
             else:
                 by_call.setdefault(turn.call_id, []).append((row[0], turn))
     except (MissingColumn, MalformedRow) as exc:
-        return [Diagnostic(getattr(exc, "line_no", 1) or 1, getattr(exc, "reason", str(exc)))]
+        return [MalformedRow(1, getattr(exc, "reason", str(exc)))]
     for rows in by_call.values():
         rows.sort(key=lambda row: row[1].turn_index)  # stable: repeats keep file order
         for (_, prev), (line_no, turn) in zip(rows, rows[1:]):
             error = turn_order_error(prev, turn)
             if error is not None:
-                diagnostics.append(Diagnostic(line_no, str(error)))
+                bad.append(MalformedRow(line_no, str(error)))
                 break
-    return diagnostics
+    return bad
 
 
 def ingest_holds(path: PathLike) -> dict[str, tuple[HoldInterval, ...]]:

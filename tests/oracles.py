@@ -27,6 +27,9 @@ versions of the package:
   place of `classifier._featurize_block`.
 - `reference_select_best`: the checkpoint pick used before it stopped at
   the first validation AUC of 1.0, a `max` over every checkpoint.
+- `dense_weights`: a compact Checkpoint's weights spread over all
+  `hash_dim` buckets, as prediction scored before it used the model's own
+  columns; compares compact models with the dense references above.
 """
 
 from __future__ import annotations
@@ -400,6 +403,13 @@ def per_step_take_fit(feats, y, train_rows, val_rows, config, spec):
             validation_auc=auc,
             feature_spec=spec,
         )
+
+
+def dense_weights(model: Checkpoint) -> np.ndarray:
+    """The model's (hash_dim, 3) weight matrix: its weights on its columns, +0.0 elsewhere."""
+    dense = np.zeros((model.feature_spec.hash_dim, 3))
+    dense[model.columns] = model.weights
+    return dense
 
 
 # --- the per-text featurizer, kept as a differential reference ----------------

@@ -17,7 +17,7 @@ from holdscan.cli import run_cli
 from holdscan.classifier import Checkpoint, FeatureSpec, ProbTriple, save_checkpoint, write_proba
 from holdscan.corpus import generate_synthetic, ingest_transcripts, write_transcripts
 
-from conftest import tree_bytes
+from conftest import corpus_from_labels, tree_bytes
 
 HEADER = "call_id,turn_index,channel,start_ms,end_ms,text,label\n"
 
@@ -78,6 +78,15 @@ class TestValidate:
         assert run(["validate", str(path)]) == 2
         assert capsys.readouterr().out.splitlines() == [
             "line 1: file has no header row",
+            "1 invalid row(s)",
+        ]
+
+    def test_header_without_a_required_column_names_line_one(self, tmp_path, capsys):
+        path = tmp_path / "no_text.csv"
+        path.write_text(HEADER.replace(",text", "") + "a,0,agent,0,1000,0\n")
+        assert run(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "line 1: missing required column(s): text",
             "1 invalid row(s)",
         ]
 
@@ -143,6 +152,22 @@ class TestSplitTrainPredict:
         corpus = ingest_transcripts(corpus_dir / "transcripts.csv")
         assert len(plan["assignment"]) == corpus.n_turns()
 
+    @pytest.mark.parametrize("case", ["fewer_calls_than_folds", "unbalanced_fold"])
+    def test_infeasible_call_grouped_split_exits_two(self, tmp_path, capsys, case):
+        transcripts = tmp_path / "transcripts.csv"
+        if case == "fewer_calls_than_folds":
+            assert run(["generate", "--calls", "6", "--seed", "11", "--out-dir", str(tmp_path)]) == 0
+            folds, want = "10", "cannot spread 6 calls over 10 folds"
+        else:
+            write_transcripts(corpus_from_labels({"a": [1, 0], "b": [0, 0, 0]}), transcripts)
+            folds, want = "2", "fold 0 class 0 proportion 0.5000 deviates 38% from global 0.8000"
+        capsys.readouterr()
+        code = run(["split", "--transcripts", str(transcripts), "--split-mode", "call_grouped",
+                    "--folds", folds, "--seed", "1", "--out", str(tmp_path / "plan.json")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not (tmp_path / "plan.json").exists()
+
     def test_train_then_predict_then_tune_then_evaluate(self, corpus_dir, tmp_path, capsys):
         transcripts = str(corpus_dir / "transcripts.csv")
         model = tmp_path / "model.npz"
@@ -198,7 +223,7 @@ class TestSplitTrainPredict:
                                         "negative_column", "column_at_hash_dim",
                                         "float_columns", "two_dim_columns",
                                         "columns_longer_than_weights", "no_columns",
-                                        "format_version_1"])
+                                        "format_version_1", "hash_dim_above_2_24"])
     def test_malformed_model_file_exits_two(self, corpus_dir, tmp_path, damage, capsys):
         spec = FeatureSpec(hash_dim=4096)
         model = tmp_path / "model.npz"
@@ -241,6 +266,8 @@ class TestSplitTrainPredict:
                 meta["validation_auc"] = [1]
             elif damage == "string_hash_dim":
                 meta["feature_spec"]["hash_dim"] = "abc"
+            elif damage == "hash_dim_above_2_24":
+                meta["feature_spec"]["hash_dim"] = 2 ** 25
             elif damage.startswith("no_"):
                 del meta[damage.removeprefix("no_")]
             arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
@@ -258,6 +285,8 @@ class TestSplitTrainPredict:
         assert str(model) in err
         if damage == "format_version_1":
             assert "unsupported model format version 1" in err
+        if damage == "hash_dim_above_2_24":
+            assert "hash_dim must be a power of two from 1024 to 16777216" in err
 
     @pytest.mark.parametrize("fold", ["99", "-1"])
     def test_evaluate_rejects_fold_outside_plan(self, corpus_dir, tmp_path, fold, capsys):
@@ -471,6 +500,16 @@ class TestPipeline:
         assert set(artifacts) == {"fold_plan.json", "shared_threshold.json", "metrics.json",
                                   "results_table.txt"}
         assert artifacts == tree_bytes(tmp_path / "ext_again")
+
+    @pytest.mark.parametrize("hash_dim", ["33554432", "1099511627776"])
+    def test_hash_dim_above_2_24_exits_two(self, tmp_path, capsys, hash_dim):
+        out = tmp_path / "run"
+        code = run(["pipeline", "--synthetic-calls", "60", "--seed", "3", "--folds", "3",
+                    "--hash-dim", hash_dim, "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == ("error: hash_dim must be a power of two from 1024 to "
+                                           f"16777216 (2**24), got {hash_dim}\n")
+        assert list(out.iterdir()) == []
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert run(["pipeline", "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 1

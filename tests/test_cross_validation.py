@@ -29,7 +29,7 @@ from holdscan.tuning import (
 )
 
 from conftest import SavedFoldModels, flat_corpus, make_turn
-from oracles import reference_select_best
+from oracles import dense_weights, reference_select_best
 
 SPEC = FeatureSpec(hash_dim=2 ** 11)
 CONFIG = TrainConfig(epochs=2, seed=17)
@@ -286,7 +286,7 @@ def test_shared_matrix_matches_per_fold_text_path(mode, distinct, tmp_path):
             in zip(run.folds, val_folds, test_sets, reference):
         got = models[result.fold_index]
         # The run's columns are every fold's buckets; train's are its examples'.
-        assert _same_bits(got.dense_weights(), best.dense_weights())
+        assert _same_bits(dense_weights(got), dense_weights(best))
         assert _same_bits(got.bias, best.bias)
         assert (got.epoch, got.validation_auc) == (best.epoch, best.validation_auc)
         assert (result.epoch, result.validation_auc) == (best.epoch, best.validation_auc)

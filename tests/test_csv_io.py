@@ -66,7 +66,7 @@ def test_a_short_row_names_its_line_and_the_width(fmt, tmp_path):
 def test_validate_lists_a_short_row_and_goes_on(tmp_path):
     _, header, row, _ = FORMATS["transcripts"]
     path = write(tmp_path / "t.csv", f"{header}\na,0,agent\na,1,robot,0,1000,x,0\n{row}\n")
-    assert [(d.line_no, d.message) for d in validate_transcripts(path)] == [
+    assert [(d.line_no, d.reason) for d in validate_transcripts(path)] == [
         (2, "expected at least 7 cells, got 3"),
         (3, f"channel must be one of {CHANNELS}, got 'robot'"),
     ]
@@ -95,7 +95,7 @@ def test_write_transcripts_bytes(tmp_path):
     path = tmp_path / "t.csv"
     write_transcripts(_corpus(), path, header_comment="stamp")
     assert path.read_bytes() == (
-        "# stamp\n"
+        "# stamp\r\n"
         "call_id,turn_index,channel,start_ms,end_ms,text,label\r\n"
         'a,0,agent,0,3000,"say ""hi"", then wait",1\r\n'
         "a,1,unknown,10000,13000,тест,\r\n"
@@ -107,7 +107,7 @@ def test_write_holds_bytes(tmp_path):
     path = tmp_path / "h.csv"
     write_holds(_corpus(), path, header_comment="stamp")
     assert path.read_bytes() == (
-        b"# stamp\n"
+        b"# stamp\r\n"
         b"call_id,hold_start_ms,hold_end_ms\r\n"
         b"a,5000,20000\r\n"
     )
@@ -120,7 +120,7 @@ def test_write_proba_bytes(tmp_path):
     rows = [("a", 0, ProbTriple(0.8, 0.15, 0.05)), ("b,c", 3, ProbTriple(1 / 3, 1 / 3, 1 / 3))]
     write_proba(path, rows, header_comment="stamp")
     assert path.read_bytes() == (
-        b"# stamp\n"
+        b"# stamp\r\n"
         b"call_id,turn_index,p0,p1,p2\r\n"
         b"a,0,0.8,0.15,0.05\r\n"
         b'"b,c",3,0.3333333333333333,0.3333333333333333,0.3333333333333333\r\n'

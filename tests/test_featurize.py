@@ -6,15 +6,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from holdscan import classifier
-from holdscan.classifier import FeatureSpec, _featurize_many, featurize
+from holdscan.classifier import FeatureSpec, _featurize_many
 
 from oracles import per_text_featurize, per_text_featurize_many, unique_rank_featurize_block
 
 CHAR_ONLY = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=2, char_ngram_max=2, word_unigrams=False)
 
 
+def row_counts(text, spec):
+    """text's row of _featurize_many, as {bucket: count}."""
+    feats = _featurize_many([text], spec)
+    return dict(zip(feats.indices.tolist(), map(int, feats.data.tolist())))
+
+
 def test_empty_text_all_zero():
-    assert featurize("", FeatureSpec()) == {}
+    assert row_counts("", FeatureSpec()) == {}
 
 
 def test_featurize_many_rows_hold_sorted_counts():
@@ -23,7 +29,7 @@ def test_featurize_many_rows_hold_sorted_counts():
     assert feats.indptr[0] == 0 and len(feats.indptr) == len(texts) + 1
     for i, text in enumerate(texts):
         row = slice(feats.indptr[i], feats.indptr[i + 1])
-        items = sorted(featurize(text, CHAR_ONLY).items())
+        items = sorted(row_counts(text, CHAR_ONLY).items())
         assert feats.indices[row].tolist() == [b for b, _ in items]
         assert feats.data[row].tolist() == [float(c) for _, c in items]
     picked = feats.take(np.array([2, 1, 0]))
@@ -32,33 +38,33 @@ def test_featurize_many_rows_hold_sorted_counts():
 
 
 def test_two_char_text_single_bucket():
-    counts = featurize("ab", CHAR_ONLY)
+    counts = row_counts("ab", CHAR_ONLY)
     assert len(counts) == 1
     assert list(counts.values()) == [1]
 
 
 def test_repeated_bigram_accumulates():
     # "abab" yields bigrams ab, ba, ab
-    counts = featurize("abab", CHAR_ONLY)
+    counts = row_counts("abab", CHAR_ONLY)
     assert sorted(counts.values()) == [1, 2]
 
 
 def test_word_unigrams_counted():
     spec = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=2, char_ngram_max=2, word_unigrams=True)
-    with_words = featurize("go go", spec)
-    assert sum(with_words.values()) > sum(featurize("go go", CHAR_ONLY).values())
+    with_words = row_counts("go go", spec)
+    assert sum(with_words.values()) > sum(row_counts("go go", CHAR_ONLY).values())
 
 
 def test_max_tokens_truncates_before_ngrams():
     spec = FeatureSpec(hash_dim=2 ** 10, max_tokens=2)
-    assert featurize("alpha beta gamma delta", spec) == featurize("alpha beta", spec)
+    assert row_counts("alpha beta gamma delta", spec) == row_counts("alpha beta", spec)
 
 
 def test_lowercase_folding():
     spec_fold = FeatureSpec(hash_dim=2 ** 10)
     spec_keep = FeatureSpec(hash_dim=2 ** 10, lowercase=False)
-    assert featurize("Hello", spec_fold) == featurize("hello", spec_fold)
-    assert featurize("Hello", spec_keep) != featurize("hello", spec_keep)
+    assert row_counts("Hello", spec_fold) == row_counts("hello", spec_fold)
+    assert row_counts("Hello", spec_keep) != row_counts("hello", spec_keep)
 
 
 def test_hash_dim_must_be_power_of_two():
@@ -68,11 +74,18 @@ def test_hash_dim_must_be_power_of_two():
         FeatureSpec(hash_dim=512)
 
 
+def test_hash_dim_is_at_most_2_24():
+    assert FeatureSpec(hash_dim=2 ** 24).hash_dim == 2 ** 24
+    for too_big in (2 ** 25, 2 ** 40):
+        with pytest.raises(ValueError, match=r"from 1024 to 16777216 \(2\*\*24\), got"):
+            FeatureSpec(hash_dim=too_big)
+
+
 @given(st.text(max_size=200))
 def test_deterministic_and_in_range(text):
     spec = FeatureSpec(hash_dim=2 ** 12)
-    first = featurize(text, spec)
-    second = featurize(text, spec)
+    first = row_counts(text, spec)
+    second = row_counts(text, spec)
     assert first == second
     for bucket, count in first.items():
         assert 0 <= bucket < spec.hash_dim
@@ -87,7 +100,7 @@ TEXTS = st.lists(st.text(CHARS, max_size=40), max_size=6).flatmap(
     lambda pool: st.lists(st.sampled_from(pool + ["", " \t\n "]), max_size=12))
 SPECS = st.integers(1, 6).flatmap(lambda top: st.builds(
     FeatureSpec,
-    hash_dim=st.sampled_from([2 ** 10, 2 ** 18, 2 ** 40]),
+    hash_dim=st.sampled_from([2 ** 10, 2 ** 18, 2 ** 24]),
     char_ngram_min=st.integers(1, top),
     char_ngram_max=st.just(top),
     word_unigrams=st.booleans(),
@@ -117,7 +130,7 @@ def test_matches_per_text_featurizer(texts, spec, block):
     assert_same_csr(got, per_text_featurize_many(texts, spec))
     assert_same_csr(got, want)
     for text in texts:
-        assert featurize(text, spec) == per_text_featurize(text, spec)
+        assert row_counts(text, spec) == per_text_featurize(text, spec)
 
 
 # Turn-like texts beyond ASCII: Cyrillic (2-byte UTF-8), CJK (3-byte) and emoji
@@ -140,11 +153,11 @@ def test_matches_per_text_featurizer_on_corpus_turns(small_synthetic):
 
 def test_lone_surrogate_fails_only_inside_a_gram():
     spec = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=2, word_unigrams=False)
-    assert featurize("\ud800", spec) == per_text_featurize("\ud800", spec) == {}
+    assert row_counts("\ud800", spec) == per_text_featurize("\ud800", spec) == {}
     with pytest.raises(UnicodeEncodeError):
         per_text_featurize("a\ud800", spec)
     with pytest.raises(UnicodeEncodeError):
-        featurize("a\ud800", spec)
+        row_counts("a\ud800", spec)
     # In a block, a surrogate in a text too short for a gram does not taint the others.
     texts = ["\ud800", "hold on", "x\udfff"]
     spec = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=3, word_unigrams=False)

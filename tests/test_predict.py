@@ -17,6 +17,8 @@ from holdscan.classifier import (
 )
 from holdscan.errors import SpecMismatch
 
+from oracles import dense_weights
+
 SPEC = FeatureSpec(hash_dim=2 ** 10)
 
 
@@ -124,11 +126,15 @@ def with_repeats(n_distinct):
     return texts
 
 
-def full_matrix_proba(model, texts):
-    """Reference: the whole batch's feature matrix, scored in one gather."""
+def dense_proba(model, texts):
+    """Reference: the whole batch's feature matrix, scored in one gather
+    against the model's dense (hash_dim, 3) weights."""
     feats = classifier._featurize_many(texts, model.feature_spec)
-    probs = classifier._softmax_rows(classifier._gather(feats, model.dense_weights()) + model.bias)
-    return [ProbTriple(float(p[0]), float(p[1]), float(p[2])) for p in probs]
+    return classifier._softmax_rows(classifier._gather(feats, dense_weights(model)) + model.bias)
+
+
+def full_matrix_proba(model, texts):
+    return [ProbTriple(float(p[0]), float(p[1]), float(p[2])) for p in dense_proba(model, texts)]
 
 
 @pytest.mark.parametrize("block", [1, 3, 2048])
@@ -153,10 +159,51 @@ def test_scoring_never_gathers_more_than_one_block():
             mock.patch.object(classifier, "_gather", wraps=classifier._gather) as gather, \
             mock.patch.object(classifier, "_featurize_many",
                               wraps=classifier._featurize_many) as featurize_many, \
-            mock.patch.object(model, "dense_weights", wraps=model.dense_weights) as dense:
+            mock.patch.object(classifier, "_rank_table", wraps=classifier._rank_table) as rank:
         predict_proba(model, texts, SPEC)
     rows = [len(call.args[0].indptr) - 1 for call in gather.call_args_list]
     assert max(rows) <= 64
     assert sum(rows) == len(set(texts))
     assert featurize_many.call_count == 0
-    assert dense.call_count == 1  # one dense weight matrix for all the blocks
+    assert rank.call_count == 1  # one rank table for all the blocks
+
+
+WIDE = FeatureSpec(hash_dim=2 ** 14)  # wide enough that a trained model leaves most buckets unseen
+
+
+def compact_model(kind):
+    """A model on its own columns: trained, trained with -0.0 and subnormal
+    weight rows, or with no columns at all."""
+    if kind == "no_columns":
+        return Checkpoint(epoch=1, columns=np.empty(0, np.int64), weights=np.empty((0, 3)),
+                          bias=np.array([0.25, -1.5, 0.75]), validation_auc=0.5, feature_spec=WIDE)
+    examples = [(f"please hold {i % 4} line", 1) for i in range(12)] + \
+        [(f"thanks for holding {i % 3}", 2) for i in range(12)] + \
+        [(f"my account number is {i}", 0) for i in range(24)]
+    model = train(examples, TrainConfig(epochs=2, seed=4), WIDE, examples)[-1]
+    assert 0 < len(model.columns) < WIDE.hash_dim // 4
+    if kind == "special":
+        model.weights[::3] = [-0.0, 5e-324, -2.5e-310]  # a negative zero and two subnormals
+    return model
+
+
+BATCHES = {
+    "templated": lambda: ["please hold 1 line", "thanks for holding 2", ""] * 9,
+    "distinct": lambda: [f"my account number is {i} hold {i % 5}" for i in range(70)],
+    "unseen": lambda: ["zebra quokka xylophone", "", "ещё минутку 😀", "zebra quokka xylophone"],
+    "empty": list,
+}
+
+
+@pytest.mark.parametrize("block", [1, 3, 2048])
+@pytest.mark.parametrize("kind", ["trained", "special", "no_columns"])
+@pytest.mark.parametrize("batch", BATCHES)
+def test_compact_scoring_matches_dense_weights(batch, kind, block):
+    """predict_proba equals dense-weight scoring of the whole batch bit for bit."""
+    model = compact_model(kind)
+    texts = BATCHES[batch]()
+    want = dense_proba(model, texts)
+    with mock.patch.object(classifier, "_BLOCK", block):
+        got = np.array(predict_proba(model, texts, WIDE)).reshape(-1, 3)
+    assert got.shape == want.shape == (len(texts), 3)
+    assert got.tobytes() == want.tobytes()

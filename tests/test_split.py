@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from holdscan.corpus import fold_plan_payload, load_fold_plan, stratified_split
-from holdscan.errors import ClassTooSmall, MalformedRow, Unlabeled
+from holdscan.errors import ClassTooSmall, MalformedRow, SplitInfeasible, Unlabeled
 
 from conftest import corpus_from_labels, flat_corpus
 
@@ -137,3 +137,17 @@ def test_plan_with_more_folds_than_turns_is_malformed(tmp_path):
     path.write_text(json.dumps({"k": 10**12, "test_fold": 0, "assignment": [["a", 0, 0]]}))
     with pytest.raises(MalformedRow, match="folds empty"):
         load_fold_plan(path)
+
+
+def test_call_grouped_needs_a_call_per_fold():
+    corpus = corpus_from_labels({f"c{i}": [0, 1, 2] for i in range(6)})
+    with pytest.raises(SplitInfeasible, match="^cannot spread 6 calls over 10 folds$"):
+        stratified_split(corpus, 10, seed=0, mode="call_grouped")
+
+
+def test_call_grouped_rejects_a_fold_outside_the_balance_bound():
+    # Call a goes to fold 0 and b to fold 1: fold 0 is half class 0, against 4/5 overall.
+    corpus = corpus_from_labels({"a": [1, 0], "b": [0, 0, 0]})
+    with pytest.raises(SplitInfeasible,
+                       match=r"^fold 0 class 0 proportion 0\.5000 deviates 38% from global 0\.8000$"):
+        stratified_split(corpus, 2, seed=0, mode="call_grouped")

@@ -21,7 +21,7 @@ from holdscan.classifier import (
 from holdscan.corpus import generate_synthetic
 from holdscan.errors import EmptyInput, EmptyTrainingSet, UnlabeledExample
 
-from oracles import per_example_train, per_step_take_fit
+from oracles import dense_weights, per_example_train, per_step_take_fit
 
 SPEC = FeatureSpec(hash_dim=2 ** 10)
 
@@ -114,7 +114,7 @@ def test_single_step_matches_reference_gradient():
     zero_w = np.zeros((SPEC.hash_dim, 3))
     zero_b = np.zeros(3)
     _, grad_w, grad_b = weighted_ce_loss_and_grad(zero_w, zero_b, feats, y, config.class_weights)
-    assert np.array_equal(ckpt.dense_weights(), -config.learning_rate * grad_w)
+    assert np.array_equal(dense_weights(ckpt), -config.learning_rate * grad_w)
     assert np.array_equal(ckpt.bias, -config.learning_rate * grad_b)
 
 
@@ -230,7 +230,7 @@ def test_matches_per_example_trainer(case):
     assert len(got) == len(want) == config.epochs
     for g, w in zip(got, want):
         assert np.all(np.isfinite(g.weights))
-        assert np.max(np.abs(g.dense_weights() - w.weights)) <= 1e-12
+        assert np.max(np.abs(dense_weights(g) - w.weights)) <= 1e-12
         assert np.max(np.abs(g.bias - w.bias)) <= 1e-12
         assert g.validation_auc == w.validation_auc
     assert select_best_checkpoint(got).epoch == select_best_checkpoint(want).epoch
@@ -289,7 +289,7 @@ def test_fit_matches_per_step_take(distinct, batch_size):
         assert np.all(np.isfinite(g.weights))
         assert g.weights.tobytes() == w.weights[columns].tobytes()
         assert w.weights[unused].tobytes() == bytes(len(unused) * 3 * 8)
-        assert g.dense_weights().tobytes() == w.weights.tobytes()
+        assert dense_weights(g).tobytes() == w.weights.tobytes()
         assert g.bias.tobytes() == w.bias.tobytes()
         assert g.validation_auc == w.validation_auc
 
@@ -332,7 +332,7 @@ def test_saved_model_predicts_as_the_dense_model(distinct, tmp_path):
     for name in ("columns", "weights", "bias"):
         a, b = getattr(loaded, name), getattr(got, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert loaded.dense_weights().tobytes() == dense.weights.tobytes()
+    assert dense_weights(loaded).tobytes() == dense.weights.tobytes()
     texts = [t for t, _ in _synthetic_examples(distinct)] + ["words no model has seen", ""]
     assert np.array(predict_proba(loaded, texts, spec)).tobytes() == \
         np.array(predict_proba(dense, texts, spec)).tobytes()
