@@ -493,8 +493,7 @@ def fit(
     weights are one row per column.
     Deterministic given the rows, config and spec: the per-epoch shuffle of
     train_rows is driven solely by config.seed. Each epoch is trained when
-    the next Checkpoint is asked for, and fit keeps none it has yielded, so
-    a caller that keeps only the best holds at most two at a time.
+    the next Checkpoint is asked for.
     """
     if len(train_rows) == 0:
         raise EmptyTrainingSet("training set is empty")
@@ -548,21 +547,20 @@ def fit(
             validation_auc=auc,
             feature_spec=spec,
         )
-        del weights  # free a dropped epoch's weights before the next epoch is trained
 
 
 def select_best_checkpoint(checkpoints: Iterable[Checkpoint]) -> Checkpoint:
     """Checkpoint with maximal validation AUC; ties go to the earliest epoch.
 
     Takes any iterable, so a generator such as fit is consumed one
-    Checkpoint at a time and only the best so far is kept. It stops at the
-    first AUC of 1.0 and asks for no later Checkpoint, so fit trains no
-    later epoch; the pick is the same, since no AUC exceeds 1.0 and a tie
-    keeps the earlier epoch. binary_auc computes (positive rank sum -
-    n_pos(n_pos+1)/2) / (n_pos * n_neg) from half-integer ranks, exact in
-    float64 for any realistic row count, so a class's AUC is at most 1.0
-    and equals it only under perfect separation; the macro mean is at most
-    1.0 and equals it only when every class reads 1.0.
+    Checkpoint at a time. It stops at the first AUC of 1.0 and asks for no
+    later Checkpoint, so fit trains no later epoch; the pick is the same,
+    since no AUC exceeds 1.0 and a tie keeps the earlier epoch. binary_auc
+    computes (positive rank sum - n_pos(n_pos+1)/2) / (n_pos * n_neg) from
+    half-integer ranks, exact in float64 for any realistic row count, so a
+    class's AUC is at most 1.0 and equals it only under perfect separation;
+    the macro mean is at most 1.0 and equals it only when every class reads
+    1.0.
     """
     best = None
     for ckpt in checkpoints:
@@ -570,7 +568,6 @@ def select_best_checkpoint(checkpoints: Iterable[Checkpoint]) -> Checkpoint:
             best = ckpt
         if best.validation_auc == 1.0:
             break
-        del ckpt  # so only the best is held while fit trains the next epoch
     if best is None:
         raise EmptyInput("no checkpoints to select from")
     return best

@@ -524,11 +524,15 @@ def run_pipeline(
     Every artifact is written into a staging directory inside out_dir and
     renamed into place once the run has its results; models/ is replaced
     whole, and an external run leaves none. A run that fails leaves out_dir
-    as it was. Files the pipeline does not write are never touched.
+    as it was, and removes the directories it created for it. Files the
+    pipeline does not write are never touched.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     plan = _plan_for(cfg, corpus)
+    # A trained run's bad config values are refused before any mkdir.
+    trained = None if external_proba_file else (cfg.train_config(), cfg.feature_spec())
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
+    out_dir.mkdir(parents=True, exist_ok=True)
     stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".run-"))  # in out_dir: publishing is renames
     try:
         if external_proba_file:
@@ -537,13 +541,11 @@ def run_pipeline(
             run = tune_and_test(by_fold, [test_probs], test_labels)
             mode, table_label, published = "external", "external", []
         else:
-            models_dir = stage / "models"
-            models_dir.mkdir()
-            meta = _stamp_meta(cfg)
-            run = run_cross_validation(  # each fold's worker writes the model it trained
-                corpus, plan, cfg.train_config(), cfg.feature_spec(),
-                save=lambda v, best: save_checkpoint(models_dir / f"fold_{v}.npz", best,
-                                                     extra_meta=meta))
+            run = run_cross_validation(corpus, plan, *trained)
+            (stage / "models").mkdir()
+            for v, model in run.models.items():
+                save_checkpoint(stage / "models" / f"fold_{v}.npz", model,
+                                extra_meta=_stamp_meta(cfg))
             mode, table_label, published = "trained", "mean of folds", ["models"]
 
         payload = {
@@ -555,9 +557,9 @@ def run_pipeline(
             "per_fold_test_metrics": [b.as_dict() for b in run.test_bundles],
             "mean_test_metrics": run.mean_test_bundle.as_dict(),
         }
-        if run.folds:
+        if run.models:
             payload["per_fold_validation_auc"] = {
-                str(r.fold_index): r.validation_auc for r in run.folds
+                str(v): model.validation_auc for v, model in run.models.items()
             }
         _write_json(stage / "fold_plan.json", fold_plan_payload(plan), cfg)
         _write_json(stage / "shared_threshold.json",
@@ -576,6 +578,11 @@ def run_pipeline(
         return payload
     finally:
         shutil.rmtree(stage, ignore_errors=True)
+        for made in created:  # empty only when the run failed
+            try:
+                made.rmdir()
+            except OSError:
+                break
 
 
 def run_cli(argv: list[str] | None = None) -> None:

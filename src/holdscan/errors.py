@@ -135,8 +135,8 @@ class EmptyFold(ProtocolError):
     pass
 
 
-class FoldTooSmall(ProtocolError):
-    pass
+class FoldTooSmall(DataValidationError):
+    """A trained run needs k >= 3: separate train, validation and test folds."""
 
 
 class UnknownAxis(ProtocolError):

@@ -8,11 +8,11 @@ best epoch checkpoint per fold is picked by validation ROC AUC. A fold
 trains no epoch after its first AUC of 1.0: no AUC exceeds 1.0, so no
 later checkpoint could be picked. The fold models are independent, so
 they train in parallel worker processes, one per usable CPU, with the
-same bits as one after another; a caller's save function writes each
-fold model in the process that trained it. A single threshold is then
-chosen for every checkpoint at once: candidates are all unique p1 + p2
-sums observed across the concatenated validation predictions (plus a
-reject-all sentinel), scored by the mean validation F1-macro over folds.
+same bits as one after another, and each best checkpoint comes back to
+the caller. A single threshold is then chosen for every checkpoint at
+once: candidates are all unique p1 + p2 sums observed across the
+concatenated validation predictions (plus a reject-all sentinel), scored
+by the mean validation F1-macro over folds.
 Finally every per-fold checkpoint scores the test fold's rows at that
 shared threshold and the reported test metrics are the per-fold mean. A
 sweep runs this once per grid value on one shared matrix and picks its
@@ -26,7 +26,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .metrics import (
 )
 
 FoldPredictions = tuple[ProbsLike, Sequence[int]]
-SaveFold = Callable[[int, Checkpoint], object]  # see run_cross_validation
 
 # Default hyperparameter grids for the two supported sweep axes.
 DEFAULT_CLASS_WEIGHT_GRID: tuple[tuple[float, float, float], ...] = (
@@ -140,23 +139,15 @@ def score_at(probs: ProbsLike, labels: Sequence[int], threshold: float) -> Metri
 
 
 @dataclass
-class FoldResult:
-    """The epoch and validation AUC of one validation fold's best checkpoint."""
-
-    fold_index: int
-    epoch: int
-    validation_auc: float
-
-
-@dataclass
 class CvRun:
-    """Shared threshold and test metrics; folds is empty for external probabilities."""
+    """Shared threshold and test metrics, and each validation fold's best
+    Checkpoint by fold; models is empty for external probabilities."""
 
     shared_threshold: float
     shared_threshold_mean_f1: float
     test_bundles: list[MetricBundle]
     mean_test_bundle: MetricBundle
-    folds: list[FoldResult] = field(default_factory=list)
+    models: dict[int, Checkpoint] = field(default_factory=dict)
 
 
 def tune_and_test(
@@ -247,32 +238,29 @@ def _checked_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSp
     return fold_matrix(corpus, fold_plan, feature_spec)
 
 
-def _fold_model(matrix: FoldMatrix, v: int, config: TrainConfig,
-                save: SaveFold | None = None) -> tuple[FoldResult, np.ndarray, np.ndarray]:
-    """Fold v's best checkpoint, passed to save, as its FoldResult and the
-    probabilities of v's rows and of the test fold's rows, scored in one pass."""
+def _fold_model(matrix: FoldMatrix, v: int,
+                config: TrainConfig) -> tuple[Checkpoint, np.ndarray, np.ndarray]:
+    """Fold v's best checkpoint and the probabilities of v's rows and of the
+    test fold's rows, scored in one pass."""
     best = select_best_checkpoint(train_fold(matrix, v, config))
-    if save is not None:
-        save(v, best)
     val_rows = matrix.rows(v)
     scored = matrix.feats.take(np.r_[val_rows, matrix.rows(matrix.test_fold)])
     probs = _softmax_rows(_gather(scored, best.weights) + best.bias)
-    return (FoldResult(v, best.epoch, best.validation_auc), *np.split(probs, [len(val_rows)]))
+    return (best, *np.split(probs, [len(val_rows)]))
 
 
-# A pool worker's (FoldMatrix, save), set by _init_worker; fork passes both unpickled.
-_worker_state: tuple[FoldMatrix, SaveFold | None] | None = None
+# A pool worker's FoldMatrix, set by _init_worker; fork passes it unpickled.
+_worker_matrix: FoldMatrix | None = None
 
 
-def _init_worker(matrix: FoldMatrix, save: SaveFold | None) -> None:
-    global _worker_state
-    _worker_state = (matrix, save)
+def _init_worker(matrix: FoldMatrix) -> None:
+    global _worker_matrix
+    _worker_matrix = matrix
 
 
-def _fold_task(config: TrainConfig, v: int) -> tuple[FoldResult, np.ndarray, np.ndarray]:
-    """One pool task: _fold_model on the worker's matrix and save function."""
-    matrix, save = _worker_state
-    return _fold_model(matrix, v, config, save)
+def _fold_task(config: TrainConfig, v: int) -> tuple[Checkpoint, np.ndarray, np.ndarray]:
+    """One pool task: _fold_model on the worker's matrix."""
+    return _fold_model(_worker_matrix, v, config)
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -289,51 +277,50 @@ def _worker_count(n_tasks: int) -> int:
 
 @contextmanager
 def _fold_models(
-    matrix: FoldMatrix, tasks: Sequence[tuple[TrainConfig, int]], save: SaveFold | None = None
-) -> Iterator[Iterator[tuple[FoldResult, np.ndarray, np.ndarray]]]:
+    matrix: FoldMatrix, tasks: Sequence[tuple[TrainConfig, int]]
+) -> Iterator[Iterator[tuple[Checkpoint, np.ndarray, np.ndarray]]]:
     """An iterator of _fold_model results for the (config, v) tasks, in task order.
 
     Tasks are independent, so they run on a pool of forked worker
     processes when more than one CPU is usable, and the results are the
-    same bits as in-process. Fork hands each worker the matrix and save
-    without pickling them, and the pool forks every worker before it
-    starts any thread. The pool lives inside this context, so its workers
-    are joined on success and on error. A worker's exception reaches the
-    caller (ChildProcessError if it died), and unstarted tasks are dropped.
+    same bits as in-process. Fork hands each worker the matrix without
+    pickling it, and the pool forks every worker before it starts any
+    thread. The pool lives inside this context, so its workers are joined
+    on success and on error. A worker's exception reaches the caller
+    (ChildProcessError if it died), and unstarted tasks are dropped.
     """
     workers = _worker_count(len(tasks))
     if workers == 1:
-        yield (_fold_model(matrix, v, config, save) for config, v in tasks)
+        yield (_fold_model(matrix, v, config) for config, v in tasks)
         return
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker,
-                             initargs=(matrix, save)) as pool:
+                             initargs=(matrix,)) as pool:
         try:
             yield pool.map(_fold_task, *zip(*tasks))
         except BrokenProcessPool as exc:
             raise ChildProcessError(f"a fold worker process died: {exc}") from None
 
 
-def _cross_validate(matrix: FoldMatrix, configs: Sequence[TrainConfig],
-                    save: SaveFold | None = None) -> Iterator[CvRun]:
+def _cross_validate(matrix: FoldMatrix, configs: Sequence[TrainConfig]) -> Iterator[CvRun]:
     """One CvRun per config, in config order.
 
     Every (config, validation fold) pair is one task of one map, so a
     sweep keeps every worker busy across its grid. A run is yielded as
-    soon as its fold results arrive.
+    soon as its fold models arrive.
     """
     test_labels = matrix.labels[matrix.rows(matrix.test_fold)]
     val_folds = [v for v in range(matrix.k) if v != matrix.test_fold]
     val_labels = [matrix.labels[matrix.rows(v)] for v in val_folds]
     tasks = [(config, v) for config in configs for v in val_folds]
-    with _fold_models(matrix, tasks, save) as fold_models:
+    with _fold_models(matrix, tasks) as fold_models:
         for _ in configs:
-            results, val_probs, test_probs = zip(*islice(fold_models, len(val_folds)))
+            models, val_probs, test_probs = zip(*islice(fold_models, len(val_folds)))
             run = tune_and_test(list(zip(val_probs, val_labels)), test_probs, test_labels)
-            run.folds = list(results)
+            run.models = dict(zip(val_folds, models))
             yield run
 
 
@@ -342,17 +329,13 @@ def run_cross_validation(
     fold_plan: FoldPlan,
     train_config: TrainConfig,
     feature_spec: FeatureSpec,
-    save: SaveFold | None = None,
 ) -> CvRun:
     """Execute the full train / select / shared-threshold / test protocol.
 
     The test fold influences nothing upstream: models see only the other
     folds and the threshold is chosen on validation predictions alone.
-    save(v, checkpoint), if given, runs on each validation fold's best
-    checkpoint in the process that trained it, a pool worker or this one,
-    so no weights cross processes; it returns nothing that is kept.
     """
-    (run,) = _cross_validate(_checked_matrix(corpus, fold_plan, feature_spec), [train_config], save)
+    (run,) = _cross_validate(_checked_matrix(corpus, fold_plan, feature_spec), [train_config])
     return run
 
 

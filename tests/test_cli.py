@@ -368,9 +368,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_model_write_exits_one(self, tmp_path, capsys, workers):
-        """A model file that the save hook cannot write, in a fold worker or
-        in-process, is a clean exit 1 with no thread left, and the run
-        leaves --out-dir as it was."""
+        """A model file that cannot be written, after a pooled or in-process
+        run, is a clean exit 1 with no thread left, and the run leaves
+        --out-dir as it was."""
         out = tmp_path / "out"
         out.mkdir()
 
@@ -380,7 +380,6 @@ class TestPipeline:
             save_checkpoint(path, *a, **kw)
 
         threads = threading.active_count()
-        # the forked fold workers inherit the patched save_checkpoint
         with mock.patch.object(tuning, "_worker_count", return_value=workers), \
                 mock.patch.object(cli, "save_checkpoint", save_refused):
             code = run(["pipeline", "--synthetic-calls", "80", "--seed", "23", "--folds", "4",
@@ -509,7 +508,40 @@ class TestPipeline:
         assert code == 2
         assert capsys.readouterr().err == ("error: hash_dim must be a power of two from 1024 to "
                                            f"16777216 (2**24), got {hash_dim}\n")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["hash_dim", "folds", "external_proba"])
+    def test_failed_run_leaves_no_new_out_dir(self, tmp_path, case):
+        """A run refused for a config value or failed on its input exits 2
+        and removes the directories it made for a new --out-dir a/b."""
+        corpus, _ = generate_synthetic(50, 5)
+        transcripts = tmp_path / "t.csv"
+        write_transcripts(corpus, transcripts)
+        proba = tmp_path / "p.csv"
+        smoothed_gold_proba(corpus, proba)
+        lines = proba.read_text().splitlines(keepends=True)
+        proba.write_text("".join(lines[:-1]))  # the last turn has no prediction
+        flags = {"hash_dim": ["--folds", "4", "--hash-dim", "3000"],
+                 "folds": ["--folds", "2", "--hash-dim", "2048"],
+                 "external_proba": ["--folds", "4", "--external-proba", str(proba)]}[case]
+        out = tmp_path / "a" / "b"
+        assert run(["pipeline", "--transcripts", str(transcripts), "--seed", "9", "--epochs", "1",
+                    *flags, "--out-dir", str(out)]) == 2
+        assert not (tmp_path / "a").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
+    def test_two_folds_exit_two(self, tmp_path, capsys, command):
+        """k=2 leaves no validation fold beside the test fold: a bad config
+        value, exit 2 with one error line."""
+        args = [command, "--synthetic-calls", "40", "--seed", "23", "--folds", "2",
+                "--hash-dim", "2048", "--epochs", "1", "--out-dir", str(tmp_path / "out")]
+        if command == "sweep":
+            args += ["--axis", "learning_rate", "--values", "0.1"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: k=2: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert run(["pipeline", "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 1

@@ -1,7 +1,5 @@
 import multiprocessing
-import pickle
 import sys
-import weakref
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -13,10 +11,13 @@ from holdscan import classifier, tuning
 from holdscan.classifier import (
     FeatureSpec,
     TrainConfig,
+    load_checkpoint,
     predict_proba,
     select_best_checkpoint,
     train,
 )
+from holdscan.cli import run_pipeline
+from holdscan.config import RunConfig
 from holdscan.corpus import Call, Corpus, FoldPlan, generate_synthetic, stratified_split
 from holdscan.errors import FoldTooSmall, SingleClassOnly, UnknownAxis
 from holdscan.metrics import as_prob_array, mean_bundle
@@ -28,7 +29,7 @@ from holdscan.tuning import (
     tune_and_test,
 )
 
-from conftest import SavedFoldModels, flat_corpus, make_turn
+from conftest import flat_corpus, make_turn
 from oracles import dense_weights, reference_select_best
 
 SPEC = FeatureSpec(hash_dim=2 ** 11)
@@ -63,26 +64,24 @@ def separable_corpus(n_per_class=100, mislabel_every=None):
     return Corpus(calls=tuple(calls))
 
 
-def _run_and_models(directory, corpus, plan, config=CONFIG):
-    """run_cross_validation and {fold: Checkpoint} as its save hook received them."""
-    models = SavedFoldModels(directory)
-    run = run_cross_validation(corpus, plan, config, SPEC, save=models)
-    saved = models.load()
-    assert sorted(saved) == [r.fold_index for r in run.folds]
-    return run, saved
+def _run_and_models(corpus, plan, config=CONFIG):
+    """run_cross_validation and its {validation fold: best Checkpoint}."""
+    run = run_cross_validation(corpus, plan, config, SPEC)
+    assert list(run.models) == [v for v in range(plan.k) if v != plan.test_fold]
+    return run, run.models
 
 
 @pytest.fixture(scope="module")
-def separable_run(tmp_path_factory):
+def separable_run():
     """(corpus, plan, run, {fold: Checkpoint})."""
     corpus = separable_corpus()
     plan = stratified_split(corpus, 3, seed=2)
-    return corpus, plan, *_run_and_models(tmp_path_factory.mktemp("separable"), corpus, plan)
+    return corpus, plan, *_run_and_models(corpus, plan)
 
 
 def test_separable_corpus_scores_perfectly(separable_run):
     _, plan, run, _ = separable_run
-    assert len(run.folds) == plan.k - 1 == 2
+    assert len(run.models) == plan.k - 1 == 2
     assert run.mean_test_bundle.f1_macro == pytest.approx(1.0)
 
 
@@ -100,15 +99,15 @@ def test_mean_is_arithmetic_mean(separable_run):
         assert min(per_fold) - 1e-12 <= value <= max(per_fold) + 1e-12
 
 
-def test_deterministic_rerun(separable_run, tmp_path):
+def test_deterministic_rerun(separable_run):
     corpus, plan, run, models = separable_run
-    again, again_models = _run_and_models(tmp_path, corpus, plan)
+    again, again_models = _run_and_models(corpus, plan)
     assert again.shared_threshold == run.shared_threshold
-    assert again.folds == run.folds
+    assert list(again_models) == list(models)
     for v, a in models.items():
         b = again_models[v]
         assert np.array_equal(a.weights, b.weights)
-        assert a.validation_auc == b.validation_auc
+        assert (a.epoch, a.validation_auc) == (b.epoch, b.validation_auc)
     assert again.test_bundles == run.test_bundles
 
 
@@ -123,9 +122,9 @@ def _relabel_test_fold(corpus, plan):
     ))
 
 
-def test_test_fold_labels_cannot_leak(separable_run, tmp_path):
+def test_test_fold_labels_cannot_leak(separable_run):
     corpus, plan, run, models = separable_run
-    other, other_models = _run_and_models(tmp_path, _relabel_test_fold(corpus, plan), plan)
+    other, other_models = _run_and_models(_relabel_test_fold(corpus, plan), plan)
     assert other.shared_threshold == run.shared_threshold
     assert sorted(other_models) == sorted(models)
     for v, a in models.items():
@@ -268,28 +267,26 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
 @pytest.mark.parametrize("mode", ["row", "call_grouped"])
-def test_shared_matrix_matches_per_fold_text_path(mode, distinct, tmp_path):
+def test_shared_matrix_matches_per_fold_text_path(mode, distinct):
     corpus, _ = generate_synthetic(60, 2)
     if distinct:
         corpus = _distinct_texts(corpus)
     plan = stratified_split(corpus, 4, seed=3, mode=mode, test_fold=1)
     config = TrainConfig(epochs=3, seed=11)
     with mock.patch("holdscan.tuning.tune_and_test", wraps=tune_and_test) as tail:
-        run, models = _run_and_models(tmp_path, corpus, plan, config)
+        run, models = _run_and_models(corpus, plan, config)
     ((val_folds, test_sets, test_labels), _), = tail.call_args_list
 
     reference = list(_text_path(corpus, plan, config, SPEC))
-    assert [r.fold_index for r in run.folds] == [v for v, *_ in reference]
+    assert list(models) == [v for v, *_ in reference]
     ref_test_labels = [corpus.turn(key).label for key in plan.keys_by_fold()[plan.test_fold]]
     assert list(test_labels) == ref_test_labels
-    for result, (val_probs, val_labels), test_probs, (_, best, ref_val, ref_val_labels, ref_test) \
-            in zip(run.folds, val_folds, test_sets, reference):
-        got = models[result.fold_index]
+    for got, (val_probs, val_labels), test_probs, (_, best, ref_val, ref_val_labels, ref_test) \
+            in zip(models.values(), val_folds, test_sets, reference):
         # The run's columns are every fold's buckets; train's are its examples'.
         assert _same_bits(dense_weights(got), dense_weights(best))
         assert _same_bits(got.bias, best.bias)
         assert (got.epoch, got.validation_auc) == (best.epoch, best.validation_auc)
-        assert (result.epoch, result.validation_auc) == (best.epoch, best.validation_auc)
         assert np.array_equal(as_prob_array(val_probs), as_prob_array(ref_val))
         assert np.array_equal(as_prob_array(test_probs), as_prob_array(ref_test))
         assert list(val_labels) == ref_val_labels
@@ -375,20 +372,18 @@ def _assert_same_tails(tails_a, tails_b, n_folds):
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
 @pytest.mark.parametrize("mode", ["row", "call_grouped"])
-def test_pool_matches_in_process(mode, distinct, tmp_path):
+def test_pool_matches_in_process(mode, distinct):
     corpus, _ = generate_synthetic(60, 2)
     if distinct:
         corpus = _distinct_texts(corpus)
     plan = stratified_split(corpus, 4, seed=3, mode=mode, test_fold=1)
     args = (run_cross_validation, corpus, plan, TrainConfig(epochs=3, seed=11), SPEC)
-    pooled_models, serial_models = SavedFoldModels(tmp_path / "w2"), SavedFoldModels(tmp_path / "w1")
-    pooled, pooled_tails = _tails(2, *args, save=pooled_models)
-    serial, serial_tails = _tails(1, *args, save=serial_models)
-    assert pooled.folds == serial.folds
-    pooled_ckpts, serial_ckpts = pooled_models.load(), serial_models.load()
-    assert sorted(pooled_ckpts) == sorted(serial_ckpts) == [r.fold_index for r in serial.folds]
-    for v, a in pooled_ckpts.items():
-        b = serial_ckpts[v]
+    pooled, pooled_tails = _tails(2, *args)
+    serial, serial_tails = _tails(1, *args)
+    assert list(pooled.models) == list(serial.models) == [0, 2, 3]
+    for v, a in pooled.models.items():
+        b = serial.models[v]
+        assert _same_bits(a.columns, b.columns)
         assert _same_bits(a.weights, b.weights)
         assert _same_bits(a.bias, b.bias)
         assert (a.epoch, a.validation_auc) == (b.epoch, b.validation_auc)
@@ -396,6 +391,30 @@ def test_pool_matches_in_process(mode, distinct, tmp_path):
     assert pooled.test_bundles == serial.test_bundles
     assert (pooled.shared_threshold, pooled.shared_threshold_mean_f1) == (
         serial.shared_threshold, serial.shared_threshold_mean_f1)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "pool"])
+def test_run_models_are_the_pipeline_model_files(workers, tmp_path):
+    """Each run.models[v] is the checkpoint select_best_checkpoint picks from
+    train_fold, and the one load_checkpoint reads from the pipeline's
+    models/fold_v.npz, bit for bit."""
+    corpus, _ = generate_synthetic(60, 2)
+    cfg = RunConfig(seed=5, folds=4, epochs=3, hash_dim=SPEC.hash_dim)
+    plan = stratified_split(corpus, cfg.folds, cfg.seed, cfg.split_mode, cfg.test_fold)
+    config, spec = cfg.train_config(), cfg.feature_spec()
+    with _fold_workers(workers):
+        run = run_cross_validation(corpus, plan, config, spec)
+        run_pipeline(cfg, corpus, tmp_path)
+    matrix = tuning.fold_matrix(corpus, plan, spec)
+    assert list(run.models) == [v for v in range(plan.k) if v != plan.test_fold]
+    for v, got in run.models.items():
+        for want in (select_best_checkpoint(tuning.train_fold(matrix, v, config)),
+                     load_checkpoint(tmp_path / "models" / f"fold_{v}.npz")):
+            assert _same_bits(got.columns, want.columns)
+            assert _same_bits(got.weights, want.weights)
+            assert _same_bits(got.bias, want.bias)
+            assert (got.epoch, got.validation_auc, got.feature_spec) == (
+                want.epoch, want.validation_auc, want.feature_spec)
 
 
 def test_sweep_on_a_pool_matches_in_process():
@@ -424,35 +443,18 @@ def test_fold_error_reaches_the_caller(workers):
 
 
 class _FitRecorder:
-    """tuning.fit, patched to keep a weak reference to each Checkpoint it
-    yields and the most of them alive at any one yield."""
+    """tuning.fit, patched to count the Checkpoints it yields."""
 
     def __init__(self, monkeypatch):
-        self.refs = []
-        self.peak = 0
+        self.yielded = 0
         real_fit = tuning.fit
 
         def recording_fit(*args, **kwargs):
             for ckpt in real_fit(*args, **kwargs):
-                self.refs.append(weakref.ref(ckpt))
-                self.peak = max(self.peak, sum(ref() is not None for ref in self.refs))
+                self.yielded += 1
                 yield ckpt
 
         monkeypatch.setattr(tuning, "fit", recording_fit)
-
-
-def test_fold_model_keeps_at_most_two_checkpoints(monkeypatch):
-    """_fold_model keeps only the best epoch's Checkpoint and the current one.
-
-    The corpus has mislabeled turns, so no epoch reaches AUC 1.0 and every
-    one of the 5 epochs is trained."""
-    fits = _FitRecorder(monkeypatch)
-    corpus = separable_corpus(mislabel_every=10)
-    plan = stratified_split(corpus, k=5, seed=3)
-    matrix = tuning.fold_matrix(corpus, plan, SPEC)
-    tuning._fold_model(matrix, 1, replace(CONFIG, epochs=5))
-    assert len(fits.refs) == 5
-    assert fits.peak <= 2
 
 
 # Folds of k=5 splits at seed 3 whose validation AUC first reads 1.0 at
@@ -473,43 +475,19 @@ def exit_case(request):
     return matrix, v, first_perfect, replace(CONFIG, epochs=5)
 
 
-def test_fold_model_exit_picks_the_checkpoint_of_every_epoch(exit_case, tmp_path):
+def test_fold_model_exit_picks_the_checkpoint_of_every_epoch(exit_case):
     """Every fold's _fold_model checkpoint, in-process or on the worker pool,
     is the one a max over all 5 epochs' checkpoints picks."""
     matrix, _, _, config = exit_case
     folds = [f for f in range(matrix.k) if f != matrix.test_fold]
-    models = SavedFoldModels(tmp_path)
-    with tuning._fold_models(matrix, [(config, f) for f in folds], models) as results:
-        picked = [result for result, _, _ in results]
-    saved = models.load()
-    assert [r.fold_index for r in picked] == folds == sorted(saved)
-    for f, result in zip(folds, picked):
-        got = saved[f]
+    with tuning._fold_models(matrix, [(config, f) for f in folds]) as results:
+        picked = [model for model, _, _ in results]
+    assert len(picked) == len(folds)
+    for f, got in zip(folds, picked):
         want = reference_select_best(list(tuning.train_fold(matrix, f, config)))
         assert (got.epoch, got.validation_auc) == (want.epoch, want.validation_auc)
-        assert (result.epoch, result.validation_auc) == (want.epoch, want.validation_auc)
         assert got.weights.tobytes() == want.weights.tobytes()
         assert got.bias.tobytes() == want.bias.tobytes()
-
-
-def test_pool_task_results_hold_no_weights(tmp_path):
-    """A pool task sends back its probabilities and little else: the model
-    stays in the worker that trained it, which hands it to the save function."""
-    corpus = _distinct_texts(separable_corpus(n_per_class=30))
-    plan = stratified_split(corpus, 4, seed=1)
-    matrix = tuning.fold_matrix(corpus, plan, SPEC)
-    folds = [f for f in range(plan.k) if f != plan.test_fold]
-    allowance = 1024  # the pickled FoldResult and the arrays' headers
-    assert len(matrix.columns) * 3 * 8 > allowance  # so compact weights would not fit in it
-    models = SavedFoldModels(tmp_path)
-    with _fold_workers(2), \
-            tuning._fold_models(matrix, [(CONFIG, f) for f in folds], models) as results:
-        results = list(results)
-    assert len(results) == len(folds)
-    for result in results:
-        probs_bytes = sum(probs.nbytes for probs in result[1:])
-        assert len(pickle.dumps(result)) < probs_bytes + allowance
-    assert sorted(models.load()) == folds
 
 
 def test_fold_model_trains_no_epoch_after_auc_one(exit_case, monkeypatch):
@@ -520,4 +498,4 @@ def test_fold_model_trains_no_epoch_after_auc_one(exit_case, monkeypatch):
     assert next((e for e, auc in enumerate(curve, 1) if auc == 1.0), None) == first_perfect
     fits = _FitRecorder(monkeypatch)
     tuning._fold_model(matrix, v, config)
-    assert len(fits.refs) == (first_perfect or config.epochs)
+    assert fits.yielded == (first_perfect or config.epochs)
