@@ -16,21 +16,24 @@ Training is plain mini-batch gradient descent on class-weighted
 cross-entropy with decoupled weight decay and a step size that decays
 linearly to zero. A weight row stays +0.0 unless a training feature
 hashes to its bucket, so a run's buckets are ranked once (_compact) and
-training keeps weights only for the buckets its feature matrix uses: the
-(U, 3) matrix scale * V over those U columns, where the decay multiplies
-the scalar instead of the matrix each step. A Checkpoint and its model
-file hold the same U rows and their bucket numbers. Features are one CSR
-matrix, one row per turn; training, prediction and the loss share one
-gather (logits), one softmax-gradient function and one in-order scatter
+training keeps weights only for the buckets its feature matrix uses:
+scale * V over those U columns, where the decay multiplies the scalar
+instead of the matrix each step. The kernels work on class-major weights,
+a C-contiguous (3, U) array, so a gather takes every class's weights in
+one call and each class's sums and updates run over a contiguous row. A
+Checkpoint and its model file hold the same weights as U rows of (U, 3),
+in C order, with their bucket numbers. Features are one CSR matrix, one
+row per turn; training, prediction and the loss share one gather
+(logits), one softmax-gradient function and one in-order scatter
 (gradients, touching only the feature rows present in a batch). fit
 trains on chosen rows of such a matrix, so a cross-validation run
 featurizes its turns once and every fold is a set of rows; train
 featurizes texts and then uses the same kernels. predict_proba never
 builds the whole batch's matrix: it featurizes and scores one block of
-distinct texts at a time against the checkpoint's own (U, 3) weights,
-keeping only each block's (n, 3) probabilities. A bucket the model never
-saw is sent to one appended row of zeros, so every score equals the one
-dense (hash_dim, 3) weights would give, bit for bit.
+distinct texts at a time against the checkpoint's own weights, as
+(3, U), keeping only each block's (n, 3) probabilities. A bucket the
+model never saw is sent to one appended column of zeros, so every score
+equals the one dense (hash_dim, 3) weights would give, bit for bit.
 
 Featurization is feature hashing: each word token and character n-gram
 counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _feature_blocks
@@ -396,33 +399,43 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _gather(feats: _Csr, weights: np.ndarray) -> np.ndarray:
-    """feats @ weights as an (n, 3) array; each row sums its terms in order."""
+def _gather(feats: _Csr, weights_t: np.ndarray, seg: Optional[np.ndarray] = None) -> np.ndarray:
+    """feats @ weights_t.T as an (n, 3) array; each row sums its terms in order.
+
+    weights_t is class-major, (3, U), so one take gives a (3, nnz) array
+    with a contiguous row per class. seg is feats.row_ids(), computed here
+    when not given.
+    """
     n = len(feats.indptr) - 1
-    seg = feats.row_ids()
-    terms = np.take(weights, feats.indices, axis=0)
-    terms *= feats.data[:, None]
-    return np.stack([np.bincount(seg, weights=terms[:, c], minlength=n) for c in range(3)], axis=1)
+    if seg is None:
+        seg = feats.row_ids()
+    terms = np.take(weights_t, feats.indices, axis=1)
+    terms *= feats.data
+    return np.stack([np.bincount(seg, weights=t, minlength=n) for t in terms], axis=1)
 
 
-def _scatter(out: np.ndarray, feats: _Csr, g: np.ndarray, coef: float) -> None:
-    """out += coef * feats.T @ g, in place, one (row, bucket) term at a time.
+def _scatter(out_t: np.ndarray, feats: _Csr, seg: np.ndarray, g: np.ndarray, coef: float) -> None:
+    """out_t += coef * (feats.T @ g).T, in place, one (row, bucket) term at a time.
 
+    out_t is class-major, (3, U); seg is feats.row_ids() and g is (n, 3).
     Terms are (coef * count) * g[row], added unbuffered in row order, so a
     bucket shared by several rows accumulates exactly as a per-row loop of
     out[idx] += (coef * cnt)[:, None] * g[row] would.
     """
-    terms = (coef * feats.data)[:, None] * np.take(g, feats.row_ids(), axis=0)
+    terms = (coef * feats.data) * np.take(np.ascontiguousarray(g.T), seg, axis=1)
     for c in range(3):
-        np.add.at(out[:, c], feats.indices, terms[:, c])
+        np.add.at(out_t[c], feats.indices, terms[c])
 
 
-def _ce_logit_grad(probs: np.ndarray, y: np.ndarray, class_weights: Sequence[float]) -> np.ndarray:
-    """Gradient of the batch-mean class-weighted cross-entropy w.r.t. the logits."""
+def _ce_logit_grad(probs: np.ndarray, y: np.ndarray, class_weights: np.ndarray) -> np.ndarray:
+    """Gradient of the batch-mean class-weighted cross-entropy w.r.t. the logits.
+
+    class_weights is a float64 array of the 3 class weights.
+    """
     n = len(y)
     g = probs.copy()
     g[np.arange(n), y] -= 1.0
-    g *= (np.asarray(class_weights, dtype=float)[y] / n)[:, None]
+    g *= (class_weights[y] / n)[:, None]
     return g
 
 
@@ -439,19 +452,21 @@ def weighted_ce_loss_and_grad(
     loss term of an example with true class y is multiplied by
     class_weights[y]; the batch loss is the plain mean of the weighted
     terms (so scaling all weights scales the loss by the same factor).
-    Returns (loss, grad_weights, grad_bias); grad_weights is dense.
+    weights is (U, 3), as a Checkpoint holds it. Returns (loss,
+    grad_weights, grad_bias); grad_weights is dense and (U, 3) too.
     """
     y = np.asarray(y)
     n = len(feats.indptr) - 1
     if n == 0:
         raise EmptyInput("cannot evaluate the loss on an empty batch")
     cw = np.asarray(class_weights, dtype=float)
-    probs = _softmax_rows(_gather(feats, weights) + bias)
+    seg = feats.row_ids()
+    probs = _softmax_rows(_gather(feats, weights.T, seg) + bias)
     loss = float(np.mean(cw[y] * -np.log(probs[np.arange(n), y])))
     g = _ce_logit_grad(probs, y, cw)
-    grad_w = np.zeros(weights.shape)
-    _scatter(grad_w, feats, g, 1.0)
-    return loss, grad_w, g.sum(axis=0)
+    grad_w_t = np.zeros(weights.shape[::-1])
+    _scatter(grad_w_t, feats, seg, g, 1.0)
+    return loss, grad_w_t.T, g.sum(axis=0)
 
 
 def train(
@@ -504,9 +519,10 @@ def fit(
 
     n = len(train_rows)
     rng = np.random.default_rng(config.seed)
+    class_weights = np.asarray(config.class_weights, dtype=float)
 
-    # weights = scale * v; the decoupled decay multiplies the scalar only.
-    v = np.zeros((len(columns), 3))
+    # weights = scale * v, class-major; the decoupled decay multiplies the scalar only.
+    v = np.zeros((3, len(columns)))
     scale = 1.0
     bias = np.zeros(3)
 
@@ -526,23 +542,25 @@ def fit(
                 step += 1
 
                 batch_feats = run_feats.slice(start, stop)
-                probs = _softmax_rows(scale * _gather(batch_feats, v) + bias)
-                g = _ce_logit_grad(probs, run_y[start:stop], config.class_weights)
+                seg = batch_feats.row_ids()
+                probs = _softmax_rows(scale * _gather(batch_feats, v, seg) + bias)
+                g = _ce_logit_grad(probs, run_y[start:stop], class_weights)
 
                 scale *= 1.0 - lr * config.weight_decay
                 if scale < 1e-100:  # refold to keep v representable
                     v *= scale
                     scale = 1.0
-                _scatter(v, batch_feats, g, -lr / scale)
+                _scatter(v, batch_feats, seg, g, -lr / scale)
                 bias -= lr * g.sum(axis=0)
 
-        weights = scale * v
-        val_probs = _softmax_rows(_gather(val_feats, weights) + bias)
+        weights_t = scale * v
+        val_probs = _softmax_rows(_gather(val_feats, weights_t) + bias)
         auc = roc_auc_ovr_macro(y_val, val_probs)
         yield Checkpoint(
             epoch=epoch,
             columns=columns,
-            weights=weights,
+            # C order, so a saved model's bytes do not depend on the working layout.
+            weights=np.ascontiguousarray(weights_t.T),
             bias=bias.copy(),
             validation_auc=auc,
             feature_spec=spec,
@@ -581,20 +599,21 @@ def predict_proba(
     Each distinct text is featurized and scored once, one block of _BLOCK
     distinct texts at a time, so no array grows with the batch's non-zeros.
     Every block's buckets are sent to the model's weight rows by one rank
-    table, built once; a bucket the model never saw goes to a row of +0.0
-    appended to the weights, as its dense weight row would be.
+    table, built once; a bucket the model never saw goes to a column of
+    +0.0 appended to the class-major weights, as its dense weight row would
+    be.
     """
     if spec != model.feature_spec:
         raise SpecMismatch("supplied FeatureSpec differs from the one the model was trained with")
     distinct, rows = _distinct(turns)
     rank = _rank_table(model.columns, spec.hash_dim)
-    weights = np.zeros((len(model.columns) + 1, 3))
-    weights[:-1] = model.weights
+    weights_t = np.zeros((3, len(model.columns) + 1))
+    weights_t[:, :-1] = model.weights.T
     probs = np.empty((len(distinct), 3))
     start = 0
     for block in _feature_blocks(distinct, spec):
         stop = start + len(block.indptr) - 1
-        probs[start:stop] = _softmax_rows(_gather(_remap(block, rank), weights) + model.bias)
+        probs[start:stop] = _softmax_rows(_gather(_remap(block, rank), weights_t) + model.bias)
         start = stop
     if len(distinct) < len(rows):
         probs = probs[rows]

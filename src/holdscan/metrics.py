@@ -132,12 +132,16 @@ def binary_auc(scores: Sequence[float], positives: Sequence[bool]) -> float:
 
 
 def roc_auc_ovr_macro(y_true: Sequence[int], probs: ProbsLike) -> float:
-    """Macro mean of per-class one-vs-rest AUC over the classes present."""
+    """Macro mean of per-class one-vs-rest AUC over the classes present.
+
+    Raises ValueError for a label outside [0, N_CLASSES).
+    """
     yt = np.asarray(y_true, dtype=np.int64)
     arr = as_prob_array(probs)
     if yt.size != arr.shape[0]:
         raise LengthMismatch(f"{yt.size} labels but {arr.shape[0]} probability rows")
-    present = np.unique(yt)
+    check_labels(yt)
+    present = np.flatnonzero(np.bincount(yt, minlength=N_CLASSES))
     if present.size < 2:
         raise SingleClassOnly("need at least two distinct labels for ROC AUC")
     aucs = [binary_auc(arr[:, c], yt == c) for c in present]

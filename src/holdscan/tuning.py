@@ -108,7 +108,9 @@ def shared_threshold_search(
         winner = np.where(arr[:, 1] >= arr[:, 2], 1, 2)
         folds.append((arr[:, 1] + arr[:, 2], winner, y))
 
-    candidates_desc = np.unique(np.concatenate([s for s, _, _ in folds]))[::-1]
+    sums = np.sort(np.concatenate([s for s, _, _ in folds]))
+    # np.unique's values, without the numpy.ma import np.unique makes on numpy 2.x.
+    candidates_desc = sums[np.r_[True, sums[1:] != sums[:-1]]][::-1]
     f1_sum = np.zeros(candidates_desc.size + 1)  # sentinel first
     for s, winner, y in folds:
         order = np.argsort(-s, kind="stable")
@@ -245,7 +247,7 @@ def _fold_model(matrix: FoldMatrix, v: int,
     best = select_best_checkpoint(train_fold(matrix, v, config))
     val_rows = matrix.rows(v)
     scored = matrix.feats.take(np.r_[val_rows, matrix.rows(matrix.test_fold)])
-    probs = _softmax_rows(_gather(scored, best.weights) + best.bias)
+    probs = _softmax_rows(_gather(scored, best.weights.T) + best.bias)
     return (best, *np.split(probs, [len(val_rows)]))
 
 

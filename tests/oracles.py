@@ -30,6 +30,11 @@ versions of the package:
 - `dense_weights`: a compact Checkpoint's weights spread over all
   `hash_dim` buckets, as prediction scored before it used the model's own
   columns; compares compact models with the dense references above.
+- `row_major_gather` and `row_major_scatter`: the logit gather and
+  gradient scatter used before the kernels kept class-major `(3, U)`
+  weights, on row-major `(U, 3)` weights; a bit-exact reference for
+  `classifier._gather` and `classifier._scatter`, and the kernels of
+  `per_step_take_fit` and of the dense scoring references.
 """
 
 from __future__ import annotations
@@ -45,8 +50,6 @@ from holdscan.classifier import (
     FeatureSpec,
     _ce_logit_grad,
     _Csr,
-    _gather,
-    _scatter,
 )
 from holdscan.errors import EmptyFold, EmptyInput, EmptyTrainingSet, UnlabeledExample
 from holdscan.metrics import roc_auc_ovr_macro
@@ -382,18 +385,18 @@ def per_step_take_fit(feats, y, train_rows, val_rows, config, spec):
             step += 1
 
             batch_feats = feats.take(batch)
-            probs = _softmax_rows(scale * _gather(batch_feats, v) + bias)
-            g = _ce_logit_grad(probs, y[batch], config.class_weights)
+            probs = _softmax_rows(scale * row_major_gather(batch_feats, v) + bias)
+            g = _ce_logit_grad(probs, y[batch], np.asarray(config.class_weights, dtype=float))
 
             scale *= 1.0 - lr * config.weight_decay
             if scale < 1e-100:  # refold to keep v representable
                 v *= scale
                 scale = 1.0
-            _scatter(v, batch_feats, g, -lr / scale)
+            row_major_scatter(v, batch_feats, g, -lr / scale)
             bias -= lr * g.sum(axis=0)
 
         weights = scale * v
-        val_probs = _softmax_rows(_gather(val_feats, weights) + bias)
+        val_probs = _softmax_rows(row_major_gather(val_feats, weights) + bias)
         auc = roc_auc_ovr_macro(y_val, val_probs)
         yield Checkpoint(
             epoch=epoch,
@@ -403,6 +406,27 @@ def per_step_take_fit(feats, y, train_rows, val_rows, config, spec):
             validation_auc=auc,
             feature_spec=spec,
         )
+
+
+def row_major_gather(feats: _Csr, weights: np.ndarray) -> np.ndarray:
+    """feats @ weights as an (n, 3) array; each row sums its terms in order."""
+    n = len(feats.indptr) - 1
+    seg = feats.row_ids()
+    terms = np.take(weights, feats.indices, axis=0)
+    terms *= feats.data[:, None]
+    return np.stack([np.bincount(seg, weights=terms[:, c], minlength=n) for c in range(3)], axis=1)
+
+
+def row_major_scatter(out: np.ndarray, feats: _Csr, g: np.ndarray, coef: float) -> None:
+    """out += coef * feats.T @ g, in place, one (row, bucket) term at a time.
+
+    Terms are (coef * count) * g[row], added unbuffered in row order, so a
+    bucket shared by several rows accumulates exactly as a per-row loop of
+    out[idx] += (coef * cnt)[:, None] * g[row] would.
+    """
+    terms = (coef * feats.data)[:, None] * np.take(g, feats.row_ids(), axis=0)
+    for c in range(3):
+        np.add.at(out[:, c], feats.indices, terms[:, c])
 
 
 def dense_weights(model: Checkpoint) -> np.ndarray:

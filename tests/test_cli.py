@@ -698,3 +698,52 @@ def test_import_leaves_the_thread_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True).stdout
     assert out.strip() == "False"
+
+
+_NUMPY_MA_PROBE = """
+import json, sys
+from pathlib import Path
+from unittest import mock
+import numpy
+if "numpy.ma" in sys.modules:
+    print("loaded by import numpy")
+    sys.exit()
+from holdscan import tuning
+from holdscan.cli import run_cli
+
+corpus, out = Path(sys.argv[1]), Path(sys.argv[2])
+transcripts, preds = str(corpus / "transcripts.csv"), str(out / "preds.csv")
+
+def run(argv):
+    try:
+        run_cli(argv)
+    except SystemExit as exc:
+        assert not exc.code, (argv, exc.code)
+
+with mock.patch.object(tuning, "_worker_count", return_value=1):  # fold tasks in this process
+    run(["pipeline", "--transcripts", transcripts, "--folds", "4", "--seed", "3",
+         "--out-dir", str(out / "trained")])
+run(["predict", "--model", str(out / "trained" / "models" / "fold_1.npz"),
+     "--transcripts", transcripts, "--out", preds])
+run(["pipeline", "--transcripts", transcripts, "--external-proba", preds, "--folds", "4",
+     "--seed", "3", "--out-dir", str(out / "external")])
+threshold = json.loads((out / "external" / "shared_threshold.json").read_text())["shared_threshold"]
+run(["audit", "--transcripts", transcripts, "--holds", str(corpus / "holds.csv"), "--proba", preds,
+     "--threshold", repr(threshold), "--out", str(out / "audit.json")])
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_chains_never_import_numpy_ma(corpus_dir, tmp_path):
+    """A trained pipeline with its fold tasks in-process, then predict,
+    pipeline --external-proba and audit, never import numpy.ma, which costs
+    ~20 ms a process; np.unique imports it on numpy 2.x."""
+    src = str(Path(holdscan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, str(corpus_dir), str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    last = out.splitlines()[-1]  # the commands print their reports first
+    if last == "loaded by import numpy":
+        pytest.skip("import numpy alone loads numpy.ma on this numpy")
+    assert last == "False"

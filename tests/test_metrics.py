@@ -152,6 +152,12 @@ class TestOvrMacro:
         with pytest.raises(LengthMismatch):
             roc_auc_ovr_macro([0, 1, 2], [(1 / 3, 1 / 3, 1 / 3)] * 2)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_out_of_range_label(self, bad):
+        # -1 used to score column 2 as a class of its own, and 3 to raise IndexError.
+        with pytest.raises(ValueError, match=r"labels must lie in \[0, 3\)"):
+            roc_auc_ovr_macro([0, 1, bad], [(0.8, 0.1, 0.1), (0.1, 0.8, 0.1), (0.1, 0.1, 0.8)])
+
 
 class TestAsProbArray:
     @pytest.mark.parametrize("arr", [np.full((2, 2), 0.5), np.array([0.2, 0.3, 0.5])],

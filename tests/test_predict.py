@@ -17,7 +17,7 @@ from holdscan.classifier import (
 )
 from holdscan.errors import SpecMismatch
 
-from oracles import dense_weights
+from oracles import dense_weights, row_major_gather
 
 SPEC = FeatureSpec(hash_dim=2 ** 10)
 
@@ -130,7 +130,7 @@ def dense_proba(model, texts):
     """Reference: the whole batch's feature matrix, scored in one gather
     against the model's dense (hash_dim, 3) weights."""
     feats = classifier._featurize_many(texts, model.feature_spec)
-    return classifier._softmax_rows(classifier._gather(feats, dense_weights(model)) + model.bias)
+    return classifier._softmax_rows(row_major_gather(feats, dense_weights(model)) + model.bias)
 
 
 def full_matrix_proba(model, texts):

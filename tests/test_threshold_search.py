@@ -1,7 +1,10 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
-from holdscan.classifier import ProbTriple
+from holdscan.classifier import ProbTriple, load_external_proba
 from holdscan.decision import REJECT_ALL_THRESHOLD
 from holdscan.errors import EmptyFold, LengthMismatch
 from holdscan.tuning import shared_threshold_search
@@ -186,3 +189,30 @@ def test_bit_equal_to_incremental_sweep_on_nine_large_folds():
         probs = [ProbTriple(*random_prob_triple(rng)) for _ in range(1200)]
         folds.append((probs, rng.integers(0, 3, size=1200).tolist()))
     _assert_bit_equal(folds)
+
+
+def _fold_file(tmp_path, name, rows):
+    """(probabilities, labels) of rows read back from a predictions file."""
+    path = tmp_path / name
+    path.write_text("call_id,turn_index,p0,p1,p2\n"
+                    + "".join(f"c,{i},{p0},{p1},{p2}\n" for i, (p0, p1, p2, _) in enumerate(rows)))
+    proba = load_external_proba(path)
+    return [proba[("c", i)] for i in range(len(rows))], [label for *_, label in rows]
+
+
+def test_negative_zero_sum_is_kept_as_np_unique_keeps_it(tmp_path):
+    """A p1 + p2 of -0.0 comes only from a file with p1 = p2 = -0.0. Its
+    candidate stays -0.0 when it is the only zero sum, and where +0.0 sums
+    occur too the zero candidate is whichever comes first, as np.unique's
+    sort keeps it."""
+    neg = _fold_file(tmp_path, "neg.csv", [(1.0, -0.0, -0.0, 1), (0.0, 1.0, 0.0, 1),
+                                           (0.0, 0.0, 1.0, 2)])
+    pos = _fold_file(tmp_path, "pos.csv", [(1.0, 0.0, 0.0, 1), (0.0, 1.0, 0.0, 1),
+                                           (0.0, 0.0, 1.0, 2)])
+    assert neg[0][0].p1 + neg[0][0].p2 == 0.0 and math.copysign(1.0, neg[0][0].p1 + neg[0][0].p2) < 0
+    for folds, sign in (([neg], -1.0), ([neg, pos], -1.0), ([pos, neg], 1.0)):
+        threshold, f1 = shared_threshold_search(folds)
+        assert (threshold, math.copysign(1.0, threshold)) == (0.0, sign)
+        want = incremental_threshold_search(folds)
+        assert (threshold, f1) == want and math.copysign(1.0, want[0]) == sign
+    assert json.dumps(shared_threshold_search([neg])[0]) == "-0.0"

@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holdscan import classifier
 from holdscan.classifier import (
@@ -9,7 +10,10 @@ from holdscan.classifier import (
     FeatureSpec,
     TrainConfig,
     _compact,
+    _Csr,
     _featurize_many,
+    _gather,
+    _scatter,
     fit,
     load_checkpoint,
     predict_proba,
@@ -21,7 +25,13 @@ from holdscan.classifier import (
 from holdscan.corpus import generate_synthetic
 from holdscan.errors import EmptyInput, EmptyTrainingSet, UnlabeledExample
 
-from oracles import dense_weights, per_example_train, per_step_take_fit
+from oracles import (
+    dense_weights,
+    per_example_train,
+    per_step_take_fit,
+    row_major_gather,
+    row_major_scatter,
+)
 
 SPEC = FeatureSpec(hash_dim=2 ** 10)
 
@@ -294,6 +304,19 @@ def test_fit_matches_per_step_take(distinct, batch_size):
         assert g.validation_auc == w.validation_auc
 
 
+def test_checkpoints_hold_and_save_c_order_weights(tmp_path):
+    """fit trains class-major weights but yields them as C-order (U, 3), so
+    a model file stores them in C order, as before the layout changed."""
+    spec = FeatureSpec(hash_dim=2 ** 12)
+    feats, y, train_rows, val_rows = _fit_inputs(False, spec)
+    columns, compact = _compact(feats, spec.hash_dim)
+    for ckpt in fit(compact, columns, y, train_rows, val_rows, TrainConfig(epochs=2, seed=9), spec):
+        assert ckpt.weights.shape == (len(columns), 3) and ckpt.weights.flags.c_contiguous
+        save_checkpoint(tmp_path / "model.npz", ckpt)
+        with np.load(tmp_path / "model.npz") as bundle:
+            assert not bundle["weights"].flags.f_contiguous
+
+
 @pytest.mark.parametrize("texts", ["templated", "distinct", "with_empty", "all_empty"])
 def test_compact_ranks_buckets_as_unique_does(texts):
     """_compact's columns and remapped indices are np.unique's values and
@@ -367,3 +390,42 @@ def test_csr_slice_equals_take(start, stop):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
+
+
+# --- the class-major kernels against the row-major ones ------------------------
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310]  # signed zeros and subnormals
+_VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def _kernel_case(draw):
+    """Weights over U buckets, CSR rows over them (empty rows, and buckets
+    repeated within and across rows), a logit gradient and a step coefficient."""
+    u = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.lists(st.tuples(st.integers(0, u - 1), st.integers(1, 4)), max_size=9),
+                         max_size=7))
+    indptr = np.cumsum([0, *map(len, rows)])
+    entries = [e for row in rows for e in row]
+    feats = _Csr(indptr, np.array([b for b, _ in entries], np.int64),
+                 np.array([c for _, c in entries], np.float64))
+    weights = np.array(draw(st.lists(_VALUES, min_size=3 * u, max_size=3 * u))).reshape(u, 3)
+    g = np.array(draw(st.lists(_VALUES, min_size=3 * len(rows), max_size=3 * len(rows))))
+    # 1.0 as in weighted_ce_loss_and_grad, a plain step's -lr / scale, and one
+    # just before a refold (scale near 1e-100).
+    coef = draw(st.sampled_from([1.0, -0.1, -0.05 / 0.99, -0.5 / 1.3e-100]))
+    return feats, weights, g.reshape(len(rows), 3), coef
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_case())
+def test_class_major_kernels_match_row_major_bit_for_bit(case):
+    feats, weights, g, coef = case
+    weights_t = np.ascontiguousarray(weights.T)
+    want = row_major_gather(feats, weights)
+    seg = feats.row_ids()
+    for got in (_gather(feats, weights_t), _gather(feats, weights_t, seg)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    row_major_scatter(weights, feats, g, coef)
+    _scatter(weights_t, feats, seg, g, coef)
+    assert np.ascontiguousarray(weights_t.T).tobytes() == weights.tobytes()
