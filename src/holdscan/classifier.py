@@ -50,6 +50,7 @@ a time.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -127,12 +128,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if len(self.class_weights) != 3 or any(w <= 0 for w in self.class_weights):
-            raise ValueError(f"class_weights must be 3 positive reals, got {self.class_weights}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if len(self.class_weights) != 3 or not all(0 < w < math.inf for w in self.class_weights):
+            raise ValueError(f"class_weights must be 3 positive finite reals, got {self.class_weights}")
         if self.learning_rate * self.weight_decay >= 1.0:
             raise ValueError("learning_rate * weight_decay must stay below 1")
 
@@ -653,7 +654,8 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     Raises ValueError naming the file for anything else: an empty, truncated
     or non-npz file, another format version, missing or mistyped arrays,
     columns that are not strictly ascending buckets in [0, hash_dim), one
-    per weight row, or a meta record of the wrong shape, keys or value types.
+    per weight row, weights or bias that are not finite, or a meta record
+    of the wrong shape, keys or value types.
     """
     try:
         # np.load leaves a path it opened unclosed when the npz turns out bad.
@@ -675,6 +677,8 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
         columns, weights, bias = (arrays[name] for name in ("columns", "weights", "bias"))
         if weights.dtype.kind != "f" or bias.dtype.kind != "f":
             raise ValueError(f"weights ({weights.dtype}) and bias ({bias.dtype}) must be floats")
+        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+            raise ValueError("weights and bias must be finite")
         missing = {"epoch", "validation_auc", "feature_spec"} - set(meta)
         if missing:
             raise ValueError(f"meta lacks {', '.join(sorted(missing))}")
@@ -720,7 +724,7 @@ def load_external_proba(path: PathLike) -> dict[tuple[str, int], ProbTriple]:
         if key in result:
             raise DuplicateKey(*key)
         if any(not (x >= 0.0) for x in p):
-            raise ProbabilityInvariantViolation(f"line {line_no}: negative probability")
+            raise ProbabilityInvariantViolation(f"line {line_no}: negative or NaN probability")
         total = sum(p)
         if abs(total - 1.0) > PROB_FILE_TOL:
             raise ProbabilityInvariantViolation(

@@ -223,7 +223,8 @@ class TestSplitTrainPredict:
                                         "negative_column", "column_at_hash_dim",
                                         "float_columns", "two_dim_columns",
                                         "columns_longer_than_weights", "no_columns",
-                                        "format_version_1", "hash_dim_above_2_24"])
+                                        "format_version_1", "hash_dim_above_2_24",
+                                        "nan_weight", "inf_bias"])
     def test_malformed_model_file_exits_two(self, corpus_dir, tmp_path, damage, capsys):
         spec = FeatureSpec(hash_dim=4096)
         model = tmp_path / "model.npz"
@@ -245,6 +246,10 @@ class TestSplitTrainPredict:
             arrays["bias"] = np.zeros(2)
         elif damage == "string_weights":
             arrays["weights"] = np.full((4, 3), "x")
+        elif damage == "nan_weight":
+            arrays["weights"][2, 1] = np.nan
+        elif damage == "inf_bias":
+            arrays["bias"][0] = -np.inf
         elif damage in ("no_meta", "no_columns"):
             del arrays[damage.removeprefix("no_")]
         else:
@@ -508,6 +513,23 @@ class TestPipeline:
         assert code == 2
         assert capsys.readouterr().err == ("error: hash_dim must be a power of two from 1024 to "
                                            f"16777216 (2**24), got {hash_dim}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, flags", [
+        ("weight_decay", ["--config", "nan.cfg"]),
+        ("class_weights", ["--class-weights", "nan,1,1"]),
+        ("learning_rate", ["--learning-rate", "inf", "--weight-decay", "0"]),
+    ], ids=["weight_decay_nan_in_config", "class_weight_nan", "learning_rate_inf"])
+    def test_non_finite_train_value_exits_two(self, tmp_path, capsys, monkeypatch, field, flags):
+        """A value that is not finite is refused before training, naming its
+        field, and no --out-dir is made."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan.cfg").write_text("weight_decay = nan\n")
+        out = tmp_path / "run"
+        assert run(["pipeline", "--synthetic-calls", "40", "--seed", "3", "--folds", "3",
+                    "--hash-dim", "2048", "--epochs", "1", *flags, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["hash_dim", "folds", "external_proba"])

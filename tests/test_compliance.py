@@ -62,6 +62,20 @@ def test_closing_window_is_after_hold_end():
     assert report.verdicts[0].closing_turn_index == 0
 
 
+# Hold [100s, 160s]: an opening must end in [85s, 102s], a closing start in [158s, 175s].
+@pytest.mark.parametrize("label, start, end, ok", [
+    (1, 84_000, 85_000, True), (1, 83_000, 84_999, False),
+    (1, 100_000, 102_000, True), (1, 100_000, 102_001, False),
+    (2, 158_000, 159_000, True), (2, 157_999, 159_000, False),
+    (2, 175_000, 176_000, True), (2, 175_001, 176_000, False),
+], ids=["pre_window", "before_pre_window", "grace", "after_grace",
+        "closing_grace", "before_closing_grace", "post_window", "after_post_window"])
+def test_window_edges_are_inclusive(label, start, end, ok):
+    call = call_with([(start, end, label)], [(100_000, 160_000)])
+    verdict = audit_call(call, labels_of(call), DEFAULT).verdicts[0]
+    assert (verdict.opening_ok, verdict.closing_ok) == (ok and label == 1, ok and label == 2)
+
+
 def test_greedy_matches_interleaved_holds_in_time_order():
     # hold A [100s, 103s] pre-window [85s, 102s]; hold B [110s, 140s]
     # pre-window [95s, 112s]. Turn 0 (ends 90s) fits only A; turn 1

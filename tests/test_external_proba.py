@@ -41,6 +41,12 @@ def test_rejects_negative(tmp_path):
         load_external_proba(path)
 
 
+def test_rejects_nan(tmp_path):
+    path = write_file(tmp_path, "c1,0,0.5,0.5,0.0\nc1,1,nan,0.5,0.5\n")
+    with pytest.raises(ProbabilityInvariantViolation, match="^line 3: negative or NaN probability$"):
+        load_external_proba(path)
+
+
 def test_duplicate_key(tmp_path):
     path = write_file(tmp_path, "c1,0,0.8,0.1,0.1\nc1,0,0.7,0.2,0.1\n")
     with pytest.raises(DuplicateKey):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from holdscan import classifier
 from holdscan.classifier import FeatureSpec, _featurize_many
 
-from oracles import per_text_featurize, per_text_featurize_many, unique_rank_featurize_block
+from oracles import per_text_featurize, per_text_featurize_many
 
 CHAR_ONLY = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=2, char_ngram_max=2, word_unigrams=False)
 
@@ -115,20 +115,12 @@ def assert_same_csr(got, want):
         assert np.array_equal(a, b)
 
 
-def unique_rank_featurize_many(texts, spec):
-    """_featurize_many with each block built by the np.unique-ranking oracle."""
-    with mock.patch.object(classifier, "_featurize_block", unique_rank_featurize_block):
-        return _featurize_many(texts, spec)
-
-
 @settings(max_examples=400, deadline=None)
 @given(TEXTS, SPECS, st.sampled_from([1, 3, classifier._BLOCK]))
 def test_matches_per_text_featurizer(texts, spec, block):
     with mock.patch.object(classifier, "_BLOCK", block):
         got = _featurize_many(texts, spec)
-        want = unique_rank_featurize_many(texts, spec)
     assert_same_csr(got, per_text_featurize_many(texts, spec))
-    assert_same_csr(got, want)
     for text in texts:
         assert row_counts(text, spec) == per_text_featurize(text, spec)
 
@@ -148,7 +140,6 @@ def test_matches_per_text_featurizer_on_corpus_turns(small_synthetic):
     for spec in (FeatureSpec(), FeatureSpec(hash_dim=2 ** 10, char_ngram_min=1, char_ngram_max=6)):
         got = _featurize_many(texts, spec)
         assert_same_csr(got, per_text_featurize_many(texts, spec))
-        assert_same_csr(got, unique_rank_featurize_many(texts, spec))
 
 
 def test_lone_surrogate_fails_only_inside_a_gram():

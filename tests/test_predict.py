@@ -17,7 +17,7 @@ from holdscan.classifier import (
 )
 from holdscan.errors import SpecMismatch
 
-from oracles import dense_weights, row_major_gather
+from oracles import per_text_proba
 
 SPEC = FeatureSpec(hash_dim=2 ** 10)
 
@@ -126,15 +126,8 @@ def with_repeats(n_distinct):
     return texts
 
 
-def dense_proba(model, texts):
-    """Reference: the whole batch's feature matrix, scored in one gather
-    against the model's dense (hash_dim, 3) weights."""
-    feats = classifier._featurize_many(texts, model.feature_spec)
-    return classifier._softmax_rows(row_major_gather(feats, dense_weights(model)) + model.bias)
-
-
-def full_matrix_proba(model, texts):
-    return [ProbTriple(float(p[0]), float(p[1]), float(p[2])) for p in dense_proba(model, texts)]
+def per_text_triples(model, texts):
+    return [ProbTriple(float(p[0]), float(p[1]), float(p[2])) for p in per_text_proba(model, texts)]
 
 
 @pytest.mark.parametrize("block", [1, 3, 2048])
@@ -144,7 +137,7 @@ def test_blocked_scoring_matches_the_full_matrix(block, batch):
              "all_identical": lambda: ["alpha 1 bravo 1"] * (2 * block + 5),
              "empty": list}[batch]()
     model = random_model()
-    want = full_matrix_proba(model, texts)
+    want = per_text_triples(model, texts)
     with mock.patch.object(classifier, "_BLOCK", block):
         assert predict_proba(model, texts, SPEC) == want
     assert len(want) == len(texts)
@@ -199,10 +192,10 @@ BATCHES = {
 @pytest.mark.parametrize("kind", ["trained", "special", "no_columns"])
 @pytest.mark.parametrize("batch", BATCHES)
 def test_compact_scoring_matches_dense_weights(batch, kind, block):
-    """predict_proba equals dense-weight scoring of the whole batch bit for bit."""
+    """predict_proba equals per-text scoring of the dense weights bit for bit."""
     model = compact_model(kind)
     texts = BATCHES[batch]()
-    want = dense_proba(model, texts)
+    want = per_text_proba(model, texts)
     with mock.patch.object(classifier, "_BLOCK", block):
         got = np.array(predict_proba(model, texts, WIDE)).reshape(-1, 3)
     assert got.shape == want.shape == (len(texts), 3)

@@ -2,7 +2,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from holdscan import classifier
 from holdscan.classifier import (
@@ -10,10 +9,7 @@ from holdscan.classifier import (
     FeatureSpec,
     TrainConfig,
     _compact,
-    _Csr,
     _featurize_many,
-    _gather,
-    _scatter,
     fit,
     load_checkpoint,
     predict_proba,
@@ -25,13 +21,7 @@ from holdscan.classifier import (
 from holdscan.corpus import generate_synthetic
 from holdscan.errors import EmptyInput, EmptyTrainingSet, UnlabeledExample
 
-from oracles import (
-    dense_weights,
-    per_example_train,
-    per_step_take_fit,
-    row_major_gather,
-    row_major_scatter,
-)
+from oracles import dense_weights, per_example_train, per_text_proba
 
 SPEC = FeatureSpec(hash_dim=2 ** 10)
 
@@ -207,9 +197,16 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=200.0, weight_decay=0.01)
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match="^weight_decay must be >= 0 and finite, got nan$"):
+        TrainConfig(weight_decay=nan)
+    with pytest.raises(ValueError, match=r"^class_weights must be 3 positive finite reals, got \(nan, "):
+        TrainConfig(class_weights=(nan, 1.0, 1.0))
+    with pytest.raises(ValueError, match="^learning_rate must be positive and finite, got inf$"):
+        TrainConfig(learning_rate=inf, weight_decay=0.0)
 
 
-# --- differential test against the retired per-example trainer -------------
+# --- differential test against the per-example trainer -------------------------
 
 
 def _synthetic_examples(distinct: bool) -> list[tuple[str, int]]:
@@ -220,41 +217,50 @@ def _synthetic_examples(distinct: bool) -> list[tuple[str, int]]:
     ]
 
 
+def _assert_same_checkpoints(got, want):
+    """Weights, bias and validation AUC equal at every epoch, bit for bit. The
+    per-example weights are dense, so every bucket outside a model's columns
+    must read +0.0."""
+    assert [c.epoch for c in got] == [c.epoch for c in want]
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(g.weights))
+        assert dense_weights(g).tobytes() == w.weights.tobytes()
+        assert g.bias.tobytes() == w.bias.tobytes()
+        assert g.validation_auc == w.validation_auc
+    assert select_best_checkpoint(got).epoch == select_best_checkpoint(want).epoch
+
+
+_REFOLD = TrainConfig(batch_size=2, learning_rate=0.5, weight_decay=1.98, seed=2)
+
+
+def _refold_config(n_train: int) -> TrainConfig:
+    # Each early step multiplies scale by ~0.01. Over all steps the decay
+    # reaches 1e-400, below the smallest float, so v must be refolded.
+    steps = -(-n_train // _REFOLD.batch_size) * _REFOLD.epochs
+    lrs = _REFOLD.learning_rate * (1.0 - np.arange(steps) / steps)
+    assert np.log10(1.0 - lrs * _REFOLD.weight_decay).sum() < -400
+    return _REFOLD
+
+
 @pytest.mark.parametrize("case", ["templated", "distinct", "refold"])
 def test_matches_per_example_trainer(case):
     examples = _synthetic_examples(distinct=case == "distinct")
     train_set, validation = examples[:-150], examples[-150:]
     spec = FeatureSpec(hash_dim=2 ** 12)
     if case == "refold":
-        # Each early step multiplies scale by ~0.01. Over all steps the decay
-        # reaches 1e-400, below the smallest float, so v must be refolded.
-        config = TrainConfig(batch_size=2, learning_rate=0.5, weight_decay=1.98, seed=2)
-        steps = -(-len(train_set) // config.batch_size) * config.epochs
-        lrs = config.learning_rate * (1.0 - np.arange(steps) / steps)
-        assert np.log10(1.0 - lrs * config.weight_decay).sum() < -400
+        config = _refold_config(len(train_set))
     else:
         config = TrainConfig(class_weights=(0.5, 2.0, 3.0), seed=9)
-
-    got = train(train_set, config, spec, validation)
     want = per_example_train(train_set, config, spec, validation)
-    assert len(got) == len(want) == config.epochs
-    for g, w in zip(got, want):
-        assert np.all(np.isfinite(g.weights))
-        assert np.max(np.abs(dense_weights(g) - w.weights)) <= 1e-12
-        assert np.max(np.abs(g.bias - w.bias)) <= 1e-12
-        assert g.validation_auc == w.validation_auc
-    assert select_best_checkpoint(got).epoch == select_best_checkpoint(want).epoch
+    assert [c.epoch for c in want] == list(range(1, config.epochs + 1))
+    _assert_same_checkpoints(train(train_set, config, spec, validation), want)
 
 
-# --- differential tests against the dense per-step row-take trainer -----------
-
-
-def _fit_inputs(distinct: bool, spec: FeatureSpec):
-    """A feature matrix of synthetic turns, 405 shuffled train rows and 53 validation rows.
+def _fit_inputs(examples, spec: FeatureSpec):
+    """The examples' feature matrix and labels, 405 shuffled train rows and 53 validation rows.
 
     The corpus has five scripted turns; each side gets some of them.
     """
-    examples = _synthetic_examples(distinct)
     feats = _featurize_many([t for t, _ in examples], spec)
     y = np.array([label for _, label in examples])
     scripted, plain = np.flatnonzero(y > 0), np.flatnonzero(y == 0)
@@ -262,53 +268,35 @@ def _fit_inputs(distinct: bool, spec: FeatureSpec):
     return feats, y, train_rows, np.concatenate([scripted[::2], plain[400:450]])
 
 
-def _copy(feats):
-    """feats with its own indices, which _compact remaps in place."""
-    return feats._replace(indices=feats.indices.copy())
-
-
-_REFOLD = TrainConfig(batch_size=2, learning_rate=0.5, weight_decay=1.98, seed=2)
-
-
 @pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
 @pytest.mark.parametrize("batch_size", [1, 3, 16, 50, "n-1", "n", "n+5", "refold"])
 def test_fit_matches_per_step_take(distinct, batch_size):
-    """fit's compact weights are the dense trainer's on their columns, bit
-    for bit, and every other bucket's dense weights are +0.0."""
+    """fit on chosen rows of a feature matrix, and train on the same examples
+    listed in train_rows order, equal the per-example trainer fed the rows
+    that each step takes, bit for bit, at every batch size."""
     spec = FeatureSpec(hash_dim=2 ** 12)
-    feats, y, train_rows, val_rows = _fit_inputs(distinct, spec)
-    columns, compact = _compact(_copy(feats), spec.hash_dim)
+    examples = _synthetic_examples(distinct)
+    feats, y, train_rows, val_rows = _fit_inputs(examples, spec)
+    columns, compact = _compact(feats, spec.hash_dim)
     n = len(train_rows)
     if batch_size == "refold":
-        # As in test_matches_per_example_trainer: the decay reaches below the
-        # smallest float, so v is refolded mid-run.
-        config = _REFOLD
-        steps = -(-n // config.batch_size) * config.epochs
-        lrs = config.learning_rate * (1.0 - np.arange(steps) / steps)
-        assert np.log10(1.0 - lrs * config.weight_decay).sum() < -400
+        config = _refold_config(n)
     else:
         size = {"n-1": n - 1, "n": n, "n+5": n + 5}.get(batch_size, batch_size)
         config = TrainConfig(batch_size=size, class_weights=(0.5, 2.0, 3.0), seed=9)
 
-    got = list(fit(compact, columns, y, train_rows, val_rows, config, spec))
-    want = list(per_step_take_fit(feats, y, train_rows, val_rows, config, spec))
-    assert [c.epoch for c in got] == [c.epoch for c in want] == list(range(1, config.epochs + 1))
-    unused = np.setdiff1d(np.arange(spec.hash_dim), columns)
-    for g, w in zip(got, want):
-        assert g.columns is columns
-        assert np.all(np.isfinite(g.weights))
-        assert g.weights.tobytes() == w.weights[columns].tobytes()
-        assert w.weights[unused].tobytes() == bytes(len(unused) * 3 * 8)
-        assert dense_weights(g).tobytes() == w.weights.tobytes()
-        assert g.bias.tobytes() == w.bias.tobytes()
-        assert g.validation_auc == w.validation_auc
+    train_set, validation = [examples[r] for r in train_rows], [examples[r] for r in val_rows]
+    want = per_example_train(train_set, config, spec, validation)
+    assert [c.epoch for c in want] == list(range(1, config.epochs + 1))
+    _assert_same_checkpoints(list(fit(compact, columns, y, train_rows, val_rows, config, spec)), want)
+    _assert_same_checkpoints(train(train_set, config, spec, validation), want)
 
 
 def test_checkpoints_hold_and_save_c_order_weights(tmp_path):
     """fit trains class-major weights but yields them as C-order (U, 3), so
     a model file stores them in C order, as before the layout changed."""
     spec = FeatureSpec(hash_dim=2 ** 12)
-    feats, y, train_rows, val_rows = _fit_inputs(False, spec)
+    feats, y, train_rows, val_rows = _fit_inputs(_synthetic_examples(False), spec)
     columns, compact = _compact(feats, spec.hash_dim)
     for ckpt in fit(compact, columns, y, train_rows, val_rows, TrainConfig(epochs=2, seed=9), spec):
         assert ckpt.weights.shape == (len(columns), 3) and ckpt.weights.flags.c_contiguous
@@ -338,27 +326,23 @@ def test_compact_ranks_buckets_as_unique_does(texts):
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
 def test_saved_model_predicts_as_the_dense_model(distinct, tmp_path):
-    """save -> load -> predict_proba of a compact model gives the dense
-    model's probabilities bit for bit, with rows of -0.0 and subnormals too."""
+    """save -> load -> predict_proba of a compact model gives per-text scoring
+    of its dense weights bit for bit, with rows of -0.0 and subnormals too."""
     spec = FeatureSpec(hash_dim=2 ** 12)
-    feats, y, train_rows, val_rows = _fit_inputs(distinct, spec)
-    columns, compact = _compact(_copy(feats), spec.hash_dim)
-    config = TrainConfig(epochs=2, seed=9)
-    got = list(fit(compact, columns, y, train_rows, val_rows, config, spec))[-1]
-    dense = list(per_step_take_fit(feats, y, train_rows, val_rows, config, spec))[-1]
-    special = np.array([-0.0, 5e-324, -2.5e-310])  # a negative zero and two subnormals
-    got.weights[::7] = special
-    dense.weights[columns[::7]] = special
+    examples = _synthetic_examples(distinct)
+    feats, y, train_rows, val_rows = _fit_inputs(examples, spec)
+    columns, compact = _compact(feats, spec.hash_dim)
+    got = list(fit(compact, columns, y, train_rows, val_rows, TrainConfig(epochs=2, seed=9), spec))[-1]
+    got.weights[::7] = [-0.0, 5e-324, -2.5e-310]  # a negative zero and two subnormals
     path = tmp_path / "model.npz"
     save_checkpoint(path, got)
     loaded = load_checkpoint(path)
     for name in ("columns", "weights", "bias"):
         a, b = getattr(loaded, name), getattr(got, name)
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-    assert dense_weights(loaded).tobytes() == dense.weights.tobytes()
-    texts = [t for t, _ in _synthetic_examples(distinct)] + ["words no model has seen", ""]
+    texts = [t for t, _ in examples] + ["words no model has seen", ""]
     assert np.array(predict_proba(loaded, texts, spec)).tobytes() == \
-        np.array(predict_proba(dense, texts, spec)).tobytes()
+        per_text_proba(loaded, texts).tobytes()
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 128, 300])
@@ -390,42 +374,3 @@ def test_csr_slice_equals_take(start, stop):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype
         assert np.array_equal(g, w)
-
-
-# --- the class-major kernels against the row-major ones ------------------------
-
-_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310]  # signed zeros and subnormals
-_VALUES = st.one_of(st.sampled_from(_SPECIAL), st.floats(-1e3, 1e3))
-
-
-@st.composite
-def _kernel_case(draw):
-    """Weights over U buckets, CSR rows over them (empty rows, and buckets
-    repeated within and across rows), a logit gradient and a step coefficient."""
-    u = draw(st.integers(1, 12))
-    rows = draw(st.lists(st.lists(st.tuples(st.integers(0, u - 1), st.integers(1, 4)), max_size=9),
-                         max_size=7))
-    indptr = np.cumsum([0, *map(len, rows)])
-    entries = [e for row in rows for e in row]
-    feats = _Csr(indptr, np.array([b for b, _ in entries], np.int64),
-                 np.array([c for _, c in entries], np.float64))
-    weights = np.array(draw(st.lists(_VALUES, min_size=3 * u, max_size=3 * u))).reshape(u, 3)
-    g = np.array(draw(st.lists(_VALUES, min_size=3 * len(rows), max_size=3 * len(rows))))
-    # 1.0 as in weighted_ce_loss_and_grad, a plain step's -lr / scale, and one
-    # just before a refold (scale near 1e-100).
-    coef = draw(st.sampled_from([1.0, -0.1, -0.05 / 0.99, -0.5 / 1.3e-100]))
-    return feats, weights, g.reshape(len(rows), 3), coef
-
-
-@settings(max_examples=300, deadline=None)
-@given(_kernel_case())
-def test_class_major_kernels_match_row_major_bit_for_bit(case):
-    feats, weights, g, coef = case
-    weights_t = np.ascontiguousarray(weights.T)
-    want = row_major_gather(feats, weights)
-    seg = feats.row_ids()
-    for got in (_gather(feats, weights_t), _gather(feats, weights_t, seg)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    row_major_scatter(weights, feats, g, coef)
-    _scatter(weights_t, feats, seg, g, coef)
-    assert np.ascontiguousarray(weights_t.T).tobytes() == weights.tobytes()
