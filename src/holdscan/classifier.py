@@ -4,11 +4,12 @@ The scorer contract is deliberately narrow: a trained Checkpoint maps turn
 texts to probability triples over {irrelevant, opening, closing}. Scores
 produced elsewhere (e.g. by a fine-tuned transformer) enter through
 load_external_proba and flow through the identical downstream machinery.
-predict_proba and load_external_proba return ProbTriples, plain named
-tuples that check nothing; consumers take the (n, 3) float64 array that
-metrics.as_prob_array builds and checks.
-The predictions CSV is read and written by holdscan.corpus.io's read_csv
-and write_csv, as transcripts and holds are: blank lines and lines
+predict_proba returns ProbTriples, plain named tuples that check nothing;
+consumers take the (n, 3) float64 array that metrics.as_prob_array builds
+and checks. A predictions file is keys plus one such array both ways:
+load_external_proba returns a KeyedProba and write_proba takes keys and
+an array. The file is read by holdscan.corpus.io's rules, as transcripts
+and holds are, and written by its write_csv: blank lines and lines
 starting with '#' are skipped, columns beyond the five read are ignored,
 and a row without a cell for each of them is a MalformedRow.
 
@@ -54,16 +55,20 @@ import math
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from collections.abc import Mapping
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
-from .corpus.io import read_csv, strict, write_csv
+from .corpus.io import read_columns, read_csv, strict, write_csv
+from .corpus.model import TurnKey
 from .errors import (
     DuplicateKey,
     EmptyInput,
     EmptyTrainingSet,
+    LengthMismatch,
     MalformedRow,
     ProbabilityInvariantViolation,
     SpecMismatch,
@@ -706,23 +711,87 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
 # --- externally computed probabilities -------------------------------------
 
 
-def load_external_proba(path: PathLike) -> dict[tuple[str, int], ProbTriple]:
-    """Read a predictions CSV (call_id,turn_index,p0,p1,p2) into a key map.
+class KeyedProba(Mapping):
+    """Predictions as turn keys plus one read-only (n, 3) float64 array.
+
+    probs[i] is the row of turn_keys[i], and row_of maps a key to its row.
+    proba[key] is that row as a ProbTriple.
+    """
+
+    def __init__(self, keys: list[TurnKey], probs: np.ndarray, row_of: dict[TurnKey, int]):
+        self.turn_keys, self.probs, self.row_of = keys, probs, row_of
+        probs.flags.writeable = False
+
+    def __getitem__(self, key: TurnKey) -> ProbTriple:
+        return ProbTriple._make(self.probs[self.row_of[key]].tolist())
+
+    def __contains__(self, key: object) -> bool:
+        return key in self.row_of
+
+    def __iter__(self) -> Iterator[TurnKey]:
+        return iter(self.turn_keys)
+
+    def __len__(self) -> int:
+        return len(self.turn_keys)
+
+    def rows(self, keys: Iterable[TurnKey]) -> np.ndarray:
+        """The probabilities of keys, in order; KeyError names the first key without a row."""
+        return self.probs[list(map(self.row_of.__getitem__, keys))]
+
+
+def load_external_proba(path: PathLike) -> KeyedProba:
+    """Read a predictions CSV (call_id,turn_index,p0,p1,p2) into a KeyedProba.
 
     Rows whose probabilities sum to 1 within 1e-6 are renormalized; rows
     further off are rejected with ProbabilityInvariantViolation. The file
-    is read by read_csv, so blank lines, lines starting with '#', a leading
-    UTF-8 byte-order mark and extra columns are ignored.
+    is read by read_csv's rules, so blank lines, lines starting with '#', a
+    leading UTF-8 byte-order mark and extra columns are ignored.
+
+    The columns are converted and checked in array passes; only a file
+    that fails them is read again row by row, to raise its first error
+    with its line number.
     """
-    result: dict[tuple[str, int], ProbTriple] = {}
+    columns = read_columns(path, PROBA_COLUMNS)
+    proba = None if columns is None else _keyed_proba(*columns)
+    if proba is None:
+        _raise_first_proba_error(path)
+    return proba
+
+
+def _keyed_proba(call_ids, turn_indexes, *cells: Sequence[str]) -> Optional[KeyedProba]:
+    """The predictions of a file's columns, or None when a cell does not
+    convert, a key repeats, or a row breaks a probability rule."""
+    n = len(call_ids)
+    try:
+        keys = list(zip(call_ids, map(int, turn_indexes)))
+        probs = np.empty((n, 3))
+        for c, column in enumerate(cells):
+            probs[:, c] = np.fromiter(map(float, column), np.float64, n)
+    except ValueError:
+        return None
+    row_of = dict(zip(keys, range(n)))
+    # The row sums in the order sum() adds a row's three floats.
+    total = (probs[:, 0] + probs[:, 1]) + probs[:, 2]
+    off = np.abs(total - 1.0)
+    if len(row_of) < n or not (probs >= 0.0).all() or (off > PROB_FILE_TOL).any():
+        return None
+    fix = off > PROB_SUM_TOL
+    probs[fix] /= total[fix, None]
+    return KeyedProba(keys, probs, row_of)
+
+
+def _raise_first_proba_error(path: PathLike) -> NoReturn:
+    """Read a predictions CSV row by row and raise its first error."""
+    seen: set[tuple[str, int]] = set()
     for line_no, (call_id, turn_index, p0, p1, p2) in strict(read_csv(path, PROBA_COLUMNS)):
         try:
             key = (call_id, int(turn_index))
             p = [float(p0), float(p1), float(p2)]
         except ValueError as exc:
             raise MalformedRow(line_no, f"bad numeric field ({exc})") from None
-        if key in result:
+        if key in seen:
             raise DuplicateKey(*key)
+        seen.add(key)
         if any(not (x >= 0.0) for x in p):
             raise ProbabilityInvariantViolation(f"line {line_no}: negative or NaN probability")
         total = sum(p)
@@ -730,17 +799,19 @@ def load_external_proba(path: PathLike) -> dict[tuple[str, int], ProbTriple]:
             raise ProbabilityInvariantViolation(
                 f"line {line_no}: probabilities sum to {total!r}"
             )
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            p = [x / total for x in p]
-        result[key] = ProbTriple._make(p)
-    return result
+    raise AssertionError(f"{path}: the column checks failed on a file without a bad row")
 
 
 def write_proba(
     path: PathLike,
-    rows: Iterable[tuple[str, int, ProbTriple]],
+    keys: Sequence[TurnKey],
+    probs: np.ndarray,
     header_comment: str | None = None,
 ) -> None:
-    rows = ([call_id, turn_index, repr(p.p0), repr(p.p1), repr(p.p2)]
-            for call_id, turn_index, p in rows)
+    """Write keys[i] with row i of the (n, 3) probabilities, each as its float repr."""
+    probs = np.asarray(probs, np.float64).reshape(-1, 3)
+    if len(keys) != len(probs):
+        raise LengthMismatch(f"{len(keys)} keys but {len(probs)} probability rows")
+    cells = (map(repr, column) for column in probs.T.tolist())
+    rows = zip(map(itemgetter(0), keys), map(itemgetter(1), keys), *cells)
     write_csv(path, PROBA_COLUMNS, rows, header_comment)

@@ -19,13 +19,14 @@ import sys
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
+from typing import Iterable
 
 import click
 import numpy as np
 
 from . import __version__
 from .classifier import (
-    ProbTriple,
+    KeyedProba,
     load_checkpoint,
     load_external_proba,
     predict_proba,
@@ -56,7 +57,7 @@ from .corpus.io import write_csv
 from .corpus.synthetic import DEFAULT_PROFILE
 from .decision import DecisionRule, decide_batch
 from .errors import DataValidationError, HoldscanError, MissingPredictions
-from .metrics import MetricBundle, as_prob_array
+from .metrics import MetricBundle
 from .tuning import (
     DEFAULT_CLASS_WEIGHT_GRID,
     DEFAULT_LEARNING_RATE_GRID,
@@ -127,20 +128,21 @@ def _plan_for(cfg: RunConfig, corpus: Corpus, fold_plan_path: str | None = None)
     return stratified_split(corpus, cfg.folds, _require_seed(cfg), cfg.split_mode, cfg.test_fold)
 
 
-def _lookup(proba: dict[TurnKey, ProbTriple], keys: list[TurnKey]) -> np.ndarray:
+def _lookup(proba: KeyedProba, keys: Iterable[TurnKey]) -> np.ndarray:
     """The (n, 3) probabilities of keys, in order; MissingPredictions names the first gap."""
     try:
-        return as_prob_array([proba[key] for key in keys])
+        return proba.rows(keys)
     except KeyError as exc:
         raise MissingPredictions(exc.args[0][0]) from None
 
 
 def _proba_by_fold(
-    corpus: Corpus, plan: FoldPlan, proba: dict[TurnKey, ProbTriple]
-) -> list[tuple[np.ndarray, list[int]]]:
+    corpus: Corpus, plan: FoldPlan, proba: KeyedProba
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    keys, labels = corpus.table.keys, corpus.table.label
     return [
-        (_lookup(proba, keys), [corpus.turn(key).label for key in keys])
-        for keys in plan.keys_by_fold()
+        (_lookup(proba, map(keys.__getitem__, rows.tolist())), labels[rows])
+        for rows in plan.fold_rows(corpus)
     ]
 
 
@@ -200,7 +202,7 @@ def validate(transcripts):
         sys.exit(2)
     counts = corpus.label_counts()
     unlabeled = corpus.n_turns() - sum(counts.values())
-    click.echo(f"calls: {len(corpus.calls)}")
+    click.echo(f"calls: {len(corpus.table.call_ids)}")
     click.echo(f"turns: {corpus.n_turns()}")
     click.echo(
         "rows per class: irrelevant={0} opening={1} closing={2} unlabeled={3}".format(
@@ -316,14 +318,10 @@ def predict(config_file, model_file, transcripts, out_file):
     cfg = _merged(config_file)
     corpus = ingest_transcripts(transcripts)
     model = load_checkpoint(model_file)
-    turns = list(corpus.iter_turns())
-    probs = predict_proba(model, [t.text for t in turns], model.feature_spec)
-    write_proba(
-        out_file,
-        [(t.call_id, t.turn_index, p) for t, p in zip(turns, probs)],
-        header_comment=_stamp(cfg),
-    )
-    click.echo(f"wrote {len(turns)} predictions to {out_file}")
+    table = corpus.table
+    probs = np.array(predict_proba(model, table.text, model.feature_spec))
+    write_proba(out_file, table.keys, probs, header_comment=_stamp(cfg))
+    click.echo(f"wrote {len(table)} predictions to {out_file}")
 
 
 @cli.command(name="tune-threshold")
@@ -369,7 +367,7 @@ def evaluate(config_file, transcripts, proba_file, threshold, fold_plan_file, fo
         keys = plan.keys_by_fold()[fold]
     else:
         keys = corpus.labeled_keys()
-    labels = [corpus.turn(key).label for key in keys]
+    labels = corpus.table.label[corpus.table.rows_of(keys)]
     bundle = score_at(_lookup(proba, keys), labels, threshold)
     for name, value in bundle.as_dict().items():
         click.echo(f"{name}: {value:.6f}")
@@ -443,7 +441,7 @@ def audit(config_file, transcripts, holds_file, proba_file, gold, out_file, **fl
     else:
         if not proba_file or cfg.threshold is None:
             raise click.UsageError("need --proba and --threshold, or --gold")
-        keys = [t.key for t in corpus.iter_turns()]
+        keys = corpus.table.keys
         probs = _lookup(load_external_proba(proba_file), keys)
         predictions = dict(zip(keys, decide_batch(probs, DecisionRule(cfg.threshold))))
 

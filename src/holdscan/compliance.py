@@ -15,8 +15,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .corpus.model import Call, Corpus, HoldInterval, TurnKey
-from .errors import LabelCountMismatch, MissingPredictions
+from .errors import LabelCountMismatch, MissingPredictions, Unlabeled
 from .violations import (
     MISSING_CLOSING,
     MISSING_OPENING,
@@ -118,16 +120,26 @@ def audit_call(
             openings.append((turn.end_ms, turn.turn_index))
         elif label == 2:
             closings.append((turn.start_ms, turn.turn_index))
+    return _audit(call.call_id, call.holds, openings, closings, config)
+
+
+def _audit(
+    call_id: str,
+    holds: Sequence[HoldInterval],
+    openings: list[tuple[int, int]],  # (end_ms, turn_index) of each predicted opening
+    closings: list[tuple[int, int]],  # (start_ms, turn_index) of each predicted closing
+    config: AuditConfig,
+) -> ComplianceReport:
     openings.sort()
     closings.sort()
 
     open_match = _greedy_match(
-        call.holds,
+        holds,
         openings,
         lambda h: (h.hold_start_ms - config.pre_window_ms, h.hold_start_ms + config.grace_ms),
     )
     close_match = _greedy_match(
-        call.holds,
+        holds,
         closings,
         lambda h: (h.hold_end_ms - config.grace_ms, h.hold_end_ms + config.post_window_ms),
     )
@@ -140,24 +152,25 @@ def audit_call(
             closing_ok=pos in close_match,
             closing_turn_index=close_match.get(pos),
         )
-        for pos, hold in enumerate(call.holds)
+        for pos, hold in enumerate(holds)
     ]
     matched_turns = set(open_match.values()) | set(close_match.values())
     unregistered = sorted(
         [(idx, 1) for _, idx in openings if idx not in matched_turns]
         + [(idx, 2) for _, idx in closings if idx not in matched_turns]
     )
-    return ComplianceReport(call_id=call.call_id, verdicts=verdicts, unregistered=unregistered)
+    return ComplianceReport(call_id=call_id, verdicts=verdicts, unregistered=unregistered)
 
 
 def gold_predictions(corpus: Corpus) -> dict[TurnKey, int]:
-    """Use gold labels as predictions (oracle mode for audits)."""
-    preds: dict[TurnKey, int] = {}
-    for turn in corpus.iter_turns():
-        if turn.label is None:
-            raise MissingPredictions(turn.call_id)
-        preds[turn.key] = turn.label
-    return preds
+    """Use gold labels as predictions (oracle mode for audits); Unlabeled
+    names the first turn without a label."""
+    table = corpus.table
+    unlabeled = np.flatnonzero(table.label < 0)
+    if unlabeled.size:
+        key = table.keys[unlabeled[0]]
+        raise Unlabeled(f"turn {key} has no label; --gold needs a labeled transcript")
+    return dict(zip(table.keys, table.label.tolist()))
 
 
 def audit_corpus(
@@ -167,16 +180,30 @@ def audit_corpus(
 ) -> tuple[list[ComplianceReport], dict[str, int]]:
     """Audit every call; returns per-call reports plus violation-kind counts.
 
-    Reports come back in call_id order regardless of corpus order.
+    Reports come back in call_id order regardless of corpus order. A turn
+    without a prediction is a MissingPredictions naming the first such
+    call in call_id order.
     """
-    reports: list[ComplianceReport] = []
-    for call in sorted(corpus.calls, key=lambda c: c.call_id):
-        labels = []
-        for turn in call.turns:
-            if turn.key not in predictions:
-                raise MissingPredictions(call.call_id)
-            labels.append(predictions[turn.key])
-        reports.append(audit_call(call, labels, config))
+    t = corpus.table
+    labels = list(map(predictions.get, t.keys))
+    if None in labels:
+        missing = {t.call_ids[c] for c in t.call_of_row[[p is None for p in labels]].tolist()}
+        raise MissingPredictions(min(missing))
+    labels = np.array(labels)
+    # Per call, the (anchor, turn_index) pairs of its predicted scripts:
+    # rows are grouped by call, so a call's pairs are one slice.
+    scripts = []
+    for cls, anchor in ((1, t.end_ms), (2, t.start_ms)):
+        rows = np.flatnonzero(labels == cls)
+        pairs = list(zip(anchor[rows].tolist(), t.turn_index[rows].tolist()))
+        scripts.append((pairs, np.searchsorted(rows, t.offsets).tolist()))
+    (open_pairs, open_cut), (close_pairs, close_cut) = scripts
+    reports = [
+        _audit(t.call_ids[c], corpus.holds.get(t.call_ids[c], ()),
+               open_pairs[open_cut[c]:open_cut[c + 1]], close_pairs[close_cut[c]:close_cut[c + 1]],
+               config)
+        for c in sorted(range(len(t.call_ids)), key=t.call_ids.__getitem__)
+    ]
 
     summary = Counter({kind: 0 for kind in VIOLATION_KINDS})
     for report in reports:

@@ -12,6 +12,7 @@ from .model import (
     HoldInterval,
     PhraseTurn,
     TurnKey,
+    TurnTable,
 )
 from .io import (
     attach_holds,
@@ -47,6 +48,7 @@ __all__ = [
     "HoldInterval",
     "PhraseTurn",
     "TurnKey",
+    "TurnTable",
     "attach_holds",
     "corpus_stats",
     "fold_plan_payload",

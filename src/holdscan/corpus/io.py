@@ -9,11 +9,15 @@ Holds CSV:
     call_id,hold_start_ms,hold_end_ms
 
 Every input CSV, the predictions CSV of holdscan.classifier included, is
-read by read_csv: UTF-8 with an optional byte-order mark, blank lines and
-lines starting with '#' skipped anywhere, the first other line the header.
-A row needs a cell for each column holdscan reads; extra cells and columns
-are ignored, and a shorter row is a MalformedRow with one message in every
-format. Every output CSV is written by write_csv.
+read by read_csv's rules: UTF-8 with an optional byte-order mark, blank
+lines and lines starting with '#' skipped anywhere, the first other line
+the header. A row needs a cell for each column holdscan reads; extra cells
+and columns are ignored, and a shorter row is a MalformedRow with one
+message in every format. Every output CSV is written by write_csv.
+
+Transcripts and predictions are read whole into columns (read_columns) and
+checked in array passes; read_csv, one row at a time, reads again only a
+file that fails them, to raise its first error with its line number.
 
 Fold plan JSON:
     {"k": k, "test_fold": t, "assignment": [[call_id, turn_index, fold], ...]}
@@ -27,8 +31,18 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
-from ..errors import MalformedRow, MissingColumn, UnknownCall
-from .model import Call, Corpus, FoldPlan, HoldInterval, PhraseTurn, turn_order_error
+import numpy as np
+
+from ..errors import DataValidationError, MalformedRow, MissingColumn
+from .model import (
+    CHANNELS,
+    Corpus,
+    FoldPlan,
+    HoldInterval,
+    PhraseTurn,
+    TurnTable,
+    turn_order_error,
+)
 
 PathLike = Union[str, Path]
 
@@ -54,15 +68,8 @@ def read_csv(
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
-        rows = (row for row in reader if row and not row[0].lstrip().startswith("#"))
-        header = next(rows, None)
-        if header is None:
-            raise MalformedRow(0, "file has no header row")
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise MissingColumn(missing)
+        rows, positions = _data_rows(reader, columns, optional)
         # An optional column the header lacks reads the empty cell appended to each row.
-        positions = [header.index(c) if c in header else -1 for c in (*columns, *optional)]
         pad = -1 in positions
         width = max(positions) + 1
         pick = itemgetter(*positions)
@@ -74,6 +81,38 @@ def read_csv(
                 if pad:
                     row.append("")
                 yield reader.line_num, pick(row)
+
+
+def read_columns(
+    path: PathLike, columns: Sequence[str], optional: Sequence[str] = ()
+) -> Optional[list[Sequence[str]]]:
+    """The cells of an input CSV as one sequence per column read, in read_csv's
+    order and by its rules, or None when a row is too short (read_csv names it).
+
+    Raises what read_csv raises for the header.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        rows, positions = _data_rows(csv.reader(fh), columns, optional)
+        body = list(rows)
+    width = max(positions) + 1
+    if min(map(len, body), default=width) < width:
+        return None
+    return [list(map(itemgetter(p), body)) if p >= 0 else [""] * len(body) for p in positions]
+
+
+def _data_rows(
+    reader: Iterator[list[str]], columns: Sequence[str], optional: Sequence[str]
+) -> tuple[Iterator[list[str]], list[int]]:
+    """The rows after the header, skipping blank and '#' lines, and the header
+    position of each column read, -1 for an optional column it lacks."""
+    rows = (row for row in reader if row and not row[0].lstrip().startswith("#"))
+    header = next(rows, None)
+    if header is None:
+        raise MalformedRow(0, "file has no header row")
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise MissingColumn(missing)
+    return rows, [header.index(c) if c in header else -1 for c in (*columns, *optional)]
 
 
 def strict(items: Iterable[T | MalformedRow]) -> Iterator[T]:
@@ -100,6 +139,12 @@ def write_csv(
         writer.writerows(rows)
 
 
+_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+# A channel cell, stripped, to its code in CHANNELS; an empty cell is "unknown".
+_CHANNEL_CODE = {channel: i for i, channel in enumerate(CHANNELS)}
+_CHANNEL_CODE[""] = _CHANNEL_CODE["unknown"]
+
+
 def _parse_turn(line_no: int, cells: tuple[str, ...]) -> PhraseTurn:
     call_id, turn_index, start_ms, end_ms, text, channel, raw = cells
     try:
@@ -108,6 +153,8 @@ def _parse_turn(line_no: int, cells: tuple[str, ...]) -> PhraseTurn:
         end_ms = int(end_ms)
     except ValueError as exc:
         raise MalformedRow(line_no, f"non-integer field ({exc})") from None
+    if not all(_INT64_MIN <= v <= _INT64_MAX for v in (turn_index, start_ms, end_ms)):
+        raise MalformedRow(line_no, "integer field outside the 64-bit range")
     channel = channel.strip() or "unknown"
     raw = raw.strip()
     label: Optional[int] = None
@@ -130,16 +177,71 @@ def _parse_turn(line_no: int, cells: tuple[str, ...]) -> PhraseTurn:
         raise MalformedRow(line_no, str(exc)) from None
 
 
-def _build_corpus(turns: Iterable[PhraseTurn]) -> Corpus:
-    """Group turns by call, in first-seen call order, and sort each call by
-    turn_index; Call raises DuplicateTurnIndex or NonMonotonicTimestamps."""
-    by_call: dict[str, list[PhraseTurn]] = {}
-    for turn in turns:
-        by_call.setdefault(turn.call_id, []).append(turn)
-    return Corpus(calls=tuple(
-        Call(call_id=call_id, turns=sorted(call_turns, key=lambda t: t.turn_index))
-        for call_id, call_turns in by_call.items()
-    ))
+def _turn_table(columns: list[Sequence[str]]) -> Optional[TurnTable]:
+    """The turn table of a transcript's columns, in array passes, or None
+    when a cell does not convert or a turn breaks a rule."""
+    call_col, index_col, start_col, end_col, text_col, channel_col, label_col = columns
+    n = len(call_col)
+    try:
+        turn_index = np.fromiter(map(int, index_col), np.int64, n)
+        start_ms = np.fromiter(map(int, start_col), np.int64, n)
+        end_ms = np.fromiter(map(int, end_col), np.int64, n)
+        channel = np.fromiter(map(_CHANNEL_CODE.__getitem__, map(str.strip, channel_col)),
+                              np.int8, n)
+        raw = list(map(str.strip, label_col))
+        label = np.fromiter((int(cell) if cell else -1 for cell in raw), np.int64, n)
+    except (ValueError, OverflowError, KeyError):
+        return None
+    given = np.fromiter(map(bool, raw), bool, n)
+    if ((turn_index < 0).any() or (start_ms < 0).any() or (end_ms < start_ms).any()
+            or (given & ((label < 0) | (label > 2))).any()):
+        return None
+    call_ids = tuple(dict.fromkeys(call_col))
+    position = {call_id: i for i, call_id in enumerate(call_ids)}
+    call_of_row = np.fromiter(map(position.__getitem__, call_col), np.int64, n)
+    order = np.lexsort((turn_index, call_of_row))
+    turn_index, start_ms = turn_index[order], start_ms[order]
+    same_call = call_of_row[order][1:] == call_of_row[order][:-1]
+    if (same_call & (turn_index[1:] == turn_index[:-1])).any():
+        return None
+    if (same_call & (start_ms[1:] < start_ms[:-1])).any():
+        return None
+    return TurnTable(
+        call_ids=call_ids,
+        offsets=np.concatenate(([0], np.cumsum(np.bincount(call_of_row, minlength=len(call_ids))))),
+        turn_index=turn_index,
+        start_ms=start_ms,
+        end_ms=end_ms[order],
+        channel=channel[order],
+        label=label[order],
+        text=list(map(text_col.__getitem__, order.tolist())),
+    )
+
+
+def _transcript_errors(path: PathLike) -> Iterator[tuple[int, DataValidationError]]:
+    """(line number, error) of every bad row, in file order, then of the
+    first turn-order break of each call, in first-seen call order.
+
+    The first of them is what ingest_transcripts raises. Raises what
+    read_csv raises for the header.
+    """
+    by_call: dict[str, list[tuple[int, PhraseTurn]]] = {}
+    for row in read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS):
+        try:
+            if isinstance(row, MalformedRow):
+                raise row
+            turn = _parse_turn(*row)
+        except MalformedRow as exc:
+            yield exc.line_no, exc
+        else:
+            by_call.setdefault(turn.call_id, []).append((row[0], turn))
+    for rows in by_call.values():
+        rows.sort(key=lambda row: row[1].turn_index)  # stable: repeats keep file order
+        for (_, prev), (line_no, turn) in zip(rows, rows[1:]):
+            error = turn_order_error(prev, turn)
+            if error is not None:
+                yield line_no, error
+                break
 
 
 def ingest_transcripts(path: PathLike) -> Corpus:
@@ -148,9 +250,18 @@ def ingest_transcripts(path: PathLike) -> Corpus:
     Row order within a call is normalized by turn_index. Raises
     MissingColumn, MalformedRow, DuplicateTurnIndex or
     NonMonotonicTimestamps on the first problem found.
+
+    The file is parsed into columns and checked in array passes; only a
+    file that fails them is read again row by row (_transcript_errors), to
+    raise its first error with its line number.
     """
-    rows = strict(read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS))
-    return _build_corpus(_parse_turn(*row) for row in rows)
+    columns = read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
+    table = None if columns is None else _turn_table(columns)
+    if table is None:
+        for _, error in _transcript_errors(path):
+            raise error
+        raise AssertionError(f"{path}: the column checks failed on a file without a bad row")
+    return Corpus.of_table(table)
 
 
 def validate_transcripts(path: PathLike) -> list[MalformedRow]:
@@ -161,28 +272,11 @@ def validate_transcripts(path: PathLike) -> list[MalformedRow]:
     A header-level problem (no header, missing columns) is the only entry,
     at line 1. Returns an empty list when the file would ingest cleanly.
     """
-    bad: list[MalformedRow] = []
-    by_call: dict[str, list[tuple[int, PhraseTurn]]] = {}
     try:
-        for row in read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS):
-            try:
-                if isinstance(row, MalformedRow):
-                    raise row
-                turn = _parse_turn(*row)
-            except MalformedRow as exc:
-                bad.append(exc)
-            else:
-                by_call.setdefault(turn.call_id, []).append((row[0], turn))
+        return [error if isinstance(error, MalformedRow) else MalformedRow(line_no, str(error))
+                for line_no, error in _transcript_errors(path)]
     except (MissingColumn, MalformedRow) as exc:
         return [MalformedRow(1, getattr(exc, "reason", str(exc)))]
-    for rows in by_call.values():
-        rows.sort(key=lambda row: row[1].turn_index)  # stable: repeats keep file order
-        for (_, prev), (line_no, turn) in zip(rows, rows[1:]):
-            error = turn_order_error(prev, turn)
-            if error is not None:
-                bad.append(MalformedRow(line_no, str(error)))
-                break
-    return bad
 
 
 def ingest_holds(path: PathLike) -> dict[str, tuple[HoldInterval, ...]]:
@@ -210,32 +304,30 @@ def ingest_holds(path: PathLike) -> dict[str, tuple[HoldInterval, ...]]:
 
 
 def attach_holds(corpus: Corpus, holds: dict[str, tuple[HoldInterval, ...]]) -> Corpus:
-    """Return a new Corpus with hold intervals attached to their calls."""
-    for call_id in holds:
-        if not corpus.has_call(call_id):
-            raise UnknownCall(call_id)
-    calls = tuple(
-        Call(call_id=c.call_id, turns=c.turns, holds=holds.get(c.call_id, c.holds))
-        for c in corpus.calls
-    )
-    return Corpus(calls=calls, provenance=corpus.provenance, seed=corpus.seed)
+    """Return a new Corpus with hold intervals attached to their calls.
+
+    A call's holds replace the ones it had; UnknownCall names a call the
+    corpus lacks.
+    """
+    return Corpus.of_table(corpus.table, {**corpus.holds, **holds},
+                           provenance=corpus.provenance, seed=corpus.seed)
 
 
 def write_transcripts(corpus: Corpus, path: PathLike, header_comment: str | None = None) -> None:
-    rows = (
-        [t.call_id, t.turn_index, t.channel, t.start_ms, t.end_ms, t.text,
-         "" if t.label is None else t.label]
-        for call in corpus.calls
-        for t in call.turns
+    t = corpus.table
+    rows = zip(
+        (call_id for call_id, _ in t.keys), t.turn_index.tolist(),
+        [CHANNELS[code] for code in t.channel.tolist()], t.start_ms.tolist(), t.end_ms.tolist(),
+        t.text, ["" if label < 0 else label for label in t.label.tolist()],
     )
     write_csv(path, TRANSCRIPT_COLUMNS, rows, header_comment)
 
 
 def write_holds(corpus: Corpus, path: PathLike, header_comment: str | None = None) -> None:
     rows = (
-        [call.call_id, hold.hold_start_ms, hold.hold_end_ms]
-        for call in corpus.calls
-        for hold in call.holds
+        [call_id, hold.hold_start_ms, hold.hold_end_ms]
+        for call_id in corpus.table.call_ids
+        for hold in corpus.holds.get(call_id, ())
     )
     write_csv(path, HOLD_COLUMNS, rows, header_comment)
 

@@ -1,4 +1,4 @@
-"""Core transcript data model: turns, calls, hold intervals, fold plans.
+"""Core transcript data model: turns, calls, hold intervals, the turn table, fold plans.
 
 Timestamps are integer milliseconds throughout; labels are the ints
 0 (irrelevant), 1 (opening script), 2 (closing script).
@@ -7,9 +7,12 @@ Timestamps are integer milliseconds throughout; labels are the ints
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from functools import cached_property
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
 
-from ..errors import ClassTooSmall, DuplicateTurnIndex, NonMonotonicTimestamps
+import numpy as np
+
+from ..errors import ClassTooSmall, DuplicateTurnIndex, NonMonotonicTimestamps, UnknownCall
 
 IRRELEVANT = 0
 OPENING = 1
@@ -75,6 +78,15 @@ class HoldInterval:
             )
 
 
+def check_holds(call_id: str, holds: Sequence[HoldInterval]) -> None:
+    """Raise ValueError unless holds are sorted and pairwise non-overlapping."""
+    prev_end = None
+    for hold in holds:
+        if prev_end is not None and hold.hold_start_ms < prev_end:
+            raise ValueError(f"call {call_id!r}: holds overlap or are unsorted")
+        prev_end = hold.hold_end_ms
+
+
 @dataclass
 class Call:
     """All turns of one call, ordered by turn_index, plus registered holds.
@@ -112,62 +124,206 @@ class Call:
                     raise error
             prev = turn
             self._turn_by_index[turn.turn_index] = turn
-        prev_end = None
-        for hold in self.holds:
-            if prev_end is not None and hold.hold_start_ms < prev_end:
-                raise ValueError(f"call {self.call_id!r}: holds overlap or are unsorted")
-            prev_end = hold.hold_end_ms
+        check_holds(self.call_id, self.holds)
 
     def turn(self, turn_index: int) -> PhraseTurn:
         return self._turn_by_index[turn_index]
 
 
-@dataclass
-class Corpus:
-    """An immutable collection of calls, either ingested from files or synthesized."""
+@dataclass(frozen=True, eq=False)
+class TurnTable:
+    """Every turn of a corpus as columns, one row per turn.
 
-    calls: tuple[Call, ...]
-    provenance: str = "ingested"  # "ingested" | "synthetic"
-    seed: Optional[int] = None
-    _call_by_id: dict[str, Call] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
+    Rows are grouped by call, in the corpus's call order, and sorted by
+    turn_index within a call: call c owns rows offsets[c]:offsets[c + 1].
+    turn_index, start_ms and end_ms are int64, channel holds int8 codes
+    into CHANNELS, and label is int64 with -1 for an unlabeled turn. The
+    arrays are read-only. A table checks nothing; ingest and Call have
+    checked the turns it is built from.
+    """
+
+    call_ids: tuple[str, ...]
+    offsets: np.ndarray
+    turn_index: np.ndarray
+    start_ms: np.ndarray
+    end_ms: np.ndarray
+    channel: np.ndarray
+    label: np.ndarray
+    text: list[str]
 
     def __post_init__(self):
-        self.calls = tuple(self.calls)
-        if self.provenance not in ("ingested", "synthetic"):
-            raise ValueError(f"provenance must be 'ingested' or 'synthetic', got {self.provenance!r}")
-        for call in self.calls:
-            if call.call_id in self._call_by_id:
-                raise ValueError(f"duplicate call_id {call.call_id!r}")
-            self._call_by_id[call.call_id] = call
+        for name in ("offsets", "turn_index", "start_ms", "end_ms", "channel", "label"):
+            getattr(self, name).flags.writeable = False
+
+    @classmethod
+    def of_calls(cls, calls: Sequence[Call]) -> "TurnTable":
+        turns = [turn for call in calls for turn in call.turns]
+
+        def column(name: str, dtype) -> np.ndarray:
+            return np.array([getattr(turn, name) for turn in turns], dtype=dtype)
+
+        code = {channel: i for i, channel in enumerate(CHANNELS)}
+        return cls(
+            call_ids=tuple(call.call_id for call in calls),
+            offsets=np.cumsum([0] + [len(call.turns) for call in calls], dtype=np.int64),
+            turn_index=column("turn_index", np.int64),
+            start_ms=column("start_ms", np.int64),
+            end_ms=column("end_ms", np.int64),
+            channel=np.array([code[turn.channel] for turn in turns], dtype=np.int8),
+            label=np.array([-1 if t.label is None else t.label for t in turns], dtype=np.int64),
+            text=[turn.text for turn in turns],
+        )
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TurnTable):
+            return NotImplemented
+        return (self.call_ids == other.call_ids and self.text == other.text
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("offsets", "turn_index", "start_ms", "end_ms", "channel",
+                                     "label")))
+
+    @cached_property
+    def call_of_row(self) -> np.ndarray:
+        """Each row's call position."""
+        return np.repeat(np.arange(len(self.call_ids)), np.diff(self.offsets))
+
+    @cached_property
+    def keys(self) -> list[TurnKey]:
+        """Each row's (call_id, turn_index), with Python ints."""
+        call_ids = [self.call_ids[c] for c in self.call_of_row.tolist()]
+        return list(zip(call_ids, self.turn_index.tolist()))
+
+    @cached_property
+    def row_of(self) -> dict[TurnKey, int]:
+        return dict(zip(self.keys, range(len(self))))
+
+    @cached_property
+    def key_order(self) -> np.ndarray:
+        """The rows sorted by (call_id, turn_index): whole calls, in call_id order."""
+        by_id = np.array(sorted(range(len(self.call_ids)), key=self.call_ids.__getitem__),
+                         dtype=np.int64)
+        lengths = np.diff(self.offsets)[by_id]
+        shift = self.offsets[by_id] - (np.cumsum(lengths) - lengths)
+        return np.arange(len(self)) + np.repeat(shift, lengths)
+
+    def rows_of(self, keys: Collection[TurnKey]) -> np.ndarray:
+        """The row of each key, in order; KeyError names the first key that is no turn."""
+        return np.fromiter(map(self.row_of.__getitem__, keys), np.int64, len(keys))
+
+    def turn(self, row: int) -> PhraseTurn:
+        label = int(self.label[row])
+        return PhraseTurn(
+            call_id=self.call_ids[self.call_of_row[row]],
+            turn_index=int(self.turn_index[row]),
+            channel=CHANNELS[self.channel[row]],
+            start_ms=int(self.start_ms[row]),
+            end_ms=int(self.end_ms[row]),
+            text=self.text[row],
+            label=None if label < 0 else label,
+        )
+
+
+class Corpus:
+    """An immutable collection of calls, either ingested from files or synthesized.
+
+    Its store is one TurnTable plus each call's holds (holds, by call_id;
+    a call without holds has no entry). Corpus(calls=...) builds the
+    table from Call objects; Corpus.of_table wraps a table, and builds the
+    Call and PhraseTurn objects only when calls, call, iter_turns or turn
+    asks for them. Two corpora are equal when their tables, holds,
+    provenance and seed are.
+    """
+
+    def __init__(
+        self,
+        calls: Iterable[Call] = (),
+        provenance: str = "ingested",  # "ingested" | "synthetic"
+        seed: Optional[int] = None,
+    ):
+        calls = tuple(calls)
+        self._setup(TurnTable.of_calls(calls), {c.call_id: c.holds for c in calls},
+                    provenance, seed)
+        self._calls: Optional[tuple[Call, ...]] = calls
+
+    @classmethod
+    def of_table(
+        cls,
+        table: TurnTable,
+        holds: Mapping[str, Sequence[HoldInterval]] | None = None,
+        provenance: str = "ingested",
+        seed: Optional[int] = None,
+    ) -> "Corpus":
+        """A corpus over table; holds must name calls of the table (else UnknownCall)."""
+        corpus = cls.__new__(cls)
+        corpus._setup(table, holds or {}, provenance, seed)
+        corpus._calls = None
+        return corpus
+
+    def _setup(self, table: TurnTable, holds: Mapping[str, Sequence[HoldInterval]],
+               provenance: str, seed: Optional[int]) -> None:
+        if provenance not in ("ingested", "synthetic"):
+            raise ValueError(f"provenance must be 'ingested' or 'synthetic', got {provenance!r}")
+        self.table, self.provenance, self.seed = table, provenance, seed
+        self._position: dict[str, int] = {}
+        for call_id in table.call_ids:
+            if call_id in self._position:
+                raise ValueError(f"duplicate call_id {call_id!r}")
+            self._position[call_id] = len(self._position)
+        for call_id in holds:
+            if call_id not in self._position:
+                raise UnknownCall(call_id)
+        self.holds = {call_id: tuple(h) for call_id, h in holds.items() if h}
+        for call_id, call_holds in self.holds.items():
+            check_holds(call_id, call_holds)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (self.provenance, self.seed, self.holds, self.table) == (
+            other.provenance, other.seed, other.holds, other.table)
+
+    def __repr__(self) -> str:
+        return (f"Corpus({len(self.table.call_ids)} calls, {len(self.table)} turns, "
+                f"provenance={self.provenance!r}, seed={self.seed!r})")
+
+    @property
+    def calls(self) -> tuple[Call, ...]:
+        if self._calls is None:
+            t = self.table
+            bounds = zip(t.call_ids, t.offsets[:-1].tolist(), t.offsets[1:].tolist())
+            self._calls = tuple(
+                Call(call_id=call_id, turns=tuple(map(t.turn, range(lo, hi))),
+                     holds=self.holds.get(call_id, ()))
+                for call_id, lo, hi in bounds
+            )
+        return self._calls
 
     def call(self, call_id: str) -> Call:
-        return self._call_by_id[call_id]
-
-    def has_call(self, call_id: str) -> bool:
-        return call_id in self._call_by_id
+        return self.calls[self._position[call_id]]
 
     def iter_turns(self) -> Iterator[PhraseTurn]:
         for call in self.calls:
             yield from call.turns
 
     def turn(self, key: TurnKey) -> PhraseTurn:
-        return self._call_by_id[key[0]].turn(key[1])
+        return self.call(key[0]).turn(key[1])
 
     def n_turns(self) -> int:
-        return sum(len(c.turns) for c in self.calls)
+        return len(self.table)
 
     def label_counts(self) -> dict[int, int]:
-        counts = {label: 0 for label in LABELS}
-        for turn in self.iter_turns():
-            if turn.label is not None:
-                counts[turn.label] += 1
-        return counts
+        label = self.table.label
+        counts = np.bincount(label[label >= 0], minlength=len(LABELS))
+        return dict(zip(LABELS, counts.tolist()))
 
     def labeled_keys(self) -> list[TurnKey]:
         """Keys of all labeled turns, sorted by (call_id, turn_index)."""
-        return sorted(t.key for t in self.iter_turns() if t.label is not None)
+        order = self.table.key_order
+        rows = order[self.table.label[order] >= 0]
+        return [self.table.keys[row] for row in rows.tolist()]
 
 
 @dataclass
@@ -198,6 +354,20 @@ class FoldPlan:
             folds[self.assignment[key]].append(key)
         return folds
 
+    def fold_rows(self, corpus: Corpus) -> list[np.ndarray]:
+        """Each fold's corpus rows, in key order, as keys_by_fold lists the keys.
+
+        Raises KeyError when an assigned key is no turn of the corpus.
+        """
+        table = corpus.table
+        fold_of = np.full(len(table), -1)
+        fold_of[table.rows_of(self.assignment)] = np.fromiter(
+            self.assignment.values(), np.int64, len(self.assignment))
+        order = table.key_order[fold_of[table.key_order] >= 0]
+        folds = fold_of[order]
+        by_fold = order[np.argsort(folds, kind="stable")]
+        return np.split(by_fold, np.cumsum(np.bincount(folds, minlength=self.k))[:-1])
+
     def validate_against(self, corpus: Corpus) -> None:
         """Check the fold-plan invariants for the given corpus.
 
@@ -205,24 +375,26 @@ class FoldPlan:
         non-empty, and every class present in the corpus must appear in every
         fold. Raises ValueError or ClassTooSmall on violation.
         """
-        labeled = set(corpus.labeled_keys())
-        assigned = set(self.assignment)
-        if labeled != assigned:
-            missing = labeled - assigned
-            extra = assigned - labeled
+        table = corpus.table
+        row_of = table.row_of
+        rows = np.fromiter((row_of.get(key, -1) for key in self.assignment), np.int64,
+                           len(self.assignment))
+        labeled = table.label >= 0
+        hit = rows >= 0
+        hit[hit] = labeled[rows[hit]]
+        n_hit = int(hit.sum())
+        if n_hit != len(rows) or n_hit != labeled.sum():
             raise ValueError(
-                f"assignment mismatch: {len(missing)} labeled turns unassigned, "
-                f"{len(extra)} assignments without a labeled turn"
+                f"assignment mismatch: {int(labeled.sum()) - n_hit} labeled turns unassigned, "
+                f"{len(rows) - n_hit} assignments without a labeled turn"
             )
-        present = {label for label, n in corpus.label_counts().items() if n > 0}
-        per_fold: list[dict[int, int]] = [dict() for _ in range(self.k)]
-        for key, fold in self.assignment.items():
-            label = corpus.turn(key).label
-            per_fold[fold][label] = per_fold[fold].get(label, 0) + 1
-        for fold, counts in enumerate(per_fold):
-            if not counts:
+        folds = np.fromiter(self.assignment.values(), np.int64, len(rows))
+        per_fold = np.bincount(folds * len(LABELS) + table.label[rows],
+                               minlength=self.k * len(LABELS)).reshape(self.k, len(LABELS))
+        totals = corpus.label_counts()
+        for fold, counts in enumerate(per_fold.tolist()):
+            if not any(counts):
                 raise ValueError(f"fold {fold} is empty")
-            for label in present:
-                if counts.get(label, 0) == 0:
-                    total = corpus.label_counts()[label]
-                    raise ClassTooSmall(label, total, self.k)
+            for label in LABELS:
+                if totals[label] and not counts[label]:
+                    raise ClassTooSmall(label, totals[label], self.k)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ClassTooSmall, SplitInfeasible, Unlabeled
-from .model import Corpus, FoldPlan, TurnKey
+from .model import LABELS, Corpus, FoldPlan, TurnTable
 
 # Relative deviation of per-fold class proportions tolerated in
 # call_grouped mode before the split is declared infeasible.
@@ -37,85 +37,81 @@ def stratified_split(
         raise ValueError(f"k must be >= 1, got {k}")
     if mode not in ("row", "call_grouped"):
         raise ValueError(f"mode must be 'row' or 'call_grouped', got {mode!r}")
-    for turn in corpus.iter_turns():
-        if turn.label is None:
-            raise Unlabeled(f"turn {turn.key} has no label; splitting requires a labeled corpus")
+    table = corpus.table
+    unlabeled = np.flatnonzero(table.label < 0)
+    if unlabeled.size:
+        key = table.keys[unlabeled[0]]
+        raise Unlabeled(f"turn {key} has no label; splitting requires a labeled corpus")
 
     if mode == "row":
-        assignment = _split_rows(corpus, k, seed)
+        fold_of = _split_rows(table, k, seed)
     else:
-        assignment = _split_calls(corpus, k, seed)
+        fold_of = _split_calls(table, k, seed)
 
+    assignment = dict(zip(table.keys, fold_of.tolist()))
     plan = FoldPlan(k=k, assignment=assignment, test_fold=test_fold)
     plan.validate_against(corpus)
     return plan
 
 
-def _split_rows(corpus: Corpus, k: int, seed: int) -> dict[TurnKey, int]:
+def _split_rows(table: TurnTable, k: int, seed: int) -> np.ndarray:
+    """Each row's fold: every class, in label order, is shuffled from key
+    order and dealt to the folds in near-equal chunks."""
     rng = np.random.default_rng(seed)
-    by_class: dict[int, list[TurnKey]] = {}
-    for key in corpus.labeled_keys():
-        by_class.setdefault(corpus.turn(key).label, []).append(key)
+    order = table.key_order
+    labels = table.label[order]
+    present = [label for label in LABELS if (labels == label).any()]
+    for label in present:
+        if (labels == label).sum() < k:
+            raise ClassTooSmall(label, int((labels == label).sum()), k)
 
-    for label, keys in sorted(by_class.items()):
-        if len(keys) < k:
-            raise ClassTooSmall(label, len(keys), k)
-
-    assignment: dict[TurnKey, int] = {}
-    for label, keys in sorted(by_class.items()):
-        order = rng.permutation(len(keys))
-        shuffled = [keys[int(i)] for i in order]
+    fold_of = np.empty(len(table), dtype=np.int64)
+    for label in present:
+        rows = order[labels == label]
+        shuffled = rows[rng.permutation(len(rows))]
         # Deal chunk sizes floor or floor+1; which folds get the extra row
         # is itself randomized so fold 0 carries no systematic surplus.
-        base, extra = divmod(len(keys), k)
-        lucky = rng.permutation(k)[:extra]
-        sizes = [base + (1 if f in lucky else 0) for f in range(k)]
-        pos = 0
-        for fold, size in enumerate(sizes):
-            for key in shuffled[pos : pos + size]:
-                assignment[key] = fold
-            pos += size
-    return assignment
+        base, extra = divmod(len(rows), k)
+        sizes = np.full(k, base)
+        sizes[rng.permutation(k)[:extra]] += 1
+        fold_of[shuffled] = np.repeat(np.arange(k), sizes)
+    return fold_of
 
 
-def _split_calls(corpus: Corpus, k: int, seed: int) -> dict[TurnKey, int]:
+def _split_calls(table: TurnTable, k: int, seed: int) -> np.ndarray:
+    """Each row's fold: whole calls, placed greedily, rare-class-heavy calls first."""
     rng = np.random.default_rng(seed)
-    calls = list(corpus.calls)
-    if len(calls) < k:
-        raise SplitInfeasible(f"cannot spread {len(calls)} calls over {k} folds")
+    n_calls = len(table.call_ids)
+    if n_calls < k:
+        raise SplitInfeasible(f"cannot spread {n_calls} calls over {k} folds")
 
-    def class_vector(call) -> np.ndarray:
-        v = np.zeros(3)
-        for t in call.turns:
-            v[t.label] += 1
-        return v
-
-    vectors = {c.call_id: class_vector(c) for c in calls}
-    totals = sum(vectors.values())
+    vectors = np.zeros((n_calls, 3))
+    np.add.at(vectors, (table.call_of_row, table.label), 1)
+    totals = vectors.sum(axis=0)
     # Absent classes are fine; avoid dividing by zero in the target.
     safe_totals = np.where(totals == 0, 1.0, totals)
 
     # Seeded shuffle breaks ties between equal-profile calls, then calls
     # heavy in rare classes are placed first while folds are still empty.
-    order = rng.permutation(len(calls))
-    calls = [calls[int(i)] for i in order]
-    calls.sort(key=lambda c: (-vectors[c.call_id][2], -vectors[c.call_id][1], -len(c.turns)))
+    shuffled = rng.permutation(n_calls)
+    lengths = np.diff(table.offsets)
+    order = shuffled[np.lexsort((-lengths[shuffled], -vectors[shuffled, 1],
+                                 -vectors[shuffled, 2]))]
 
     fold_counts = np.zeros((k, 3))
     target = safe_totals / k
-    assignment: dict[TurnKey, int] = {}
-    for call in calls:
-        v = vectors[call.call_id]
+    call_fold = np.empty(n_calls, dtype=np.int64)
+    for call in order.tolist():
+        v = vectors[call]
         # Squared relative overshoot against the per-fold target; the fold
         # that stays closest to proportional wins.
         costs = (((fold_counts + v) / target) ** 2).sum(axis=1)
         fold = int(np.argmin(costs))
         fold_counts[fold] += v
-        for t in call.turns:
-            assignment[t.key] = fold
+        call_fold[call] = fold
 
     _check_call_grouped_balance(fold_counts, totals)
-    return assignment
+    return call_fold[table.call_of_row]
 
 
 def _check_call_grouped_balance(fold_counts: np.ndarray, totals: np.ndarray) -> None:

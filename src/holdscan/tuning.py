@@ -199,15 +199,16 @@ class FoldMatrix:
 
 def fold_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSpec) -> FoldMatrix:
     """Featurize the plan's labeled turns, all in one call, and keep the buckets they use."""
-    keys_by_fold = fold_plan.keys_by_fold()
-    turns = [corpus.turn(key) for keys in keys_by_fold for key in keys]
-    columns, feats = _compact(_featurize_many((t.text for t in turns), feature_spec),
-                              feature_spec.hash_dim)
+    rows_by_fold = fold_plan.fold_rows(corpus)
+    rows = np.concatenate(rows_by_fold)
+    table = corpus.table
+    columns, feats = _compact(_featurize_many(map(table.text.__getitem__, rows.tolist()),
+                                              feature_spec), feature_spec.hash_dim)
     return FoldMatrix(
         feats=feats,
         columns=columns,
-        labels=np.array([t.label for t in turns]),
-        fold_of=np.repeat(np.arange(fold_plan.k), [len(keys) for keys in keys_by_fold]),
+        labels=table.label[rows],
+        fold_of=np.repeat(np.arange(fold_plan.k), [len(r) for r in rows_by_fold]),
         k=fold_plan.k,
         test_fold=fold_plan.test_fold,
         feature_spec=feature_spec,

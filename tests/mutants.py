@@ -71,8 +71,13 @@ MUTANTS = [
     ("audit opening window short by grace_ms", "src/holdscan/compliance.py",
      "h.hold_start_ms + config.grace_ms)", "h.hold_start_ms)"),
     ("call-grouped split leaks one call across folds", "src/holdscan/corpus/split.py",
-     "assignment[t.key] = fold",
-     "assignment[t.key] = (fold + (call is calls[0] and t is call.turns[-1])) % k"),
+     "return call_fold[table.call_of_row]",
+     "return np.where(np.arange(len(table)) == table.offsets[order[0] + 1] - 1, "
+     "(call_fold[table.call_of_row] + 1) % k, call_fold[table.call_of_row])"),
+    ("ingest's array check for a repeated turn_index dropped", "src/holdscan/corpus/io.py",
+     "(same_call & (turn_index[1:] == turn_index[:-1])).any()", "False"),
+    ("predictions-file renormalization skipped", CLASSIFIER,
+     "probs[fix] /= total[fix, None]", "pass"),
 ]
 
 # Survivors, by mutant name, with why no test needs to kill them.

@@ -2,10 +2,10 @@
 
 Everything here is written from scratch, in plain Python loops or plain
 numpy, and shares no code with the package under test: it imports only
-the package's data types, its errors and `roc_auc_ovr_macro` (whose
-binary AUC `brute_pair_auc` checks). It keeps one reference per concept, and
-each one that stands for an optimized path is bit-exact: a test compares
-whole results with ==, or their bytes.
+the package's data types, its file-format constants, its errors and
+`roc_auc_ovr_macro` (whose binary AUC `brute_pair_auc` checks). It keeps
+one reference per concept, and each one that stands for an optimized path
+is bit-exact: a test compares whole results with ==, or their bytes.
 
 - `reference_decide`: the gated-argmax rule of `decide_batch`.
 - `naive_confusion` and `naive_macro_prf`: `metrics.confusion` and
@@ -28,6 +28,12 @@ whole results with ==, or their bytes.
   over all `hash_dim` buckets, and its probabilities scored on
   `per_text_featurize` features with them; the same bits as
   `classifier.predict_proba`.
+- `ingest_transcripts_by_row` and `load_external_proba_by_row`: the
+  transcript and predictions-file readers as they were before both became
+  columnar, one parsed object per row (verbatim, with their CSV reader);
+  the same corpus, the same probability bits, or the same error class,
+  message and line number as `corpus.io.ingest_transcripts` and
+  `classifier.load_external_proba`.
 
 A path-specific reference, such as a verbatim copy of code the package
 replaced, lives here only until an independent reference checks the same
@@ -38,13 +44,26 @@ reference still adds a kill.
 
 from __future__ import annotations
 
+import csv
 import zlib
+from operator import itemgetter
+from typing import Optional
 
 import numpy as np
 
-from holdscan.classifier import Checkpoint, FeatureSpec
-from holdscan.errors import EmptyInput, EmptyTrainingSet, UnlabeledExample
-from holdscan.metrics import roc_auc_ovr_macro
+from holdscan.classifier import PROB_FILE_TOL, PROBA_COLUMNS, Checkpoint, FeatureSpec, ProbTriple
+from holdscan.corpus import Call, Corpus, PhraseTurn
+from holdscan.corpus.io import OPTIONAL_COLUMNS, REQUIRED_COLUMNS
+from holdscan.errors import (
+    DuplicateKey,
+    EmptyInput,
+    EmptyTrainingSet,
+    MalformedRow,
+    MissingColumn,
+    ProbabilityInvariantViolation,
+    UnlabeledExample,
+)
+from holdscan.metrics import PROB_SUM_TOL, roc_auc_ovr_macro
 
 REJECT_ALL = 1.0 + 1e-9
 
@@ -322,3 +341,106 @@ def per_text_featurize_many(texts, spec: FeatureSpec):
     indptr = np.cumsum([0, *(len(idx) for idx, _ in rows)], dtype=np.int64)
     indices = np.concatenate([np.empty(0, np.int64), *(idx for idx, _ in rows)])
     return indptr, indices, np.concatenate([np.empty(0), *(cnt for _, cnt in rows)])
+
+
+# --- the row-by-row readers ------------------------------------------------
+
+
+def _read_csv(path, columns, optional=()):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        rows = (row for row in reader if row and not row[0].lstrip().startswith("#"))
+        header = next(rows, None)
+        if header is None:
+            raise MalformedRow(0, "file has no header row")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise MissingColumn(missing)
+        # An optional column the header lacks reads the empty cell appended to each row.
+        positions = [header.index(c) if c in header else -1 for c in (*columns, *optional)]
+        pad = -1 in positions
+        width = max(positions) + 1
+        pick = itemgetter(*positions)
+        for row in rows:
+            if len(row) < width:
+                message = f"expected at least {width} cells, got {len(row)}"
+                yield MalformedRow(reader.line_num, message)
+            else:
+                if pad:
+                    row.append("")
+                yield reader.line_num, pick(row)
+
+
+def _strict(items):
+    for item in items:
+        if isinstance(item, MalformedRow):
+            raise item
+        yield item
+
+
+def _parse_turn(line_no, cells):
+    call_id, turn_index, start_ms, end_ms, text, channel, raw = cells
+    try:
+        turn_index = int(turn_index)
+        start_ms = int(start_ms)
+        end_ms = int(end_ms)
+    except ValueError as exc:
+        raise MalformedRow(line_no, f"non-integer field ({exc})") from None
+    channel = channel.strip() or "unknown"
+    raw = raw.strip()
+    label: Optional[int] = None
+    if raw != "":
+        try:
+            label = int(raw)
+        except ValueError:
+            raise MalformedRow(line_no, f"label must be an integer, got {raw!r}") from None
+    try:
+        return PhraseTurn(
+            call_id=call_id,
+            turn_index=turn_index,
+            channel=channel,
+            start_ms=start_ms,
+            end_ms=end_ms,
+            text=text,
+            label=label,
+        )
+    except ValueError as exc:
+        raise MalformedRow(line_no, str(exc)) from None
+
+
+def _build_corpus(turns):
+    by_call: dict[str, list[PhraseTurn]] = {}
+    for turn in turns:
+        by_call.setdefault(turn.call_id, []).append(turn)
+    return Corpus(calls=tuple(
+        Call(call_id=call_id, turns=sorted(call_turns, key=lambda t: t.turn_index))
+        for call_id, call_turns in by_call.items()
+    ))
+
+
+def ingest_transcripts_by_row(path):
+    rows = _strict(_read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS))
+    return _build_corpus(_parse_turn(*row) for row in rows)
+
+
+def load_external_proba_by_row(path):
+    result: dict[tuple[str, int], ProbTriple] = {}
+    for line_no, (call_id, turn_index, p0, p1, p2) in _strict(_read_csv(path, PROBA_COLUMNS)):
+        try:
+            key = (call_id, int(turn_index))
+            p = [float(p0), float(p1), float(p2)]
+        except ValueError as exc:
+            raise MalformedRow(line_no, f"bad numeric field ({exc})") from None
+        if key in result:
+            raise DuplicateKey(*key)
+        if any(not (x >= 0.0) for x in p):
+            raise ProbabilityInvariantViolation(f"line {line_no}: negative or NaN probability")
+        total = sum(p)
+        if abs(total - 1.0) > PROB_FILE_TOL:
+            raise ProbabilityInvariantViolation(
+                f"line {line_no}: probabilities sum to {total!r}"
+            )
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            p = [x / total for x in p]
+        result[key] = ProbTriple._make(p)
+    return result

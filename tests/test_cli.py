@@ -14,8 +14,14 @@ import pytest
 import holdscan
 from holdscan import cli, tuning
 from holdscan.cli import run_cli
-from holdscan.classifier import Checkpoint, FeatureSpec, ProbTriple, save_checkpoint, write_proba
-from holdscan.corpus import generate_synthetic, ingest_transcripts, write_transcripts
+from holdscan.classifier import Checkpoint, FeatureSpec, save_checkpoint, write_proba
+from holdscan.corpus import (
+    Call,
+    PhraseTurn,
+    generate_synthetic,
+    ingest_transcripts,
+    write_transcripts,
+)
 
 from conftest import corpus_from_labels, tree_bytes
 
@@ -42,12 +48,9 @@ def corpus_dir(tmp_path_factory):
 
 def smoothed_gold_proba(corpus, path):
     """Predictions file derived from gold labels, slightly off one-hot."""
-    rows = []
-    for turn in corpus.iter_turns():
-        probs = [0.05, 0.05, 0.05]
-        probs[turn.label] = 0.9
-        rows.append((turn.call_id, turn.turn_index, ProbTriple(*probs)))
-    write_proba(path, rows)
+    probs = np.full((corpus.n_turns(), 3), 0.05)
+    probs[np.arange(corpus.n_turns()), corpus.table.label] = 0.9
+    write_proba(path, corpus.table.keys, probs)
 
 
 class TestValidate:
@@ -338,6 +341,15 @@ class TestAudit:
         assert run(["audit", "--transcripts", str(corpus_dir / "transcripts.csv"),
                     "--holds", str(corpus_dir / "holds.csv")]) == 1
 
+    def test_gold_audit_of_an_unlabeled_turn_names_the_turn(self, tmp_path, capsys):
+        transcripts, holds = tmp_path / "t.csv", tmp_path / "h.csv"
+        transcripts.write_text(HEADER + "a,0,agent,0,1000,hello,\na,1,client,1500,2500,hi,\n")
+        holds.write_text("call_id,hold_start_ms,hold_end_ms\na,3000,9000\n")
+        code = run(["audit", "--transcripts", str(transcripts), "--holds", str(holds), "--gold"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: turn ('a', 0) has no label; --gold needs a labeled transcript\n")
+
 
 class TestPipeline:
     def test_artifacts_and_determinism(self, tmp_path):
@@ -614,6 +626,34 @@ class TestProbabilityArrays:
                         "--proba", str(proba), "--threshold", "0.5"]) == 0
         assert called == {(m.__name__, name) for m in (cli, tuning)
                           for name in ("shared_threshold_search", "decide_batch")}
+
+
+class TestScoringChain:
+    def test_commands_build_no_per_turn_objects(self, corpus_dir, tmp_path, monkeypatch):
+        """predict, pipeline (external and trained) and audit read an ingested
+        corpus's turn table: no PhraseTurn and no Call is constructed."""
+        transcripts = str(corpus_dir / "transcripts.csv")
+        model, preds = tmp_path / "model.npz", tmp_path / "preds.csv"
+        small = ["--folds", "4", "--seed", "3", "--hash-dim", "2048", "--epochs", "1"]
+        assert run(["train", "--transcripts", transcripts, *small, "--val-fold", "1",
+                    "--model-out", str(model)]) == 0
+        built = {"PhraseTurn": 0, "Call": 0}
+        for cls in (PhraseTurn, Call):
+            def counting(self, _post_init=cls.__post_init__, _name=cls.__name__):
+                built[_name] += 1
+                _post_init(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+
+        assert run(["predict", "--model", str(model), "--transcripts", transcripts,
+                    "--out", str(preds)]) == 0
+        assert run(["pipeline", "--transcripts", transcripts, "--external-proba", str(preds),
+                    "--folds", "4", "--seed", "3", "--out-dir", str(tmp_path / "ext")]) == 0
+        assert run(["audit", "--transcripts", transcripts,
+                    "--holds", str(corpus_dir / "holds.csv"), "--proba", str(preds),
+                    "--threshold", "0.5", "--out", str(tmp_path / "audit.json")]) == 0
+        assert run(["pipeline", "--transcripts", transcripts, *small,
+                    "--out-dir", str(tmp_path / "trained")]) == 0
+        assert built == {"PhraseTurn": 0, "Call": 0}
 
 
 class TestSweepCommand:

@@ -4,9 +4,10 @@ Transcripts, holds and predictions are read by one reader and written by
 one writer, so each rule below is checked on all three formats.
 """
 
+import numpy as np
 import pytest
 
-from holdscan.classifier import ProbTriple, load_external_proba, write_proba
+from holdscan.classifier import load_external_proba, write_proba
 from holdscan.corpus import (
     Call,
     Corpus,
@@ -117,8 +118,8 @@ def test_write_holds_bytes(tmp_path):
 
 def test_write_proba_bytes(tmp_path):
     path = tmp_path / "p.csv"
-    rows = [("a", 0, ProbTriple(0.8, 0.15, 0.05)), ("b,c", 3, ProbTriple(1 / 3, 1 / 3, 1 / 3))]
-    write_proba(path, rows, header_comment="stamp")
+    probs = np.array([[0.8, 0.15, 0.05], [1 / 3, 1 / 3, 1 / 3]])
+    write_proba(path, [("a", 0), ("b,c", 3)], probs, header_comment="stamp")
     assert path.read_bytes() == (
         b"# stamp\r\n"
         b"call_id,turn_index,p0,p1,p2\r\n"

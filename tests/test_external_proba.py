@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from holdscan.classifier import ProbTriple, load_external_proba, write_proba
@@ -77,7 +78,8 @@ def test_write_then_load_roundtrip(tmp_path):
         ("c2", 0, ProbTriple(0.0, 1.0, 0.0)),
     ]
     path = tmp_path / "out.csv"
-    write_proba(path, rows, header_comment="test")
+    write_proba(path, [(c, i) for c, i, _ in rows], np.array([p for *_, p in rows]),
+                header_comment="test")
     loaded = load_external_proba(path)
     for call_id, idx, triple in rows:
         assert loaded[(call_id, idx)] == triple
@@ -91,3 +93,23 @@ def test_byte_order_mark_is_accepted(tmp_path):
     marked.write_text("\ufeff" + HEADER + body, encoding="utf-8")
     assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
     assert load_external_proba(marked) == load_external_proba(plain)
+
+
+def test_float64_array_round_trips_bit_for_bit(tmp_path):
+    probs = np.random.default_rng(5).dirichlet([0.3, 1.0, 2.0], size=200)
+    probs[0] = [1.0, -0.0, 0.0]
+    keys = [(f"c{i % 7}", i) for i in range(len(probs))]
+    path = tmp_path / "out.csv"
+    write_proba(path, keys, probs)
+    loaded = load_external_proba(path)
+    assert list(loaded) == keys
+    assert loaded.probs.tobytes() == probs.tobytes()
+
+
+def test_numpy_scalars_are_written_as_floats(tmp_path):
+    """numpy 2's repr of a float64 scalar is np.float64(0.2); the file holds 0.2."""
+    row = np.array([[0.2, 0.3, 0.5]])[0]
+    path = tmp_path / "out.csv"
+    write_proba(path, [("a", 0)], [tuple(row)])
+    assert path.read_text().splitlines()[-1] == "a,0,0.2,0.3,0.5"
+    assert load_external_proba(path).probs.tobytes() == row.tobytes()

@@ -91,6 +91,15 @@ def test_optional_channel_and_label(tmp_path):
     assert turn.label is None
 
 
+@pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809"])
+def test_integer_outside_int64_is_malformed(tmp_path, cell):
+    """The turn table holds int64 columns, so a wider integer is a bad row."""
+    path = write_csv(tmp_path, f"a,0,agent,0,1000,x,0\na,1,agent,{cell},{cell},y,0\n")
+    with pytest.raises(MalformedRow, match="^line 3: integer field outside the 64-bit range$"):
+        ingest_transcripts(path)
+    assert [d.line_no for d in validate_transcripts(path)] == [3]
+
+
 def test_bad_label_is_malformed(tmp_path):
     path = write_csv(tmp_path, "a,0,agent,0,1000,x,7\n")
     with pytest.raises(MalformedRow):
