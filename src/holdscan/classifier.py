@@ -30,35 +30,48 @@ row per turn; training, prediction and the loss share one gather
 trains on chosen rows of such a matrix, so a cross-validation run
 featurizes its turns once and every fold is a set of rows; train
 featurizes texts and then uses the same kernels. predict_proba never
-builds the whole batch's matrix: it featurizes and scores one block of
-distinct texts at a time against the checkpoint's own weights, as
-(3, U), keeping only each block's (n, 3) probabilities. A bucket the
-model never saw is sent to one appended column of zeros, so every score
-equals the one dense (hash_dim, 3) weights would give, bit for bit.
+builds the whole batch's matrix: it featurizes and scores blocks of
+distinct texts against the checkpoint's own weights, as (3, U), keeping
+only each block's (n, 3) probabilities. A bucket the model never saw is
+sent to one appended column of zeros, so every score equals the one
+dense (hash_dim, 3) weights would give, bit for bit.
 
 Featurization is feature hashing: each word token and character n-gram
-counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _feature_blocks
-yields one CSR matrix per block of distinct texts, built in array passes;
-_featurize_many stacks the blocks into one row per text. zlib hashes each
-distinct word token; the character n-grams get the same crc32 bits from a
-vectorised kernel (_gram_registers), one array pass per n over the block's
-characters instead of a zlib call per distinct gram. On a 2-vCPU Xeon VM
-that is about 14-15 us per distinct 59-character turn, against 31-32 us
-when each n's grams were ranked with np.unique and hashed one zlib call at
-a time.
+counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _map_blocks builds
+one CSR matrix per block of 1024 distinct texts, in array passes, and hands
+each to a function: _featurize_many stacks the blocks into one row per
+text, and predict_proba scores each into its rows of one (n_distinct, 3)
+array. A text's row depends on that text alone, so the blocks run on one
+thread per usable CPU, at most one per block; numpy's sorts, takes,
+bincounts and ufuncs release the GIL, and only the per-text Python
+(lowercase, split, join, the token dict, a crc32 per distinct word) runs
+one thread at a time. With one CPU or one block the calling thread does
+all the work and starts no thread. Each thread holds one block's arrays,
+so memory grows as threads x one block. A block's (row << bits) | bucket
+keys are uint32, which sort faster than int64, wherever 1024 rows fit
+beside hash_dim's bits (hash_dim up to 2**22); above that they are int64.
+
+zlib hashes each distinct word token; the character n-grams get the same
+crc32 bits from a vectorised kernel (_gram_registers), one array pass per
+n over the block's characters instead of a zlib call per distinct gram.
+On a 2-vCPU Xeon VM that is about 14-15 us per distinct 59-character turn
+on one thread, against 31-32 us when each n's grams were ranked with
+np.unique and hashed one zlib call at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from collections.abc import Mapping
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -204,8 +217,8 @@ class _Csr(NamedTuple):
 
 
 # Distinct texts featurized (and, in predict_proba, scored) together; bounds the
-# temporary arrays of one pass.
-_BLOCK = 2048
+# temporary arrays of one pass, of which each thread holds one.
+_BLOCK = 1024
 # Stored entries _remap rewrites at once; bounds its temporary array.
 _REMAP_SLICE = 1 << 16
 # Training rows fit copies out of the feature matrix at once, rounded to whole
@@ -215,10 +228,16 @@ _REMAP_SLICE = 1 << 16
 _RUN_ROWS = 128
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say (macOS)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
 def _featurize_many(texts: Iterable[str], spec: FeatureSpec) -> _Csr:
     """One CSR row per text; each distinct text is featurized once."""
     distinct, rows = _distinct(texts)
-    blocks = list(_feature_blocks(distinct, spec))
+    blocks = _map_blocks(lambda start, block: block, distinct, spec)
     lengths = np.concatenate([np.diff(b.indptr) for b in blocks])
     feats = _Csr(np.concatenate(([0], np.cumsum(lengths))),
                  np.concatenate([b.indices for b in blocks]),
@@ -233,13 +252,45 @@ def _distinct(texts: Iterable[str]) -> tuple[list[str], np.ndarray]:
     return list(first), np.array(rows, dtype=np.int64)
 
 
-def _feature_blocks(distinct: Sequence[str], spec: FeatureSpec) -> Iterator[_Csr]:
-    """One CSR matrix per block of _BLOCK distinct texts, built as it is asked for.
+def _map_blocks(work: Callable[[int, _Csr], object], distinct: Sequence[str],
+                spec: FeatureSpec) -> list:
+    """[work(start, block) for each block of distinct texts], in block order.
 
-    Yields at least one block, possibly empty, so an empty batch gets the same dtypes.
+    The block from start is _featurize_block of the _BLOCK texts from start;
+    there is at least one, possibly empty, so an empty batch gets the same
+    dtypes. Blocks run on one thread per usable CPU, at most one per block:
+    thread t takes blocks t, t + threads, ..., and the calling thread is
+    thread 0, so with one CPU or one block no thread is started. work may
+    run on any of them, so it writes nothing but its own block's output.
+    Every thread is joined before this returns or raises, and the error
+    raised is the earliest failing block's, as one thread raises it.
     """
-    for i in range(0, max(len(distinct), 1), _BLOCK):
-        yield _featurize_block(distinct[i : i + _BLOCK], spec)
+    starts = range(0, max(len(distinct), 1), _BLOCK)
+    results = [None] * len(starts)
+    failed: dict[int, Exception] = {}
+
+    def run(first: int, step: int) -> None:
+        for i in range(first, len(starts), step):
+            start = starts[i]
+            try:
+                results[i] = work(start, _featurize_block(distinct[start : start + _BLOCK], spec))
+            except Exception as exc:  # raised in the caller's thread, below
+                failed[i] = exc
+                return
+
+    n_threads = min(_usable_cpus(), len(starts))
+    threads = [threading.Thread(target=run, args=(t, n_threads)) for t in range(1, n_threads)]
+    try:
+        for thread in threads:
+            thread.start()
+        run(0, n_threads)
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
@@ -263,9 +314,10 @@ def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
         tokens += words
         n_tokens.append(len(words))
         joined.append(" ".join(words))
-    # Keys are (row << bits) | bucket; row < _BLOCK and bucket < hash_dim fit int64.
-    row_keys = np.arange(len(texts), dtype=np.int64) << bits
-    keys = [np.empty(0, np.int64)]  # the key of every token and n-gram
+    # Keys are (row << bits) | bucket: uint32 where they fit, which sorts faster.
+    key = np.uint32 if len(texts) << bits <= 2 ** 32 else np.int64
+    row_keys = np.arange(len(texts), dtype=key) << key(bits)
+    keys = [np.empty(0, key)]  # the key of every token and n-gram
     if spec.word_unigrams:
         vocab = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
         ids = np.fromiter(map(vocab.__getitem__, tokens), np.int64, len(tokens))
@@ -298,7 +350,8 @@ def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
     edges = np.flatnonzero(edges)
     keys = keys[edges[:-1]]
     indptr = np.append(np.searchsorted(keys, row_keys), len(keys))
-    return _Csr(indptr, keys & (spec.hash_dim - 1), np.diff(edges).astype(np.float64))
+    buckets = (keys & low).astype(np.int64, copy=False)
+    return _Csr(indptr, buckets, np.diff(edges).astype(np.float64))
 
 
 def _compact(feats: _Csr, hash_dim: int) -> tuple[np.ndarray, _Csr]:
@@ -602,12 +655,13 @@ def predict_proba(
 ) -> list[ProbTriple]:
     """Score turn texts with a trained checkpoint, one ProbTriple per turn.
 
-    Each distinct text is featurized and scored once, one block of _BLOCK
-    distinct texts at a time, so no array grows with the batch's non-zeros.
-    Every block's buckets are sent to the model's weight rows by one rank
-    table, built once; a bucket the model never saw goes to a column of
-    +0.0 appended to the class-major weights, as its dense weight row would
-    be.
+    Each distinct text is featurized and scored once, in blocks of _BLOCK
+    distinct texts, one block in flight per thread (_map_blocks), so no
+    array grows with the batch's non-zeros. Each block's probabilities go
+    to its own rows of one (n_distinct, 3) array. Every block's buckets
+    are sent to the model's weight rows by one rank table, built once; a
+    bucket the model never saw goes to a column of +0.0 appended to the
+    class-major weights, as its dense weight row would be.
     """
     if spec != model.feature_spec:
         raise SpecMismatch("supplied FeatureSpec differs from the one the model was trained with")
@@ -616,11 +670,12 @@ def predict_proba(
     weights_t = np.zeros((3, len(model.columns) + 1))
     weights_t[:, :-1] = model.weights.T
     probs = np.empty((len(distinct), 3))
-    start = 0
-    for block in _feature_blocks(distinct, spec):
+
+    def score(start: int, block: _Csr) -> None:
         stop = start + len(block.indptr) - 1
         probs[start:stop] = _softmax_rows(_gather(_remap(block, rank), weights_t) + model.bias)
-        start = stop
+
+    _map_blocks(score, distinct, spec)
     if len(distinct) < len(rows):
         probs = probs[rows]
     return list(map(ProbTriple._make, probs.tolist()))

@@ -104,9 +104,11 @@ def _stamp_meta(cfg: RunConfig) -> dict:
     return {"tool_version": __version__, "config_hash": config_hash(cfg)}
 
 
-def _write_json(path: Path, payload: dict, cfg: RunConfig) -> None:
+def _write_json(path: Path, payload: dict, cfg: RunConfig, indent: int | None = 2) -> None:
+    """payload with the stamp, keys sorted; a fold plan is written with
+    indent=None, a third of the bytes, by json's C encoder."""
     payload = {**_stamp_meta(cfg), **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _format_table(value_header: str, rows: list[tuple[str, MetricBundle]]) -> str:
@@ -281,7 +283,7 @@ def split(config_file, transcripts, out_file, **flags):
     cfg = _merged(config_file, **flags)
     corpus = ingest_transcripts(transcripts)
     plan = _plan_for(cfg, corpus)
-    _write_json(Path(out_file), fold_plan_payload(plan), cfg)
+    _write_json(Path(out_file), fold_plan_payload(plan), cfg, indent=None)
     click.echo(f"assigned {len(plan.assignment)} turns to {plan.k} folds (test fold {plan.test_fold})")
 
 
@@ -559,7 +561,7 @@ def run_pipeline(
             payload["per_fold_validation_auc"] = {
                 str(v): model.validation_auc for v, model in run.models.items()
             }
-        _write_json(stage / "fold_plan.json", fold_plan_payload(plan), cfg)
+        _write_json(stage / "fold_plan.json", fold_plan_payload(plan), cfg, indent=None)
         _write_json(stage / "shared_threshold.json",
                     {"shared_threshold": run.shared_threshold,
                      "mean_f1_macro": run.shared_threshold_mean_f1}, cfg)

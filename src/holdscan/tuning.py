@@ -22,7 +22,6 @@ part in the pick either.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -39,6 +38,7 @@ from .classifier import (
     _featurize_many,
     _gather,
     _softmax_rows,
+    _usable_cpus,
     fit,
     select_best_checkpoint,
 )
@@ -272,10 +272,9 @@ def _worker_count(n_tasks: int) -> int:
     (macOS, where fork is unsafe) or without fork (Windows)."""
     import multiprocessing
 
-    affinity = getattr(os, "sched_getaffinity", None)
-    if affinity is None or "fork" not in multiprocessing.get_all_start_methods():
+    if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    return min(len(affinity(0)), n_tasks)
+    return min(_usable_cpus(), n_tasks)
 
 
 @contextmanager

@@ -59,6 +59,9 @@ MUTANTS = [
      "np.add.at(out_t[c], feats.indices, terms[c])", "out_t[c, feats.indices] += terms[c]"),
     ("AUC-1.0 exit taken at 0.99", CLASSIFIER,
      "if best.validation_auc == 1.0:", "if best.validation_auc >= 0.99:"),
+    ("block keys' row shift one bit short", CLASSIFIER,
+     "row_keys = np.arange(len(texts), dtype=key) << key(bits)",
+     "row_keys = np.arange(len(texts), dtype=key) << key(bits - 1)"),
     ("_remap sends unseen buckets to row 0", CLASSIFIER,
      "rank = np.full(hash_dim, len(columns), np.int32)", "rank = np.full(hash_dim, 0, np.int32)"),
     ("threshold chosen on the test fold", TUNING,

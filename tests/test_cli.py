@@ -20,6 +20,7 @@ from holdscan.corpus import (
     PhraseTurn,
     generate_synthetic,
     ingest_transcripts,
+    load_fold_plan,
     write_transcripts,
 )
 
@@ -366,6 +367,7 @@ class TestPipeline:
         artifacts = tree_bytes(out_a)
         assert sum(name.startswith("models/") for name in artifacts) == 3
         assert artifacts == tree_bytes(out_b)
+        assert artifacts["fold_plan.json"].count(b"\n") == 1  # written without indentation
         payload = json.loads((out_a / "metrics.json").read_text())
         assert payload["mode"] == "trained"
         assert len(payload["per_fold_test_metrics"]) == 3
@@ -686,6 +688,18 @@ class TestFoldPlanReuse:
                     "--fold-plan", str(plan_file), "--out", str(out_file)])
         assert code == 0
         assert 0.0 <= json.loads(out_file.read_text())["shared_threshold"] <= 1.0 + 1e-9
+
+    def test_plan_is_one_line_and_an_indented_plan_loads_the_same(self, corpus_dir, tmp_path):
+        """split writes the plan without indentation; the same JSON value written
+        with indent=2, as earlier versions wrote it, loads to the same FoldPlan."""
+        plan_file = tmp_path / "plan.json"
+        assert run(["split", "--transcripts", str(corpus_dir / "transcripts.csv"),
+                    "--folds", "4", "--seed", "3", "--out", str(plan_file)]) == 0
+        text = plan_file.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1
+        indented = tmp_path / "indented.json"
+        indented.write_text(json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n")
+        assert load_fold_plan(indented) == load_fold_plan(plan_file)
 
     @pytest.mark.parametrize("damage", ["no_assignment", "two_element_rows", "non_integer_fold",
                                         "duplicate_row", "not_an_object", "fractional_k",
