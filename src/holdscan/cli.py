@@ -56,7 +56,7 @@ from .corpus import (
 from .corpus.io import write_csv
 from .corpus.synthetic import DEFAULT_PROFILE
 from .decision import DecisionRule, decide_batch
-from .errors import DataValidationError, HoldscanError, MissingPredictions
+from .errors import DataValidationError, FoldTooSmall, HoldscanError, MissingPredictions
 from .metrics import MetricBundle
 from .tuning import (
     DEFAULT_CLASS_WEIGHT_GRID,
@@ -138,14 +138,19 @@ def _lookup(proba: KeyedProba, keys: Iterable[TurnKey]) -> np.ndarray:
         raise MissingPredictions(exc.args[0][0]) from None
 
 
-def _proba_by_fold(
+def _proba_folds(
     corpus: Corpus, plan: FoldPlan, proba: KeyedProba
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray]]:
+    """The (probabilities, labels) of the validation folds, and of the test fold."""
+    if plan.k < 2:
+        raise FoldTooSmall(f"k={plan.k}: need a validation fold besides the test fold")
     keys, labels = corpus.table.keys, corpus.table.label
-    return [
+    by_fold = [
         (_lookup(proba, map(keys.__getitem__, rows.tolist())), labels[rows])
         for rows in plan.fold_rows(corpus)
     ]
+    test = by_fold.pop(plan.test_fold)
+    return by_fold, test
 
 
 # --- command group ----------------------------------------------------------
@@ -267,7 +272,7 @@ def generate(config_file, profile_file, out_dir, **flags):
     _write_json(out / "violations.json", {"violations": [v.as_dict() for v in ledger]}, cfg)
     counts = corpus.label_counts()
     click.echo(
-        f"generated {len(corpus.calls)} calls, {corpus.n_turns()} turns "
+        f"generated {len(corpus.table.call_ids)} calls, {corpus.n_turns()} turns "
         f"(opening={counts[1]}, closing={counts[2]}), {len(ledger)} ground-truth violations"
     )
     click.echo(f"wrote corpus to {out}")
@@ -338,9 +343,8 @@ def tune_threshold(config_file, transcripts, proba_file, fold_plan_file, out_fil
     cfg = _merged(config_file, **flags)
     corpus = ingest_transcripts(transcripts)
     plan = _plan_for(cfg, corpus, fold_plan_file)
-    by_fold = _proba_by_fold(corpus, plan, load_external_proba(proba_file))
-    by_fold.pop(plan.test_fold)
-    threshold, mean_f1 = shared_threshold_search(by_fold)
+    val_folds, _ = _proba_folds(corpus, plan, load_external_proba(proba_file))
+    threshold, mean_f1 = shared_threshold_search(val_folds)
     click.echo(f"shared threshold: {threshold!r}")
     click.echo(f"mean validation F1-macro: {mean_f1:.4f}")
     if out_file:
@@ -362,15 +366,17 @@ def evaluate(config_file, transcripts, proba_file, threshold, fold_plan_file, fo
     cfg = _merged(config_file, threshold=threshold, **flags)
     corpus = ingest_transcripts(transcripts)
     proba = load_external_proba(proba_file)
+    table = corpus.table
     if fold is not None:
         plan = _plan_for(cfg, corpus, fold_plan_file)
         if not 0 <= fold < plan.k:
             raise click.UsageError(f"--fold must be in [0, {plan.k})")
-        keys = plan.keys_by_fold()[fold]
+        rows = plan.fold_rows(corpus)[fold]
     else:
-        keys = corpus.labeled_keys()
-    labels = corpus.table.label[corpus.table.rows_of(keys)]
-    bundle = score_at(_lookup(proba, keys), labels, threshold)
+        rows = table.key_order[table.label[table.key_order] >= 0]  # labeled, in key order
+    labels = table.label[rows]
+    bundle = score_at(_lookup(proba, map(table.keys.__getitem__, rows.tolist())), labels,
+                      threshold)
     for name, value in bundle.as_dict().items():
         click.echo(f"{name}: {value:.6f}")
     if out_file:
@@ -437,12 +443,14 @@ def sweep(config_file, transcripts, synthetic_calls, axis, values, out_dir, **fl
 def audit(config_file, transcripts, holds_file, proba_file, gold, out_file, **flags):
     """Audit detected scripts against registered holds, call by call."""
     cfg = _merged(config_file, **flags)
+    if gold and proba_file:
+        raise click.UsageError("--gold audits the gold labels: give --gold or --proba")
+    if not gold and (not proba_file or cfg.threshold is None):
+        raise click.UsageError("need --proba and --threshold, or --gold")
     corpus = attach_holds(ingest_transcripts(transcripts), ingest_holds(holds_file))
     if gold:
-        predictions = gold_predictions(corpus)
+        predictions = gold_predictions(corpus)  # any threshold is ignored
     else:
-        if not proba_file or cfg.threshold is None:
-            raise click.UsageError("need --proba and --threshold, or --gold")
         keys = corpus.table.keys
         probs = _lookup(load_external_proba(proba_file), keys)
         predictions = dict(zip(keys, decide_batch(probs, DecisionRule(cfg.threshold))))
@@ -536,9 +544,9 @@ def run_pipeline(
     stage = Path(tempfile.mkdtemp(dir=out_dir, prefix=".run-"))  # in out_dir: publishing is renames
     try:
         if external_proba_file:
-            by_fold = _proba_by_fold(corpus, plan, load_external_proba(external_proba_file))
-            test_probs, test_labels = by_fold.pop(plan.test_fold)
-            run = tune_and_test(by_fold, [test_probs], test_labels)
+            val_folds, (test_probs, test_labels) = _proba_folds(
+                corpus, plan, load_external_proba(external_proba_file))
+            run = tune_and_test(val_folds, [test_probs], test_labels)
             mode, table_label, published = "external", "external", []
         else:
             run = run_cross_validation(corpus, plan, *trained)

@@ -17,8 +17,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .corpus.model import Call, Corpus, HoldInterval, TurnKey
-from .errors import LabelCountMismatch, MissingPredictions, Unlabeled
+from .corpus.model import Corpus, HoldInterval, TurnKey
+from .errors import MissingPredictions, Unlabeled
 from .violations import (
     MISSING_CLOSING,
     MISSING_OPENING,
@@ -101,26 +101,6 @@ def _greedy_match(
                 used.add(turn_index)
                 break
     return matched
-
-
-def audit_call(
-    call: Call,
-    predicted_labels: Sequence[int],
-    config: AuditConfig = AuditConfig(),
-) -> ComplianceReport:
-    """Audit one call given a predicted label per turn (aligned to call.turns)."""
-    if len(predicted_labels) != len(call.turns):
-        raise LabelCountMismatch(
-            f"call {call.call_id!r}: {len(call.turns)} turns but {len(predicted_labels)} labels"
-        )
-    openings: list[tuple[int, int]] = []
-    closings: list[tuple[int, int]] = []
-    for turn, label in zip(call.turns, predicted_labels):
-        if label == 1:
-            openings.append((turn.end_ms, turn.turn_index))
-        elif label == 2:
-            closings.append((turn.start_ms, turn.turn_index))
-    return _audit(call.call_id, call.holds, openings, closings, config)
 
 
 def _audit(

@@ -6,9 +6,9 @@ Timestamps are integer milliseconds throughout; labels are the ints
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,20 +37,26 @@ class PhraseTurn:
     label: Optional[int] = None
 
     def __post_init__(self):
-        if self.turn_index < 0:
-            raise ValueError(f"turn_index must be >= 0, got {self.turn_index}")
-        if self.start_ms < 0:
-            raise ValueError(f"start_ms must be >= 0, got {self.start_ms}")
-        if self.end_ms < self.start_ms:
-            raise ValueError(f"end_ms {self.end_ms} < start_ms {self.start_ms}")
-        if self.channel not in CHANNELS:
-            raise ValueError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
-        if self.label is not None and self.label not in LABELS:
-            raise ValueError(f"label must be one of {LABELS} or None, got {self.label!r}")
+        check_turn(self.turn_index, self.channel, self.start_ms, self.end_ms, self.label)
 
     @property
     def key(self) -> TurnKey:
         return (self.call_id, self.turn_index)
+
+
+def check_turn(turn_index: int, channel: str, start_ms: int, end_ms: int,
+               label: Optional[int]) -> None:
+    """Raise ValueError unless the fields make a valid turn."""
+    if turn_index < 0:
+        raise ValueError(f"turn_index must be >= 0, got {turn_index}")
+    if start_ms < 0:
+        raise ValueError(f"start_ms must be >= 0, got {start_ms}")
+    if end_ms < start_ms:
+        raise ValueError(f"end_ms {end_ms} < start_ms {start_ms}")
+    if channel not in CHANNELS:
+        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    if label is not None and label not in LABELS:
+        raise ValueError(f"label must be one of {LABELS} or None, got {label!r}")
 
 
 def turn_order_error(
@@ -101,9 +107,6 @@ class Call:
     call_id: str
     turns: tuple[PhraseTurn, ...]
     holds: tuple[HoldInterval, ...] = ()
-    _turn_by_index: dict[int, PhraseTurn] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self):
         self.turns = tuple(self.turns)
@@ -123,11 +126,7 @@ class Call:
                 if error is not None:
                     raise error
             prev = turn
-            self._turn_by_index[turn.turn_index] = turn
         check_holds(self.call_id, self.holds)
-
-    def turn(self, turn_index: int) -> PhraseTurn:
-        return self._turn_by_index[turn_index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,8 +137,8 @@ class TurnTable:
     turn_index within a call: call c owns rows offsets[c]:offsets[c + 1].
     turn_index, start_ms and end_ms are int64, channel holds int8 codes
     into CHANNELS, and label is int64 with -1 for an unlabeled turn. The
-    arrays are read-only. A table checks nothing; ingest and Call have
-    checked the turns it is built from.
+    arrays are read-only. A table checks nothing; ingest, Call and the
+    synthetic generator have checked the turns it is built from.
     """
 
     call_ids: tuple[str, ...]
@@ -156,22 +155,32 @@ class TurnTable:
             getattr(self, name).flags.writeable = False
 
     @classmethod
+    def of_columns(cls, call_ids: Sequence[str], lengths: Sequence[int],
+                   turn_index: Sequence[int], start_ms: Sequence[int], end_ms: Sequence[int],
+                   channel: Sequence[str], label: Sequence[Optional[int]],
+                   text: Sequence[str]) -> "TurnTable":
+        """The table of turns given as a Python list per field, call c's
+        lengths[c] rows after those of the calls before it; channel holds names
+        from CHANNELS, label None when unlabeled. The generator and of_calls use it."""
+        code = {name: i for i, name in enumerate(CHANNELS)}
+        return cls(
+            call_ids=tuple(call_ids),
+            offsets=np.cumsum([0, *lengths], dtype=np.int64),
+            turn_index=np.array(turn_index, dtype=np.int64),
+            start_ms=np.array(start_ms, dtype=np.int64),
+            end_ms=np.array(end_ms, dtype=np.int64),
+            channel=np.fromiter(map(code.__getitem__, channel), np.int8, len(channel)),
+            label=np.array([-1 if x is None else x for x in label], dtype=np.int64),
+            text=list(text),
+        )
+
+    @classmethod
     def of_calls(cls, calls: Sequence[Call]) -> "TurnTable":
         turns = [turn for call in calls for turn in call.turns]
-
-        def column(name: str, dtype) -> np.ndarray:
-            return np.array([getattr(turn, name) for turn in turns], dtype=dtype)
-
-        code = {channel: i for i, channel in enumerate(CHANNELS)}
-        return cls(
-            call_ids=tuple(call.call_id for call in calls),
-            offsets=np.cumsum([0] + [len(call.turns) for call in calls], dtype=np.int64),
-            turn_index=column("turn_index", np.int64),
-            start_ms=column("start_ms", np.int64),
-            end_ms=column("end_ms", np.int64),
-            channel=np.array([code[turn.channel] for turn in turns], dtype=np.int8),
-            label=np.array([-1 if t.label is None else t.label for t in turns], dtype=np.int64),
-            text=[turn.text for turn in turns],
+        return cls.of_columns(
+            [call.call_id for call in calls], [len(call.turns) for call in calls],
+            *([getattr(turn, name) for turn in turns]
+              for name in ("turn_index", "start_ms", "end_ms", "channel", "label", "text")),
         )
 
     def __len__(self) -> int:
@@ -209,10 +218,6 @@ class TurnTable:
         shift = self.offsets[by_id] - (np.cumsum(lengths) - lengths)
         return np.arange(len(self)) + np.repeat(shift, lengths)
 
-    def rows_of(self, keys: Collection[TurnKey]) -> np.ndarray:
-        """The row of each key, in order; KeyError names the first key that is no turn."""
-        return np.fromiter(map(self.row_of.__getitem__, keys), np.int64, len(keys))
-
     def turn(self, row: int) -> PhraseTurn:
         label = int(self.label[row])
         return PhraseTurn(
@@ -229,12 +234,12 @@ class TurnTable:
 class Corpus:
     """An immutable collection of calls, either ingested from files or synthesized.
 
-    Its store is one TurnTable plus each call's holds (holds, by call_id;
-    a call without holds has no entry). Corpus(calls=...) builds the
-    table from Call objects; Corpus.of_table wraps a table, and builds the
-    Call and PhraseTurn objects only when calls, call, iter_turns or turn
-    asks for them. Two corpora are equal when their tables, holds,
-    provenance and seed are.
+    Its one store is a TurnTable plus each call's holds (holds, by
+    call_id; a call without holds has no entry), and the library reads
+    only the table. Call and PhraseTurn are views and inputs for outside
+    callers: Corpus(calls=...) copies Call objects into a table; calls,
+    call and iter_turns build them on first use, and turn builds one.
+    Two corpora are equal when their tables, holds, provenance and seed are.
     """
 
     def __init__(
@@ -309,7 +314,8 @@ class Corpus:
             yield from call.turns
 
     def turn(self, key: TurnKey) -> PhraseTurn:
-        return self.call(key[0]).turn(key[1])
+        """The turn of a (call_id, turn_index) key; KeyError when it is no turn."""
+        return self.table.turn(self.table.row_of[key])
 
     def n_turns(self) -> int:
         return len(self.table)
@@ -318,12 +324,6 @@ class Corpus:
         label = self.table.label
         counts = np.bincount(label[label >= 0], minlength=len(LABELS))
         return dict(zip(LABELS, counts.tolist()))
-
-    def labeled_keys(self) -> list[TurnKey]:
-        """Keys of all labeled turns, sorted by (call_id, turn_index)."""
-        order = self.table.key_order
-        rows = order[self.table.label[order] >= 0]
-        return [self.table.keys[row] for row in rows.tolist()]
 
 
 @dataclass
@@ -348,21 +348,16 @@ class FoldPlan:
                 f"{len(self.assignment)} assigned turns leave one of {self.k} folds empty"
             )
 
-    def keys_by_fold(self) -> list[list[TurnKey]]:
-        folds: list[list[TurnKey]] = [[] for _ in range(self.k)]
-        for key in sorted(self.assignment):
-            folds[self.assignment[key]].append(key)
-        return folds
-
     def fold_rows(self, corpus: Corpus) -> list[np.ndarray]:
-        """Each fold's corpus rows, in key order, as keys_by_fold lists the keys.
+        """Each fold's corpus rows, in key order: sorted by (call_id, turn_index).
 
         Raises KeyError when an assigned key is no turn of the corpus.
         """
         table = corpus.table
         fold_of = np.full(len(table), -1)
-        fold_of[table.rows_of(self.assignment)] = np.fromiter(
-            self.assignment.values(), np.int64, len(self.assignment))
+        n = len(self.assignment)
+        fold_of[np.fromiter(map(table.row_of.__getitem__, self.assignment), np.int64, n)] = (
+            np.fromiter(self.assignment.values(), np.int64, n))
         order = table.key_order[fold_of[table.key_order] >= 0]
         folds = fold_of[order]
         by_fold = order[np.argsort(folds, kind="stable")]

@@ -5,8 +5,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import Unlabeled
-from .model import Corpus
+from .model import CLOSING, LABELS, OPENING, Corpus
 
 
 @dataclass
@@ -20,27 +22,27 @@ class CorpusStats:
 
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
-    """Histogram the corpus; every turn must carry a gold label."""
-    rows_per_call: Counter = Counter()
-    words_per_row: dict[int, Counter] = {0: Counter(), 1: Counter(), 2: Counter()}
-    script_matrix: Counter = Counter()
-    for call in corpus.calls:
-        rows_per_call[len(call.turns)] += 1
-        n_open = n_close = 0
-        for turn in call.turns:
-            if turn.label is None:
-                raise Unlabeled(f"turn {turn.key} has no label; stats need a labeled corpus")
-            words_per_row[turn.label][len(turn.text.split())] += 1
-            if turn.label == 1:
-                n_open += 1
-            elif turn.label == 2:
-                n_close += 1
-        script_matrix[(n_open, n_close)] += 1
+    """Histogram the corpus's turn table; every turn must carry a gold label.
+
+    Every key and count is a Python int, in first-seen row or call order.
+    """
+    t = corpus.table
+    unlabeled = np.flatnonzero(t.label < 0)
+    if unlabeled.size:
+        raise Unlabeled(f"turn {t.keys[unlabeled[0]]} has no label; stats need a labeled corpus")
+    words_per_row: dict[int, Counter] = {label: Counter() for label in LABELS}
+    for (label, words), rows in Counter(zip(t.label.tolist(),
+                                            map(len, map(str.split, t.text)))).items():
+        words_per_row[label][words] = rows
+    n_calls = len(t.call_ids)
+    per_call = np.bincount(t.call_of_row * len(LABELS) + t.label,
+                           minlength=n_calls * len(LABELS)).reshape(n_calls, len(LABELS))
     return CorpusStats(
-        n_calls=len(corpus.calls),
-        n_turns=corpus.n_turns(),
+        n_calls=n_calls,
+        n_turns=len(t),
         label_counts=corpus.label_counts(),
-        rows_per_call=rows_per_call,
+        rows_per_call=Counter(np.diff(t.offsets).tolist()),
         words_per_row=words_per_row,
-        script_matrix=dict(script_matrix),
+        script_matrix=dict(Counter(zip(per_call[:, OPENING].tolist(),
+                                       per_call[:, CLOSING].tolist()))),
     )

@@ -26,7 +26,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from ..errors import EmptyTemplatePool
+from ..errors import EmptyTemplatePool, NonMonotonicTimestamps
 from ..violations import (
     MISSING_CLOSING,
     MISSING_OPENING,
@@ -34,7 +34,16 @@ from ..violations import (
     Violation,
     ViolationLedger,
 )
-from .model import CLOSING, IRRELEVANT, OPENING, Call, Corpus, HoldInterval, PhraseTurn
+from .model import (
+    CLOSING,
+    IRRELEVANT,
+    OPENING,
+    Corpus,
+    HoldInterval,
+    TurnTable,
+    check_holds,
+    check_turn,
+)
 
 # Joint weights for (opening rows, closing rows) per call; rows index the
 # opening count 0..6, columns the closing count 0..6. Calibrated against
@@ -179,7 +188,12 @@ class _CallBuilder:
     rng: np.random.Generator
     profile: GeneratorProfile
     cursor: int = 0
-    turns: list[PhraseTurn] = field(default_factory=list)
+    # The call's turns, one list per field, in turn_index order.
+    start_ms: list[int] = field(default_factory=list)
+    end_ms: list[int] = field(default_factory=list)
+    channel: list[str] = field(default_factory=list)
+    label: list[int] = field(default_factory=list)
+    text: list[str] = field(default_factory=list)
     holds: list[HoldInterval] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
 
@@ -193,18 +207,14 @@ class _CallBuilder:
 
     def add_turn(self, text: str, label: int, channel: str) -> int:
         dur = self._span(self.profile.turn_dur_min_ms, self.profile.turn_dur_max_ms)
-        index = len(self.turns)
-        self.turns.append(
-            PhraseTurn(
-                call_id=self.call_id,
-                turn_index=index,
-                channel=channel,
-                start_ms=self.cursor,
-                end_ms=self.cursor + dur,
-                text=text,
-                label=label,
-            )
-        )
+        index = len(self.text)
+        # A profile with negative times can break a turn; fail as a PhraseTurn would.
+        check_turn(index, channel, self.cursor, self.cursor + dur, label)
+        self.start_ms.append(self.cursor)
+        self.end_ms.append(self.cursor + dur)
+        self.channel.append(channel)
+        self.label.append(label)
+        self.text.append(text)
         self.cursor += dur
         return index
 
@@ -259,8 +269,11 @@ class _CallBuilder:
 
         self.cursor += p.quarantine_ms
 
-    def build(self) -> Call:
-        return Call(call_id=self.call_id, turns=tuple(self.turns), holds=tuple(self.holds))
+    def check(self) -> None:
+        """Raise what Call raises for these turns and holds."""
+        if any(b < a for a, b in zip(self.start_ms, self.start_ms[1:])):
+            raise NonMonotonicTimestamps(self.call_id)
+        check_holds(self.call_id, self.holds)
 
 
 def generate_synthetic(
@@ -281,7 +294,7 @@ def generate_synthetic(
     probs = (weights / weights.sum()).ravel()
     n_cols = weights.shape[1]
 
-    calls: list[Call] = []
+    builders: list[_CallBuilder] = []
     ledger: ViolationLedger = []
     for i in range(n_calls):
         builder = _CallBuilder(
@@ -324,8 +337,15 @@ def generate_synthetic(
             else:
                 builder.add_event(*slot)
 
-        calls.append(builder.build())
+        builder.check()
+        builders.append(builder)
         ledger.extend(builder.violations)
 
-    corpus = Corpus(calls=tuple(calls), provenance="synthetic", seed=seed)
-    return corpus, ledger
+    table = TurnTable.of_columns(
+        [b.call_id for b in builders], [len(b.text) for b in builders],
+        [index for b in builders for index in range(len(b.text))],
+        *([value for b in builders for value in getattr(b, name)]
+          for name in ("start_ms", "end_ms", "channel", "label", "text")),
+    )
+    holds = {b.call_id: b.holds for b in builders}
+    return Corpus.of_table(table, holds, provenance="synthetic", seed=seed), ledger

@@ -136,7 +136,7 @@ class EmptyFold(ProtocolError):
 
 
 class FoldTooSmall(DataValidationError):
-    """A trained run needs k >= 3: separate train, validation and test folds."""
+    """A threshold search needs validation and test folds; a trained run, a train fold too."""
 
 
 class UnknownAxis(ProtocolError):
@@ -146,10 +146,6 @@ class UnknownAxis(ProtocolError):
 
 
 # --- compliance ----------------------------------------------------------
-
-class LabelCountMismatch(ProtocolError):
-    pass
-
 
 class MissingPredictions(DataValidationError):
     def __init__(self, call_id: str):

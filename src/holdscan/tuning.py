@@ -177,7 +177,7 @@ class FoldMatrix:
     """A fold plan's labeled turns as one feature matrix, fold after fold.
 
     Row i holds the features and label of a turn of fold fold_of[i]; within
-    a fold the turns are in key order, as FoldPlan.keys_by_fold lists them.
+    a fold the turns are in key order, as FoldPlan.fold_rows lists them.
     The features' indices are ranks into columns, the buckets any row uses,
     so every fold model's weights have one row per column. feature_spec is
     the spec the rows were featurized with, and so the one every model

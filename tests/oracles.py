@@ -34,6 +34,10 @@ is bit-exact: a test compares whole results with ==, or their bytes.
   the same corpus, the same probability bits, or the same error class,
   message and line number as `corpus.io.ingest_transcripts` and
   `classifier.load_external_proba`.
+- `per_call_corpus_stats`: `corpus.stats.corpus_stats` as it was before
+  it read the turn table, walking the corpus's Call and PhraseTurn views
+  (verbatim); the same CorpusStats, with Python int keys and counts, and
+  the same Unlabeled message.
 
 A path-specific reference, such as a verbatim copy of code the package
 replaced, lives here only until an independent reference checks the same
@@ -46,13 +50,14 @@ from __future__ import annotations
 
 import csv
 import zlib
+from collections import Counter
 from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
 from holdscan.classifier import PROB_FILE_TOL, PROBA_COLUMNS, Checkpoint, FeatureSpec, ProbTriple
-from holdscan.corpus import Call, Corpus, PhraseTurn
+from holdscan.corpus import Call, Corpus, CorpusStats, PhraseTurn
 from holdscan.corpus.io import OPTIONAL_COLUMNS, REQUIRED_COLUMNS
 from holdscan.errors import (
     DuplicateKey,
@@ -61,6 +66,7 @@ from holdscan.errors import (
     MalformedRow,
     MissingColumn,
     ProbabilityInvariantViolation,
+    Unlabeled,
     UnlabeledExample,
 )
 from holdscan.metrics import PROB_SUM_TOL, roc_auc_ovr_macro
@@ -444,3 +450,32 @@ def load_external_proba_by_row(path):
             p = [x / total for x in p]
         result[key] = ProbTriple._make(p)
     return result
+
+
+# --- descriptive statistics over Call views -------------------------------------
+
+
+def per_call_corpus_stats(corpus: Corpus) -> CorpusStats:
+    rows_per_call: Counter = Counter()
+    words_per_row: dict[int, Counter] = {0: Counter(), 1: Counter(), 2: Counter()}
+    script_matrix: Counter = Counter()
+    for call in corpus.calls:
+        rows_per_call[len(call.turns)] += 1
+        n_open = n_close = 0
+        for turn in call.turns:
+            if turn.label is None:
+                raise Unlabeled(f"turn {turn.key} has no label; stats need a labeled corpus")
+            words_per_row[turn.label][len(turn.text.split())] += 1
+            if turn.label == 1:
+                n_open += 1
+            elif turn.label == 2:
+                n_close += 1
+        script_matrix[(n_open, n_close)] += 1
+    return CorpusStats(
+        n_calls=len(corpus.calls),
+        n_turns=corpus.n_turns(),
+        label_counts=corpus.label_counts(),
+        rows_per_call=rows_per_call,
+        words_per_row=words_per_row,
+        script_matrix=dict(script_matrix),
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -143,6 +144,30 @@ class TestGenerate:
 
     def test_seed_required(self, tmp_path):
         assert run(["generate", "--calls", "5", "--out-dir", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("profile, digests", [
+        (None, {
+            "transcripts.csv": "b6ee50b2150be55bd876f02fae66009ea3b9066d331cfdb518a0b537b465cb93",
+            "holds.csv": "6e92f545a3a61f847e2005f660e91a4e7342a8e7a5b396d1ff73f9f46fef20c5",
+            "violations.json": "45d18a6fce461aebbb4d949e84509a9609b9160c82ecd9dcd88b445478a17809",
+        }),
+        ("rows_per_call_median = 12\nunregistered_rate = 0.3\nbare_hold_rate = 0.2\n"
+         "quarantine_ms = 25000\njoint_counts = 5 3 1; 4 6 2; 1 2 3\n", {
+            "transcripts.csv": "5feafabd5ff019eaeb03c0390d6a1b7b00ef68acb45833d010328d22c3e673cb",
+            "holds.csv": "60ce5eb9119740bebbf0d2fd3779b920471fe7d4b255e7958dff05947fa10561",
+            "violations.json": "98cb10c677c72a45b3767afc172ea70e5e1625a41b41f496bbbbc586289c8b4f",
+        }),
+    ], ids=["default", "profile"])
+    def test_bytes_are_pinned(self, tmp_path, profile, digests):
+        """generate --calls 60 --seed 7 writes the same bytes as every earlier
+        version, with the default profile and with a profile file."""
+        args = ["generate", "--calls", "60", "--seed", "7", "--out-dir", str(tmp_path / "out")]
+        if profile:
+            (tmp_path / "profile.txt").write_text(profile, encoding="utf-8")
+            args += ["--profile", str(tmp_path / "profile.txt")]
+        assert run(args) == 0
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in tree_bytes(tmp_path / "out").items()} == digests
 
 
 class TestSplitTrainPredict:
@@ -338,9 +363,28 @@ class TestAudit:
         assert code == 2
         assert capsys.readouterr().err == f"error: line 4: call {call_id!r}: overlapping holds\n"
 
-    def test_needs_gold_or_proba(self, corpus_dir):
-        assert run(["audit", "--transcripts", str(corpus_dir / "transcripts.csv"),
-                    "--holds", str(corpus_dir / "holds.csv")]) == 1
+    def test_needs_gold_or_proba(self, corpus_dir, tmp_path):
+        """--gold or --proba with a threshold, not both, checked before the
+        files are read; under --gold a threshold, from a flag or a config
+        file, is ignored."""
+        transcripts = str(corpus_dir / "transcripts.csv")
+        args = ["audit", "--transcripts", transcripts, "--holds", str(corpus_dir / "holds.csv")]
+        proba = tmp_path / "proba.csv"
+        smoothed_gold_proba(ingest_transcripts(transcripts), proba)
+        config = tmp_path / "run.cfg"
+        config.write_text("threshold = 0.5\n")
+        assert run(args) == 1
+        assert run([*args, "--proba", str(proba)]) == 1
+        assert run([*args, "--gold", "--proba", str(proba)]) == 1
+        assert run([*args, "--gold", "--proba", str(proba), "--threshold", "0.5"]) == 1
+        assert run([*args, "--gold", "--threshold", "0.5"]) == 0
+        assert run([*args, "--gold", "--config", str(config)]) == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(HEADER + "a,0,agent,0,1000,hi,7\n")
+        args[2] = str(bad)
+        assert run(args) == 1
+        assert run([*args, "--gold", "--proba", str(proba)]) == 1
+        assert run([*args, "--gold"]) == 2
 
     def test_gold_audit_of_an_unlabeled_turn_names_the_turn(self, tmp_path, capsys):
         transcripts, holds = tmp_path / "t.csv", tmp_path / "h.csv"
@@ -565,19 +609,36 @@ class TestPipeline:
                     *flags, "--out-dir", str(out)]) == 2
         assert not (tmp_path / "a").exists()
 
-    @pytest.mark.parametrize("command", ["pipeline", "sweep"])
-    def test_two_folds_exit_two(self, tmp_path, capsys, command):
-        """k=2 leaves no validation fold beside the test fold: a bad config
-        value, exit 2 with one error line."""
-        args = [command, "--synthetic-calls", "40", "--seed", "23", "--folds", "2",
-                "--hash-dim", "2048", "--epochs", "1", "--out-dir", str(tmp_path / "out")]
-        if command == "sweep":
-            args += ["--axis", "learning_rate", "--values", "0.1"]
+    @pytest.mark.parametrize("command", ["pipeline", "sweep", "tune-threshold",
+                                         "pipeline-external"])
+    def test_two_folds_exit_two(self, corpus_dir, tmp_path, capsys, command):
+        """k=2 leaves a trained run no validation fold beside its train and
+        test folds, and k=1 leaves a threshold search on external
+        probabilities none beside the test fold: a bad config value, exit 2
+        with one error line, and no output written."""
+        out = tmp_path / "out"
+        if command in ("pipeline", "sweep"):
+            k = 2
+            args = [command, "--synthetic-calls", "40", "--seed", "23", "--folds", "2",
+                    "--hash-dim", "2048", "--epochs", "1", "--out-dir", str(out)]
+            if command == "sweep":
+                args += ["--axis", "learning_rate", "--values", "0.1"]
+        else:
+            k = 1
+            transcripts = corpus_dir / "transcripts.csv"
+            proba = tmp_path / "proba.csv"
+            smoothed_gold_proba(ingest_transcripts(transcripts), proba)
+            source = ["--transcripts", str(transcripts), "--folds", "1", "--seed", "23"]
+            args = (["tune-threshold", *source, "--proba", str(proba), "--out", str(out)]
+                    if command == "tune-threshold" else
+                    ["pipeline", *source, "--external-proba", str(proba), "--out-dir", str(out)])
         assert run(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: k=2: ")
+        assert err.startswith(f"error: k={k}: ")
+        if k == 1:
+            assert "need a validation fold besides the test fold" in err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert not out.exists()
 
     def test_requires_exactly_one_source(self, tmp_path):
         assert run(["pipeline", "--seed", "1", "--out-dir", str(tmp_path / "x")]) == 1
@@ -631,14 +692,9 @@ class TestProbabilityArrays:
 
 
 class TestScoringChain:
-    def test_commands_build_no_per_turn_objects(self, corpus_dir, tmp_path, monkeypatch):
-        """predict, pipeline (external and trained) and audit read an ingested
-        corpus's turn table: no PhraseTurn and no Call is constructed."""
-        transcripts = str(corpus_dir / "transcripts.csv")
-        model, preds = tmp_path / "model.npz", tmp_path / "preds.csv"
-        small = ["--folds", "4", "--seed", "3", "--hash-dim", "2048", "--epochs", "1"]
-        assert run(["train", "--transcripts", transcripts, *small, "--val-fold", "1",
-                    "--model-out", str(model)]) == 0
+    def test_commands_build_no_per_turn_objects(self, tmp_path, monkeypatch):
+        """On valid input every command reads or builds the corpus's turn
+        table: no PhraseTurn and no Call is constructed."""
         built = {"PhraseTurn": 0, "Call": 0}
         for cls in (PhraseTurn, Call):
             def counting(self, _post_init=cls.__post_init__, _name=cls.__name__):
@@ -646,16 +702,40 @@ class TestScoringChain:
                 _post_init(self)
             monkeypatch.setattr(cls, "__post_init__", counting)
 
-        assert run(["predict", "--model", str(model), "--transcripts", transcripts,
-                    "--out", str(preds)]) == 0
-        assert run(["pipeline", "--transcripts", transcripts, "--external-proba", str(preds),
-                    "--folds", "4", "--seed", "3", "--out-dir", str(tmp_path / "ext")]) == 0
-        assert run(["audit", "--transcripts", transcripts,
-                    "--holds", str(corpus_dir / "holds.csv"), "--proba", str(preds),
-                    "--threshold", "0.5", "--out", str(tmp_path / "audit.json")]) == 0
-        assert run(["pipeline", "--transcripts", transcripts, *small,
-                    "--out-dir", str(tmp_path / "trained")]) == 0
-        assert built == {"PhraseTurn": 0, "Call": 0}
+        corpus_dir = tmp_path / "corpus"
+        assert run(["generate", "--calls", "40", "--seed", "11", "--out-dir", str(corpus_dir)]) == 0
+        transcripts, holds = str(corpus_dir / "transcripts.csv"), str(corpus_dir / "holds.csv")
+        model, preds = tmp_path / "model.npz", tmp_path / "preds.csv"
+        split = ["--folds", "4", "--seed", "3"]
+        small = [*split, "--hash-dim", "2048", "--epochs", "1"]
+        plan = tmp_path / "plan.json"
+        commands = [
+            ["validate", transcripts],
+            ["stats", "--transcripts", transcripts, "--out-dir", str(tmp_path / "stats")],
+            ["split", "--transcripts", transcripts, *split, "--out", str(plan)],
+            ["train", "--transcripts", transcripts, *small, "--val-fold", "1",
+             "--model-out", str(model)],
+            ["predict", "--model", str(model), "--transcripts", transcripts, "--out", str(preds)],
+            ["tune-threshold", "--transcripts", transcripts, "--proba", str(preds), *split],
+            ["tune-threshold", "--transcripts", transcripts, "--proba", str(preds),
+             "--fold-plan", str(plan)],
+            ["evaluate", "--transcripts", transcripts, "--proba", str(preds), "--threshold", "0.5"],
+            ["evaluate", "--transcripts", transcripts, "--proba", str(preds), "--threshold", "0.5",
+             *split, "--fold", "2"],
+            ["sweep", "--synthetic-calls", "30", *small, "--axis", "learning_rate",
+             "--values", "0.1", "--out-dir", str(tmp_path / "sweep")],
+            ["audit", "--transcripts", transcripts, "--holds", holds, "--gold"],
+            ["audit", "--transcripts", transcripts, "--holds", holds, "--proba", str(preds),
+             "--threshold", "0.5", "--out", str(tmp_path / "audit.json")],
+            ["pipeline", "--transcripts", transcripts, *small, "--out-dir", str(tmp_path / "tr")],
+            ["pipeline", "--synthetic-calls", "30", *small, "--out-dir", str(tmp_path / "syn")],
+            ["pipeline", "--transcripts", transcripts, "--external-proba", str(preds), *split,
+             "--out-dir", str(tmp_path / "ext")],
+        ]
+        assert built == {"PhraseTurn": 0, "Call": 0}, "generate"
+        for argv in commands:
+            assert run(argv) == 0, argv
+            assert built == {"PhraseTurn": 0, "Call": 0}, argv
 
 
 class TestSweepCommand:

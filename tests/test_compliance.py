@@ -3,13 +3,12 @@ import pytest
 
 from holdscan.compliance import (
     AuditConfig,
-    audit_call,
     audit_corpus,
     collect_violations,
     gold_predictions,
 )
 from holdscan.corpus import Call, Corpus, HoldInterval
-from holdscan.errors import LabelCountMismatch, MissingPredictions
+from holdscan.errors import MissingPredictions
 from holdscan.violations import MISSING_CLOSING, MISSING_OPENING, UNREGISTERED_HOLD
 
 from conftest import make_turn
@@ -26,13 +25,15 @@ def call_with(turns_spec, holds, call_id="c1"):
     return Call(call_id=call_id, turns=turns, holds=tuple(HoldInterval(*h) for h in holds))
 
 
-def labels_of(call):
-    return [t.label for t in call.turns]
+def audit_one(turns_spec, holds):
+    """The report of a one-call corpus, audited on its gold labels."""
+    corpus = Corpus(calls=(call_with(turns_spec, holds),))
+    (report,), _ = audit_corpus(corpus, gold_predictions(corpus), DEFAULT)
+    return report
 
 
 def test_opening_inside_pre_window_matches():
-    call = call_with([(92_000, 97_000, 1)], [(100_000, 160_000)])
-    report = audit_call(call, labels_of(call), DEFAULT)
+    report = audit_one([(92_000, 97_000, 1)], [(100_000, 160_000)])
     verdict = report.verdicts[0]
     assert verdict.opening_ok
     assert verdict.opening_turn_index == 0
@@ -41,23 +42,20 @@ def test_opening_inside_pre_window_matches():
 
 
 def test_stray_opening_is_flagged():
-    call = call_with([(300_000, 304_000, 1)], [])
-    report = audit_call(call, labels_of(call), DEFAULT)
+    report = audit_one([(300_000, 304_000, 1)], [])
     assert report.verdicts == []
     assert report.unregistered == [(0, 1)]
 
 
 def test_hold_without_opening_fails():
-    call = call_with([(10_000, 12_000, 0)], [(100_000, 160_000)])
-    report = audit_call(call, labels_of(call), DEFAULT)
+    report = audit_one([(10_000, 12_000, 0)], [(100_000, 160_000)])
     assert not report.verdicts[0].opening_ok
     kinds = {v.kind for v in report.violations()}
     assert MISSING_OPENING in kinds and MISSING_CLOSING in kinds
 
 
 def test_closing_window_is_after_hold_end():
-    call = call_with([(161_000, 165_000, 2)], [(100_000, 160_000)])
-    report = audit_call(call, labels_of(call), DEFAULT)
+    report = audit_one([(161_000, 165_000, 2)], [(100_000, 160_000)])
     assert report.verdicts[0].closing_ok
     assert report.verdicts[0].closing_turn_index == 0
 
@@ -71,8 +69,7 @@ def test_closing_window_is_after_hold_end():
 ], ids=["pre_window", "before_pre_window", "grace", "after_grace",
         "closing_grace", "before_closing_grace", "post_window", "after_post_window"])
 def test_window_edges_are_inclusive(label, start, end, ok):
-    call = call_with([(start, end, label)], [(100_000, 160_000)])
-    verdict = audit_call(call, labels_of(call), DEFAULT).verdicts[0]
+    verdict = audit_one([(start, end, label)], [(100_000, 160_000)]).verdicts[0]
     assert (verdict.opening_ok, verdict.closing_ok) == (ok and label == 1, ok and label == 2)
 
 
@@ -80,30 +77,22 @@ def test_greedy_matches_interleaved_holds_in_time_order():
     # hold A [100s, 103s] pre-window [85s, 102s]; hold B [110s, 140s]
     # pre-window [95s, 112s]. Turn 0 (ends 90s) fits only A; turn 1
     # (ends 98s) fits both. The unique complete assignment is greedy's.
-    call = call_with(
+    report = audit_one(
         [(88_000, 90_000, 1), (96_000, 98_000, 1)],
         [(100_000, 103_000), (110_000, 140_000)],
     )
-    report = audit_call(call, labels_of(call), DEFAULT)
     assert report.verdicts[0].opening_turn_index == 0
     assert report.verdicts[1].opening_turn_index == 1
     assert report.unregistered == []
 
 
 def test_one_turn_never_covers_two_holds():
-    call = call_with(
+    report = audit_one(
         [(96_000, 98_000, 1)],
         [(100_000, 103_000), (110_000, 140_000)],  # turn fits both pre-windows
     )
-    report = audit_call(call, labels_of(call), DEFAULT)
     assert report.verdicts[0].opening_ok
     assert not report.verdicts[1].opening_ok
-
-
-def test_label_count_mismatch():
-    call = call_with([(0, 1_000, 0)], [])
-    with pytest.raises(LabelCountMismatch):
-        audit_call(call, [0, 0], DEFAULT)
 
 
 def test_matched_or_flagged_never_both(small_synthetic):
@@ -146,7 +135,7 @@ def test_zero_predictions_zero_holds_zero_violations():
 def test_missing_predictions_detected(small_synthetic):
     corpus, _ = small_synthetic
     preds = gold_predictions(corpus)
-    some_key = corpus.calls[0].turns[0].key
+    some_key = corpus.table.keys[0]
     del preds[some_key]
     with pytest.raises(MissingPredictions):
         audit_corpus(corpus, preds, DEFAULT)

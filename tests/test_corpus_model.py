@@ -72,10 +72,6 @@ class TestCall:
                 holds=(HoldInterval(0, 5000), HoldInterval(4000, 9000)),
             )
 
-    def test_turn_lookup(self):
-        call = Call(call_id="a", turns=(make_turn("a", 0), make_turn("a", 3)))
-        assert call.turn(3).turn_index == 3
-
 
 class TestCorpus:
     def test_duplicate_call_ids_rejected(self):
@@ -90,9 +86,18 @@ class TestCorpus:
         corpus = corpus_from_labels({"a": [0, 1, 2, 0], "b": [0, 0]})
         assert corpus.label_counts() == {0: 4, 1: 1, 2: 1}
 
-    def test_labeled_keys_sorted(self):
-        corpus = corpus_from_labels({"b": [0], "a": [0, 1]})
-        assert corpus.labeled_keys() == [("a", 0), ("a", 1), ("b", 0)]
+    def test_turn_lookup(self):
+        call = Call(call_id="a", turns=(make_turn("a", 0), make_turn("a", 3, label=None)))
+        corpus = Corpus(calls=(call,))
+        assert corpus.turn(("a", 3)) == call.turns[1]
+        with pytest.raises(KeyError):
+            corpus.turn(("a", 1))
+        with pytest.raises(KeyError):
+            corpus.turn(("b", 0))
+
+    def test_key_order_sorts_by_call_id(self):
+        table = corpus_from_labels({"b": [0], "a": [0, 1]}).table
+        assert [table.keys[row] for row in table.key_order] == [("a", 0), ("a", 1), ("b", 0)]
 
 
 class TestFoldPlan:
@@ -116,6 +121,14 @@ class TestFoldPlan:
         lopsided = {("a", i): 0 if i < 5 else 1 for i in range(6)}
         with pytest.raises(ClassTooSmall):
             FoldPlan(k=2, assignment=lopsided, test_fold=0).validate_against(corpus)
+
+    def test_fold_rows_list_each_folds_keys_sorted(self):
+        corpus = corpus_from_labels({"b": [0, 1, 2, 0], "a": [2, 1, 0], "c": [0, 0]})
+        keys = corpus.table.keys
+        assignment = {key: (3 * i) % 4 % 3 for i, key in enumerate(reversed(keys))}
+        plan = FoldPlan(k=3, assignment=assignment, test_fold=0)
+        want = [sorted(key for key, f in assignment.items() if f == fold) for fold in range(3)]
+        assert [[keys[row] for row in rows] for rows in plan.fold_rows(corpus)] == want
 
     def test_validate_against_detects_unassigned_turn(self):
         corpus = corpus_from_labels({"a": [0, 1, 2]})

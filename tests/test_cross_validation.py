@@ -238,10 +238,16 @@ def _distinct_texts(corpus):
     ))
 
 
+def _keys_by_fold(plan):
+    """Each fold's assigned keys, sorted."""
+    return [sorted(key for key, f in plan.assignment.items() if f == fold)
+            for fold in range(plan.k)]
+
+
 def _text_path(corpus, plan, config, spec):
     """Per validation fold: (v, best checkpoint, val probs, val labels, test probs),
     from train() on the fold's texts and predict_proba() on the scored texts."""
-    keys_by_fold = plan.keys_by_fold()
+    keys_by_fold = _keys_by_fold(plan)
 
     def examples(keys):
         return [(corpus.turn(key).text, corpus.turn(key).label) for key in keys]
@@ -279,7 +285,7 @@ def test_shared_matrix_matches_per_fold_text_path(mode, distinct):
 
     reference = list(_text_path(corpus, plan, config, SPEC))
     assert list(models) == [v for v, *_ in reference]
-    ref_test_labels = [corpus.turn(key).label for key in plan.keys_by_fold()[plan.test_fold]]
+    ref_test_labels = [corpus.turn(key).label for key in _keys_by_fold(plan)[plan.test_fold]]
     assert list(test_labels) == ref_test_labels
     for got, (val_probs, val_labels), test_probs, (_, best, ref_val, ref_val_labels, ref_test) \
             in zip(models.values(), val_folds, test_sets, reference):
@@ -433,7 +439,7 @@ def test_sweep_on_a_pool_matches_in_process():
 def test_fold_error_reaches_the_caller(workers):
     """A one-class validation fold fails its ROC AUC, in a worker or in-process alike."""
     corpus = flat_corpus({1: 30}, per_call=10)
-    keys = sorted(corpus.labeled_keys())
+    keys = sorted(corpus.table.keys)
     plan = FoldPlan(k=3, assignment={key: i % 3 for i, key in enumerate(keys)}, test_fold=0)
     with _fold_workers(workers), pytest.raises(SingleClassOnly) as raised:
         run_cross_validation(corpus, plan, CONFIG, SPEC)

@@ -5,7 +5,7 @@ import pytest
 
 from holdscan.corpus import generate_synthetic, load_profile
 from holdscan.corpus.synthetic import DEFAULT_PROFILE, GeneratorProfile
-from holdscan.errors import EmptyTemplatePool
+from holdscan.errors import EmptyTemplatePool, NonMonotonicTimestamps
 from holdscan.violations import UNREGISTERED_HOLD
 
 NUMERIC_FIELDS = [f.name for f in fields(GeneratorProfile)
@@ -65,7 +65,7 @@ def test_ledger_references_exist(small_synthetic):
     for violation in ledger:
         call = corpus.call(violation.call_id)
         if violation.kind == UNREGISTERED_HOLD:
-            assert call.turn(violation.turn_index) is not None
+            assert corpus.turn((violation.call_id, violation.turn_index)).label in (1, 2)
         else:
             boundaries = {(h.hold_start_ms, h.hold_end_ms) for h in call.holds}
             assert (violation.hold_start_ms, violation.hold_end_ms) in boundaries
@@ -88,6 +88,23 @@ def test_empty_template_pool_raises():
     )
     with pytest.raises(EmptyTemplatePool):
         generate_synthetic(3, 5, profile)
+
+
+@pytest.mark.parametrize("changes, seed, error, message", [
+    ({"turn_dur_min_ms": -5000}, 1, ValueError, "end_ms 26214 < start_ms 28569"),
+    ({"turn_gap_min_ms": -30000, "turn_gap_max_ms": -20000}, 1, ValueError,
+     "start_ms must be >= 0, got -20074"),
+    ({"script_gap_min_ms": -40000, "script_gap_max_ms": -30000,
+      "joint_counts": ((0, 1), (1, 5))}, 3, NonMonotonicTimestamps,
+     "call 'c00002': start_ms decreases along turn_index order"),
+], ids=["turn_ends_before_it_starts", "negative_start", "start_goes_back"])
+def test_negative_times_fail_as_a_turn_would(changes, seed, error, message):
+    """A profile with negative times fails at the first turn or call that
+    breaks a PhraseTurn or Call rule, with that rule's error."""
+    with pytest.raises(error) as raised:
+        generate_synthetic(20, seed, replace(DEFAULT_PROFILE, **changes))
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def test_n_calls_must_be_positive():
