@@ -4,14 +4,17 @@ The scorer contract is deliberately narrow: a trained Checkpoint maps turn
 texts to probability triples over {irrelevant, opening, closing}. Scores
 produced elsewhere (e.g. by a fine-tuned transformer) enter through
 load_external_proba and flow through the identical downstream machinery.
-predict_proba returns ProbTriples, plain named tuples that check nothing;
-consumers take the (n, 3) float64 array that metrics.as_prob_array builds
-and checks. A predictions file is keys plus one such array both ways:
-load_external_proba returns a KeyedProba and write_proba takes keys and
-an array. The file is read by holdscan.corpus.io's rules, as transcripts
-and holds are, and written by its write_csv: blank lines and lines
-starting with '#' are skipped, columns beyond the five read are ignored,
-and a row without a cell for each of them is a MalformedRow.
+predict_proba returns a ProbaRows, a read-only sequence view over one
+(n, 3) float64 array: its items are ProbTriples, plain named tuples that
+check nothing, built only when read, and consumers take the array itself
+(np.asarray), which metrics.as_prob_array checks. A predictions file is
+keys plus one such array both ways: load_external_proba returns a
+KeyedProba, a mapping over one, and write_proba takes keys and an array.
+The file is read by holdscan.corpus.io's rules, as transcripts and holds
+are, and written in the bytes of its write_csv: blank lines and records
+whose first line starts with '#' are skipped, columns beyond the five
+read are ignored, and a row without a cell for each of them is a
+MalformedRow.
 
 Training is plain mini-batch gradient descent on class-weighted
 cross-entropy with decoupled weight decay and a step size that decays
@@ -23,33 +26,37 @@ instead of the matrix each step. The kernels work on class-major weights,
 a C-contiguous (3, U) array, so a gather takes every class's weights in
 one call and each class's sums and updates run over a contiguous row. A
 Checkpoint and its model file hold the same weights as U rows of (U, 3),
-in C order, with their bucket numbers. Features are one CSR matrix, one
-row per turn; training, prediction and the loss share one gather
+in C order, with their bucket numbers. Training features are one CSR
+matrix, one row per turn; training and the loss share one gather
 (logits), one softmax-gradient function and one in-order scatter
 (gradients, touching only the feature rows present in a batch). fit
 trains on chosen rows of such a matrix, so a cross-validation run
 featurizes its turns once and every fold is a set of rows; train
-featurizes texts and then uses the same kernels. predict_proba never
-builds the whole batch's matrix: it featurizes and scores blocks of
-distinct texts against the checkpoint's own weights, as (3, U), keeping
-only each block's (n, 3) probabilities. A bucket the model never saw is
-sent to one appended column of zeros, so every score equals the one
-dense (hash_dim, 3) weights would give, bit for bit.
+featurizes texts and then uses the same kernels. predict_proba builds
+no feature matrix: it scores each block of distinct texts straight from
+the block's sorted keys (_keyed_logits) against the checkpoint's own
+weights, as (3, U), keeping only each block's (n, 3) probabilities. A
+row sums its terms in the order the gather sums its CSR row, and a
+bucket the model never saw is sent to one appended column of zeros, so
+every score equals the one dense (hash_dim, 3) weights would give, bit
+for bit.
 
 Featurization is feature hashing: each word token and character n-gram
-counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _map_blocks builds
-one CSR matrix per block of 1024 distinct texts, in array passes, and hands
-each to a function: _featurize_many stacks the blocks into one row per
-text, and predict_proba scores each into its rows of one (n_distinct, 3)
-array. A text's row depends on that text alone, so the blocks run on one
-thread per usable CPU, at most one per block; numpy's sorts, takes,
-bincounts and ufuncs release the GIL, and only the per-text Python
-(lowercase, split, join, the token dict, a crc32 per distinct word) runs
-one thread at a time. With one CPU or one block the calling thread does
-all the work and starts no thread. Each thread holds one block's arrays,
-so memory grows as threads x one block. A block's (row << bits) | bucket
-keys are uint32, which sort faster than int64, wherever 1024 rows fit
-beside hash_dim's bits (hash_dim up to 2**22); above that they are int64.
+counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _map_blocks hands
+each block of 1024 distinct texts to a function, which featurizes it with
+_block_keys, in array passes, into its sorted (row << bits) | bucket keys
+and their counts: _featurize_many turns each block's keys into CSR rows
+(_block_csr) and stacks them, one row per text, and predict_proba scores
+each block into its rows of one (n_distinct, 3) array. A text's row
+depends on that text alone, so the blocks run on one thread per usable
+CPU, at most one per block; numpy's sorts, takes, bincounts and ufuncs
+release the GIL, and only the per-text Python (lowercase, split, join,
+the token dict, a crc32 per distinct word) runs one thread at a time.
+With one CPU or one block the calling thread does all the work and
+starts no thread. Each thread holds one block's arrays, so memory grows
+as threads x one block. A block's keys are uint32, which sort faster
+than int64, wherever 1024 rows fit beside hash_dim's bits (hash_dim up
+to 2**22); above that they are int64.
 
 zlib hashes each distinct word token; the character n-grams get the same
 crc32 bits from a vectorised kernel (_gram_registers), one array pass per
@@ -70,12 +77,12 @@ import zlib
 from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
-from collections.abc import Mapping
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Sequence, Union
+from collections.abc import Mapping, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Union
 
 import numpy as np
 
-from .corpus.io import read_columns, read_csv, strict, write_csv
+from .corpus.io import first_cells, open_csv, read_columns, read_csv, strict
 from .corpus.model import TurnKey
 from .errors import (
     DuplicateKey,
@@ -237,7 +244,7 @@ def _usable_cpus() -> int:
 def _featurize_many(texts: Iterable[str], spec: FeatureSpec) -> _Csr:
     """One CSR row per text; each distinct text is featurized once."""
     distinct, rows = _distinct(texts)
-    blocks = _map_blocks(lambda start, block: block, distinct, spec)
+    blocks = _map_blocks(lambda start, block: _block_csr(block, spec), distinct)
     lengths = np.concatenate([np.diff(b.indptr) for b in blocks])
     feats = _Csr(np.concatenate(([0], np.cumsum(lengths))),
                  np.concatenate([b.indices for b in blocks]),
@@ -252,18 +259,17 @@ def _distinct(texts: Iterable[str]) -> tuple[list[str], np.ndarray]:
     return list(first), np.array(rows, dtype=np.int64)
 
 
-def _map_blocks(work: Callable[[int, _Csr], object], distinct: Sequence[str],
-                spec: FeatureSpec) -> list:
+def _map_blocks(work: Callable[[int, Sequence[str]], object], distinct: Sequence[str]) -> list:
     """[work(start, block) for each block of distinct texts], in block order.
 
-    The block from start is _featurize_block of the _BLOCK texts from start;
-    there is at least one, possibly empty, so an empty batch gets the same
-    dtypes. Blocks run on one thread per usable CPU, at most one per block:
-    thread t takes blocks t, t + threads, ..., and the calling thread is
-    thread 0, so with one CPU or one block no thread is started. work may
-    run on any of them, so it writes nothing but its own block's output.
-    Every thread is joined before this returns or raises, and the error
-    raised is the earliest failing block's, as one thread raises it.
+    The block from start is the _BLOCK texts from start; there is at least
+    one, possibly empty, so an empty batch gets the same dtypes. Blocks run
+    on one thread per usable CPU, at most one per block: thread t takes
+    blocks t, t + threads, ..., and the calling thread is thread 0, so with
+    one CPU or one block no thread is started. work may run on any of
+    them, so it writes nothing but its own block's output. Every thread is
+    joined before this returns or raises, and the error raised is the
+    earliest failing block's, as one thread raises it.
     """
     starts = range(0, max(len(distinct), 1), _BLOCK)
     results = [None] * len(starts)
@@ -273,7 +279,7 @@ def _map_blocks(work: Callable[[int, _Csr], object], distinct: Sequence[str],
         for i in range(first, len(starts), step):
             start = starts[i]
             try:
-                results[i] = work(start, _featurize_block(distinct[start : start + _BLOCK], spec))
+                results[i] = work(start, distinct[start : start + _BLOCK])
             except Exception as exc:  # raised in the caller's thread, below
                 failed[i] = exc
                 return
@@ -293,8 +299,9 @@ def _map_blocks(work: Callable[[int, _Csr], object], distinct: Sequence[str],
     return results
 
 
-def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
-    """One CSR row of counts per distinct text, buckets ascending per row.
+def _block_keys(texts: Sequence[str], spec: FeatureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted, distinct (row << bits) | bucket keys of a block's features,
+    and each key's count; bits is hash_dim's bit count and row a text's position.
 
     Python only lowercases, splits and truncates each text. Word tokens get
     ids from a dict and crc32 runs once per distinct token. Character
@@ -348,10 +355,21 @@ def _featurize_block(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
     edges[0] = edges[-1] = True
     np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
     edges = np.flatnonzero(edges)
-    keys = keys[edges[:-1]]
-    indptr = np.append(np.searchsorted(keys, row_keys), len(keys))
-    buckets = (keys & low).astype(np.int64, copy=False)
-    return _Csr(indptr, buckets, np.diff(edges).astype(np.float64))
+    return keys[edges[:-1]], np.diff(edges)
+
+
+def _split_keys(keys: np.ndarray, spec: FeatureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the bucket of each (row << bits) | bucket key, in its dtype."""
+    key = keys.dtype.type
+    return keys >> key(spec.hash_dim.bit_length() - 1), keys & key(spec.hash_dim - 1)
+
+
+def _block_csr(texts: Sequence[str], spec: FeatureSpec) -> _Csr:
+    """One CSR row of counts per text of a block, buckets ascending per row."""
+    keys, counts = _block_keys(texts, spec)
+    rows, buckets = _split_keys(keys, spec)
+    indptr = np.searchsorted(rows, np.arange(len(texts) + 1, dtype=rows.dtype))
+    return _Csr(indptr, buckets.astype(np.int64, copy=False), counts.astype(np.float64))
 
 
 def _compact(feats: _Csr, hash_dim: int) -> tuple[np.ndarray, _Csr]:
@@ -650,15 +668,64 @@ def select_best_checkpoint(checkpoints: Iterable[Checkpoint]) -> Checkpoint:
     return best
 
 
-def predict_proba(
-    model: Checkpoint, turns: Sequence[str], spec: FeatureSpec
-) -> list[ProbTriple]:
-    """Score turn texts with a trained checkpoint, one ProbTriple per turn.
+def _keyed_logits(keys: np.ndarray, counts: np.ndarray, n: int, spec: FeatureSpec,
+                  rank: np.ndarray, weights_t: np.ndarray) -> np.ndarray:
+    """The (n, 3) logits, without bias, of a block's rows from its _block_keys.
+
+    rank sends each bucket to a column of the class-major weights_t. Each
+    row sums its terms count * weight in key order, that is by ascending
+    bucket, as _gather sums the row's CSR entries, so the bits are the same.
+    """
+    rows, buckets = _split_keys(keys, spec)
+    terms = np.take(weights_t, rank[buckets], axis=1)
+    terms *= counts.astype(np.float64)
+    rows = rows.astype(np.intp)  # bincount would convert it once per class
+    return np.stack([np.bincount(rows, weights=t, minlength=n) for t in terms], axis=1)
+
+
+class ProbaRows(Sequence):
+    """Predictions as one read-only (n, 3) float64 array, seen as a sequence.
+
+    rows[i] is row i of probs as a ProbTriple, built when it is read, and
+    np.asarray(rows) is probs itself. A ProbaRows equals a list or another
+    ProbaRows with the same triples.
+    """
+
+    def __init__(self, probs: np.ndarray):
+        self.probs = probs
+        probs.flags.writeable = False
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ProbaRows(self.probs[i])
+        return ProbTriple._make(self.probs[i].tolist())
+
+    def __iter__(self) -> Iterator[ProbTriple]:
+        return map(ProbTriple._make, self.probs.tolist())
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, ProbaRows)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.probs, dtype=dtype, copy=copy)
+
+    def __repr__(self) -> str:
+        return f"ProbaRows({self.probs!r})"
+
+
+def predict_proba(model: Checkpoint, turns: Sequence[str], spec: FeatureSpec) -> ProbaRows:
+    """Score turn texts with a trained checkpoint, one row per turn.
 
     Each distinct text is featurized and scored once, in blocks of _BLOCK
     distinct texts, one block in flight per thread (_map_blocks), so no
-    array grows with the batch's non-zeros. Each block's probabilities go
-    to its own rows of one (n_distinct, 3) array. Every block's buckets
+    array grows with the batch's non-zeros. A block is scored from its
+    sorted keys (_keyed_logits), with no CSR matrix, and its probabilities
+    go to its own rows of one (n_distinct, 3) array. Every block's buckets
     are sent to the model's weight rows by one rank table, built once; a
     bucket the model never saw goes to a column of +0.0 appended to the
     class-major weights, as its dense weight row would be.
@@ -671,14 +738,12 @@ def predict_proba(
     weights_t[:, :-1] = model.weights.T
     probs = np.empty((len(distinct), 3))
 
-    def score(start: int, block: _Csr) -> None:
-        stop = start + len(block.indptr) - 1
-        probs[start:stop] = _softmax_rows(_gather(_remap(block, rank), weights_t) + model.bias)
+    def score(start: int, texts: Sequence[str]) -> None:
+        logits = _keyed_logits(*_block_keys(texts, spec), len(texts), spec, rank, weights_t)
+        probs[start : start + len(texts)] = _softmax_rows(logits + model.bias)
 
-    _map_blocks(score, distinct, spec)
-    if len(distinct) < len(rows):
-        probs = probs[rows]
-    return list(map(ProbTriple._make, probs.tolist()))
+    _map_blocks(score, distinct)
+    return ProbaRows(probs if len(distinct) == len(rows) else probs[rows])
 
 
 # --- model files ----------------------------------------------------------
@@ -863,10 +928,17 @@ def write_proba(
     probs: np.ndarray,
     header_comment: str | None = None,
 ) -> None:
-    """Write keys[i] with row i of the (n, 3) probabilities, each as its float repr."""
+    """Write keys[i] with row i of the (n, 3) probabilities, each as its float repr.
+
+    The bytes are write_csv's: each distinct call id is rendered once by
+    first_cells, and every row is one % template, since a turn index and a
+    float repr never need quoting.
+    """
     probs = np.asarray(probs, np.float64).reshape(-1, 3)
     if len(keys) != len(probs):
         raise LengthMismatch(f"{len(keys)} keys but {len(probs)} probability rows")
-    cells = (map(repr, column) for column in probs.T.tolist())
-    rows = zip(map(itemgetter(0), keys), map(itemgetter(1), keys), *cells)
-    write_csv(path, PROBA_COLUMNS, rows, header_comment)
+    call_ids = list(map(itemgetter(0), keys))
+    cells = map(first_cells(call_ids).__getitem__, call_ids)
+    rows = zip(cells, map(itemgetter(1), keys), *probs.T.tolist())
+    with open_csv(path, PROBA_COLUMNS, header_comment) as fh:
+        fh.writelines(map("%s,%d,%r,%r,%r\r\n".__mod__, rows))

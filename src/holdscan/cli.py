@@ -326,7 +326,7 @@ def predict(config_file, model_file, transcripts, out_file):
     corpus = ingest_transcripts(transcripts)
     model = load_checkpoint(model_file)
     table = corpus.table
-    probs = np.array(predict_proba(model, table.text, model.feature_spec))
+    probs = predict_proba(model, table.text, model.feature_spec).probs
     write_proba(out_file, table.keys, probs, header_comment=_stamp(cfg))
     click.echo(f"wrote {len(table)} predictions to {out_file}")
 

@@ -10,10 +10,13 @@ Holds CSV:
 
 Every input CSV, the predictions CSV of holdscan.classifier included, is
 read by read_csv's rules: UTF-8 with an optional byte-order mark, blank
-lines and lines starting with '#' skipped anywhere, the first other line
-the header. A row needs a cell for each column holdscan reads; extra cells
-and columns are ignored, and a shorter row is a MalformedRow with one
-message in every format. Every output CSV is written by write_csv.
+lines and comments skipped anywhere, the first other line the header. A
+comment is a record whose first physical line starts with '#' after
+optional whitespace; a row whose quoted first cell starts so is data. A
+row needs a cell for each column holdscan reads; extra cells and columns
+are ignored, and a shorter row is a MalformedRow with one message in
+every format. Every output CSV has write_csv's bytes: csv.writer's, but
+for a first cell that would start a comment line, which is quoted.
 
 Transcripts and predictions are read whole into columns (read_columns) and
 checked in array passes; read_csv, one row at a time, reads again only a
@@ -26,10 +29,12 @@ Fold plan JSON:
 from __future__ import annotations
 
 import csv
+import io
 import json
+from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Any, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar, Union
 
 import numpy as np
 
@@ -67,8 +72,7 @@ def read_csv(
     header lacks one of columns.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        rows, positions = _data_rows(reader, columns, optional)
+        reader, rows, positions = _data_rows(fh.readlines(), columns, optional)
         # An optional column the header lacks reads the empty cell appended to each row.
         pad = -1 in positions
         width = max(positions) + 1
@@ -92,7 +96,7 @@ def read_columns(
     Raises what read_csv raises for the header.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows, positions = _data_rows(csv.reader(fh), columns, optional)
+        _, rows, positions = _data_rows(fh.readlines(), columns, optional)
         body = list(rows)
     width = max(positions) + 1
     if min(map(len, body), default=width) < width:
@@ -101,18 +105,41 @@ def read_columns(
 
 
 def _data_rows(
-    reader: Iterator[list[str]], columns: Sequence[str], optional: Sequence[str]
-) -> tuple[Iterator[list[str]], list[int]]:
-    """The rows after the header, skipping blank and '#' lines, and the header
-    position of each column read, -1 for an optional column it lacks."""
-    rows = (row for row in reader if row and not row[0].lstrip().startswith("#"))
+    lines: list[str], columns: Sequence[str], optional: Sequence[str]
+) -> tuple[Any, Iterator[list[str]], list[int]]:
+    """A csv reader over an input CSV's lines, its rows after the header, and
+    the header position of each column read, -1 for an optional column it lacks.
+
+    Blank lines and comments are skipped. A comment is a record whose first
+    physical line starts with '#' after optional whitespace, so a row whose
+    quoted first cell starts with '#' is data.
+    """
+    reader = csv.reader(lines)
+    rows = _uncommented(reader, lines)
     header = next(rows, None)
     if header is None:
         raise MalformedRow(0, "file has no header row")
     missing = [c for c in columns if c not in header]
     if missing:
         raise MissingColumn(missing)
-    return rows, [header.index(c) if c in header else -1 for c in (*columns, *optional)]
+    return reader, rows, [header.index(c) if c in header else -1 for c in (*columns, *optional)]
+
+
+def _uncommented(reader: Any, lines: list[str]) -> Iterator[list[str]]:
+    """The rows of reader, a csv reader over lines, without blank rows and
+    comments: records whose first line starts with '#' after optional
+    whitespace."""
+    start = 0  # the line the next record starts on
+    for row in reader:
+        if row and not lines[start].lstrip().startswith("#"):
+            yield row
+        start = reader.line_num
+
+
+def _starts_comment(text: object) -> bool:
+    """Whether text, as a line, would be a comment: a str starting with '#'
+    after optional whitespace."""
+    return isinstance(text, str) and text.lstrip().startswith("#")
 
 
 def strict(items: Iterable[T | MalformedRow]) -> Iterator[T]:
@@ -123,6 +150,18 @@ def strict(items: Iterable[T | MalformedRow]) -> Iterator[T]:
         yield item
 
 
+@contextmanager
+def open_csv(path: PathLike, columns: Sequence[str],
+             header_comment: str | None = None) -> Iterator[TextIO]:
+    """An output CSV open for writing, its optional '# header_comment' line and
+    its header written, each CRLF-terminated as every line must be."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\r\n")
+        csv.writer(fh).writerow(columns)
+        yield fh
+
+
 def write_csv(
     path: PathLike,
     columns: Sequence[str],
@@ -130,13 +169,33 @@ def write_csv(
     header_comment: str | None = None,
 ) -> None:
     """Write an optional '# header_comment' line, the header and the rows, each
-    line CRLF-terminated."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\r\n")
+    line CRLF-terminated. A row is csv.writer's line, except that a first
+    cell that would start a comment line is quoted (_csv_line)."""
+    with open_csv(path, columns, header_comment) as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
+        for row in rows:
+            if row and _starts_comment(row[0]):
+                fh.write(_csv_line(row))
+            else:
+                writer.writerow(row)
+
+
+def _csv_line(row: Sequence[object]) -> str:
+    """row as write_csv writes it: csv.writer's line, with a first cell that
+    would start a comment line quoted."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(row)
+    line = buf.getvalue()
+    first = row[0]
+    if _starts_comment(first) and not line.startswith('"'):
+        # csv.writer left the cell as it is: it holds no quote, delimiter or line break.
+        return f'"{first}"{line[len(first):]}'
+    return line
+
+
+def first_cells(values: Iterable[str]) -> dict[str, str]:
+    """Each distinct value as write_csv writes it as the first of several cells."""
+    return {value: _csv_line((value, ""))[:-3] for value in dict.fromkeys(values)}
 
 
 _INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1

@@ -81,6 +81,10 @@ MUTANTS = [
      "(same_call & (turn_index[1:] == turn_index[:-1])).any()", "False"),
     ("predictions-file renormalization skipped", CLASSIFIER,
      "probs[fix] /= total[fix, None]", "pass"),
+    ("predictions writer leaves call ids unquoted", CLASSIFIER,
+     "cells = map(first_cells(call_ids).__getitem__, call_ids)", "cells = iter(call_ids)"),
+    ("key scorer counts every key once", CLASSIFIER,
+     "terms *= counts.astype(np.float64)", "pass"),
 ]
 
 # Survivors, by mutant name, with why no test needs to kill them.

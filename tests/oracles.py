@@ -30,10 +30,15 @@ is bit-exact: a test compares whole results with ==, or their bytes.
   `classifier.predict_proba`.
 - `ingest_transcripts_by_row` and `load_external_proba_by_row`: the
   transcript and predictions-file readers as they were before both became
-  columnar, one parsed object per row (verbatim, with their CSV reader);
-  the same corpus, the same probability bits, or the same error class,
-  message and line number as `corpus.io.ingest_transcripts` and
-  `classifier.load_external_proba`.
+  columnar, one parsed object per row (verbatim, with their CSV reader,
+  but for its comment rule: it skips a record whose first physical line
+  starts with '#' after optional whitespace, found by tapping the lines
+  the csv module reads); the same corpus, the same probability bits, or
+  the same error class, message and line number as
+  `corpus.io.ingest_transcripts` and `classifier.load_external_proba`.
+- `write_proba_by_csv_writer`: `classifier.write_proba` as it was when
+  csv.writer wrote every row (verbatim, with the write_csv it called); the
+  same bytes for every call id that does not start a comment line.
 - `per_call_corpus_stats`: `corpus.stats.corpus_stats` as it was before
   it read the turn table, walking the corpus's Call and PhraseTurn views
   (verbatim); the same CorpusStats, with Python int keys and counts, and
@@ -63,6 +68,7 @@ from holdscan.errors import (
     DuplicateKey,
     EmptyInput,
     EmptyTrainingSet,
+    LengthMismatch,
     MalformedRow,
     MissingColumn,
     ProbabilityInvariantViolation,
@@ -349,13 +355,28 @@ def per_text_featurize_many(texts, spec: FeatureSpec):
     return indptr, indices, np.concatenate([np.empty(0), *(cnt for _, cnt in rows)])
 
 
-# --- the row-by-row readers ------------------------------------------------
+# --- the row-by-row readers and the csv.writer predictions writer ---------------
 
 
 def _read_csv(path, columns, optional=()):
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = (row for row in reader if row and not row[0].lstrip().startswith("#"))
+        seen = []  # every physical line the csv reader has asked for
+
+        def tap():
+            for line in fh:
+                seen.append(line)
+                yield line
+
+        reader = csv.reader(tap())
+
+        def records():
+            """Each row with the first physical line of its record."""
+            start = 0
+            for row in reader:
+                yield row, seen[start]
+                start = len(seen)
+
+        rows = (row for row, first in records() if row and not first.lstrip().startswith("#"))
         header = next(rows, None)
         if header is None:
             raise MalformedRow(0, "file has no header row")
@@ -450,6 +471,20 @@ def load_external_proba_by_row(path):
             p = [x / total for x in p]
         result[key] = ProbTriple._make(p)
     return result
+
+
+def write_proba_by_csv_writer(path, keys, probs, header_comment=None):
+    probs = np.asarray(probs, np.float64).reshape(-1, 3)
+    if len(keys) != len(probs):
+        raise LengthMismatch(f"{len(keys)} keys but {len(probs)} probability rows")
+    cells = (map(repr, column) for column in probs.T.tolist())
+    rows = zip(map(itemgetter(0), keys), map(itemgetter(1), keys), *cells)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(PROBA_COLUMNS)
+        writer.writerows(rows)
 
 
 # --- descriptive statistics over Call views -------------------------------------

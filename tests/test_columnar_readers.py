@@ -32,7 +32,8 @@ ODD_CELLS = [
     ("start_ms", ""), ("start_ms", "1e3"), ("start_ms", "-5"), ("end_ms", "0"),
     ("channel", " agent "), ("channel", "robot"), ("channel", "Agent"),
     ("label", " 1 "), ("label", "3"), ("label", "-1"), ("label", "x"), ("label", "1_0"),
-    ("label", "١"), ("call_id", " a"), ("call_id", "#c"),
+    ("label", "١"), ("call_id", " a"), ("call_id", "#c"), ("call_id", "#c,d"),
+    ("call_id", "#c\r\nd"),  # quoted by csv.writer, so data: one line, and two
 ]
 TEXTS = st.text(alphabet=st.sampled_from('ab ,"\n#\ré'), max_size=8)
 
@@ -82,7 +83,9 @@ def csv_file(draw, header_choices, row_strategy):
         lines.append(_csv_line(cells))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(
-            ["# comment\r\n", "\r\n", "  # indented, comment\n", "\n"])))
+            ["# comment\r\n", "\r\n", "  # indented, comment\n", "\n",
+             '# a comment record,"over\r\ntwo lines"\n',
+             '# a comment record that runs to the end,"unclosed\n'])))
     return ("\ufeff" if draw(st.booleans()) else "") + "".join(lines)
 
 
@@ -123,7 +126,7 @@ PROBA_HEADERS = [
 ODD_PROBA_CELLS = [
     ("p0", "nan"), ("p1", "-0.0"), ("p2", "-0.1"), ("p0", "x"), ("p1", ""), ("p2", "inf"),
     ("p0", "1_0"), ("p1", " 0.5 "), ("turn_index", " 3 "), ("turn_index", "y"),
-    ("call_id", "#c"),
+    ("call_id", "#c"), ("call_id", "#c,d"), ("call_id", "#c\nd"),
 ]
 
 

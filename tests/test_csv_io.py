@@ -4,8 +4,11 @@ Transcripts, holds and predictions are read by one reader and written by
 one writer, so each rule below is checked on all three formats.
 """
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from holdscan.classifier import load_external_proba, write_proba
 from holdscan.corpus import (
@@ -22,6 +25,7 @@ from holdscan.corpus.model import CHANNELS
 from holdscan.errors import MalformedRow
 
 from conftest import make_turn
+from oracles import write_proba_by_csv_writer
 
 # reader, header, one good row, the width of the columns the reader uses
 FORMATS = {
@@ -126,3 +130,108 @@ def test_write_proba_bytes(tmp_path):
         b"a,0,0.8,0.15,0.05\r\n"
         b'"b,c",3,0.3333333333333333,0.3333333333333333,0.3333333333333333\r\n'
     )
+
+
+# --- comments and first cells that start with '#' ----------------------------------
+
+
+def test_a_quoted_hash_call_id_is_data_and_a_hash_line_a_comment(tmp_path):
+    _, header, _, _ = FORMATS["transcripts"]
+    path = write(tmp_path / "t.csv", f"{header}\n"
+                 "#c1,0,agent,0,10,please hold,1\n"
+                 '"#c2",0,agent,0,10,thanks for waiting,2\n'
+                 "c3,0,agent,0,10,hello,0\n")
+    assert ingest_transcripts(path).table.call_ids == ("#c2", "c3")
+    assert validate_transcripts(path) == []
+
+
+def test_line_numbers_count_comment_records_and_quoted_line_breaks(tmp_path):
+    # The quoted text holds a CRLF, a CR and a line that starts with '#':
+    # its record is lines 4 to 6. The comment record is lines 7 and 8.
+    _, header, _, _ = FORMATS["transcripts"]
+    text = (f"{header}\r\n"
+            "# made by hand\r\n"
+            '"#c2",0,agent,0,10,thanks for waiting,2\r\n'
+            '"#c2",1,agent,20,30,"one\r\n# two\rthree",2\r\n'
+            '  # a comment,"over\r\ntwo lines"\r\n'
+            "c3,0,agent,0,10,hello,9\r\n")
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(MalformedRow) as err:
+        ingest_transcripts(path)
+    assert err.value.line_no == 9
+    assert [d.line_no for d in validate_transcripts(path)] == [9]
+    path.write_text(text.replace(",9\r\n", ",0\r\n"), encoding="utf-8", newline="")
+    corpus = ingest_transcripts(path)
+    assert corpus.table.call_ids == ("#c2", "c3")
+    assert corpus.table.text[1] == "one\r\n# two\rthree"
+
+
+@pytest.mark.parametrize("call_id", ["#a", " #b", "\t#c"])
+def test_a_hash_call_id_round_trips_through_every_writer(call_id, tmp_path):
+    corpus = Corpus(calls=(Call(call_id, (make_turn(call_id, 0), make_turn(call_id, 1)),
+                                holds=(HoldInterval(5000, 20000),)),
+                           Call("b", (make_turn("b", 0),))))
+    write_transcripts(corpus, tmp_path / "t.csv", header_comment="stamp")
+    write_holds(corpus, tmp_path / "h.csv")
+    assert ingest_transcripts(tmp_path / "t.csv").table == corpus.table
+    assert ingest_holds(tmp_path / "h.csv") == {call_id: (HoldInterval(5000, 20000),)}
+    keys = [(call_id, 0), ("b", 0), (call_id, 1)]
+    probs = np.array([[0.5, 0.25, 0.25], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    write_proba(tmp_path / "p.csv", keys, probs, header_comment="stamp")
+    loaded = load_external_proba(tmp_path / "p.csv")
+    assert list(loaded) == keys
+    assert loaded.probs.tobytes() == probs.tobytes()
+
+
+def test_only_a_hash_first_cell_changes_bytes(tmp_path):
+    """A first cell that would start a comment line is quoted, alone; a '#'
+    further into a row or inside a quoted cell is written as csv.writer writes it."""
+    keys = [("#a", 0), (" #b", 1), ('#"c', 2), ("d#", 3)]
+    write_proba(tmp_path / "p.csv", keys, np.eye(3)[[0, 1, 2, 0]])
+    assert (tmp_path / "p.csv").read_bytes().split(b"\r\n")[1:-1] == [
+        b'"#a",0,1.0,0.0,0.0',
+        b'" #b",1,0.0,1.0,0.0',
+        b'"#""c",2,0.0,0.0,1.0',
+        b"d#,3,1.0,0.0,0.0",
+    ]
+    corpus = Corpus(calls=(Call("#a", (make_turn("#a", 0, text="# not a comment"),)),))
+    write_transcripts(corpus, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes().split(b"\r\n")[1] == \
+        b'"#a",0,agent,0,3000,# not a comment,0'
+
+
+# --- the predictions writer against the csv.writer one --------------------------------
+
+# Cells csv.writer must quote, or must not: delimiters, quotes, line breaks,
+# spaces, non-ASCII text and a '#' that does not lead. It refuses a NUL
+# before Python 3.11, as both writers then do.
+TRICKY_CHARS = [",", '"', "\r", "\n", " ", "\t", "#", "a", "é", "漢", "😀", " ", "\x00"]
+CALL_IDS = st.text(st.one_of(st.sampled_from(TRICKY_CHARS),
+                             st.characters(codec="utf-8")), max_size=6) \
+    .filter(lambda s: not s.lstrip().startswith("#"))
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.5e-310, 2.2250738585072014e-308, 1 - 2 ** -53, 1.0,
+                  1 / 3, float("inf"), float("nan")]
+FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+
+@settings(max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(st.one_of(st.sampled_from(["a", "", "b,c"]), CALL_IDS),
+                               st.integers(-2 ** 70, 2 ** 70), FLOATS, FLOATS, FLOATS),
+                     max_size=8),
+       header_comment=st.one_of(st.none(), st.text(st.characters(codec="utf-8"),
+                                                   max_size=12)))
+def test_write_proba_matches_the_csv_writer(tmp_path, rows, header_comment):
+    keys = [(call_id, index) for call_id, index, *_ in rows]
+    probs = np.array([row[2:] for row in rows]).reshape(-1, 3)
+
+    def written(write, path):
+        try:
+            write(path, keys, probs, header_comment)
+        except csv.Error as exc:
+            return "error", str(exc)
+        return "bytes", path.read_bytes()
+
+    assert written(write_proba, tmp_path / "got.csv") == \
+        written(write_proba_by_csv_writer, tmp_path / "want.csv")

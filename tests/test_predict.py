@@ -65,6 +65,17 @@ def test_batch_across_blocks_matches_one_text_at_a_time():
     assert batch == [predict_proba(model, [t], SPEC)[0] for t in texts]
 
 
+def test_predictions_are_a_view_of_one_read_only_array():
+    model = trained_model()
+    rows = predict_proba(model, ["alpha one", "bravo two", "alpha one"], SPEC)
+    probs = np.asarray(rows)
+    assert probs is rows.probs and probs.shape == (3, 3) and not probs.flags.writeable
+    assert np.array(rows).flags.writeable  # a copy
+    assert len(rows) == 3 and rows[0] == rows[2] == rows[-1] != rows[1]
+    assert rows[1] == ProbTriple(*probs[1].tolist()) and isinstance(rows[1], ProbTriple)
+    assert list(rows) == [rows[0], rows[1], rows[2]] and rows[1:] == [rows[1], rows[2]]
+
+
 def test_spec_mismatch_rejected():
     other = FeatureSpec(hash_dim=2 ** 11)
     with pytest.raises(SpecMismatch):
@@ -149,12 +160,13 @@ def test_scoring_never_gathers_more_than_one_block():
     assert 250 < len(texts) < 350
     model = random_model()
     with mock.patch.object(classifier, "_BLOCK", 64), \
-            mock.patch.object(classifier, "_gather", wraps=classifier._gather) as gather, \
+            mock.patch.object(classifier, "_keyed_logits",
+                              wraps=classifier._keyed_logits) as score, \
             mock.patch.object(classifier, "_featurize_many",
                               wraps=classifier._featurize_many) as featurize_many, \
             mock.patch.object(classifier, "_rank_table", wraps=classifier._rank_table) as rank:
         predict_proba(model, texts, SPEC)
-    rows = [len(call.args[0].indptr) - 1 for call in gather.call_args_list]
+    rows = [call.args[2] for call in score.call_args_list]  # each scored block's texts
     assert max(rows) <= 64
     assert sum(rows) == len(set(texts))
     assert featurize_many.call_count == 0
