@@ -78,18 +78,17 @@ from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from collections.abc import Mapping, Sequence
-from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, Optional, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .corpus.io import first_cells, open_csv, read_columns, read_csv, strict
+from .corpus.io import first_cells, numeric_cells, open_csv, read_columns, row_errors, rows_where
 from .corpus.model import TurnKey
 from .errors import (
     DuplicateKey,
     EmptyInput,
     EmptyTrainingSet,
     LengthMismatch,
-    MalformedRow,
     ProbabilityInvariantViolation,
     SpecMismatch,
     UnlabeledExample,
@@ -862,64 +861,43 @@ class KeyedProba(Mapping):
 def load_external_proba(path: PathLike) -> KeyedProba:
     """Read a predictions CSV (call_id,turn_index,p0,p1,p2) into a KeyedProba.
 
-    Rows whose probabilities sum to 1 within 1e-6 are renormalized; rows
-    further off are rejected with ProbabilityInvariantViolation. The file
-    is read by read_csv's rules, so blank lines, lines starting with '#', a
-    leading UTF-8 byte-order mark and extra columns are ignored.
-
-    The columns are converted and checked in array passes; only a file
-    that fails them is read again row by row, to raise its first error
-    with its line number.
+    Rows whose probabilities sum to 1 within 1e-6 are renormalized. The
+    file is read once, by holdscan.corpus.io's read_columns, so blank
+    lines, comment lines, a leading UTF-8 byte-order mark and extra
+    columns are ignored. Every rule is one array pass, and the first bad
+    row in file order raises the first rule it breaks: a short row or a
+    bad numeric field (MalformedRow), a turn_index outside the 64-bit
+    range (MalformedRow), a key an earlier row has (DuplicateKey), a
+    negative or NaN probability, or a sum further than 1e-6 from 1
+    (ProbabilityInvariantViolation).
     """
-    columns = read_columns(path, PROBA_COLUMNS)
-    proba = None if columns is None else _keyed_proba(*columns)
-    if proba is None:
-        _raise_first_proba_error(path)
-    return proba
-
-
-def _keyed_proba(call_ids, turn_indexes, *cells: Sequence[str]) -> Optional[KeyedProba]:
-    """The predictions of a file's columns, or None when a cell does not
-    convert, a key repeats, or a row breaks a probability rule."""
-    n = len(call_ids)
-    try:
-        keys = list(zip(call_ids, map(int, turn_indexes)))
-        probs = np.empty((n, 3))
-        for c, column in enumerate(cells):
-            probs[:, c] = np.fromiter(map(float, column), np.float64, n)
-    except ValueError:
-        return None
+    lines, (call_ids, index_col, *prob_cols), short = read_columns(path, PROBA_COLUMNS)
+    n = len(lines)
+    turn_index, index_bad, index_out = numeric_cells(index_col)
+    columns = [numeric_cells(column, float) for column in prob_cols]
+    probs = np.stack([values for values, _, _ in columns], axis=1)
+    numeric = [{i: f"bad numeric field ({e})" for i, e in rejected.items()}
+               for rejected in (index_bad, *(rejected for _, rejected, _ in columns))]
+    keys = list(zip(call_ids, turn_index.tolist()))
     row_of = dict(zip(keys, range(n)))
+    repeats = {}
+    if len(row_of) < n:
+        first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+        repeats = {i: DuplicateKey(*key) for i, key in enumerate(keys) if first[key] != i}
     # The row sums in the order sum() adds a row's three floats.
     total = (probs[:, 0] + probs[:, 1]) + probs[:, 2]
     off = np.abs(total - 1.0)
-    if len(row_of) < n or not (probs >= 0.0).all() or (off > PROB_FILE_TOL).any():
-        return None
+    for error in row_errors(lines, [
+        short, *numeric, index_out, repeats,
+        rows_where(~(probs >= 0.0).all(axis=1), lambda i: ProbabilityInvariantViolation(
+            f"line {lines[i]}: negative or NaN probability")),
+        rows_where(off > PROB_FILE_TOL, lambda i: ProbabilityInvariantViolation(
+            f"line {lines[i]}: probabilities sum to {sum(probs[i].tolist())!r}")),
+    ]).values():
+        raise error
     fix = off > PROB_SUM_TOL
     probs[fix] /= total[fix, None]
     return KeyedProba(keys, probs, row_of)
-
-
-def _raise_first_proba_error(path: PathLike) -> NoReturn:
-    """Read a predictions CSV row by row and raise its first error."""
-    seen: set[tuple[str, int]] = set()
-    for line_no, (call_id, turn_index, p0, p1, p2) in strict(read_csv(path, PROBA_COLUMNS)):
-        try:
-            key = (call_id, int(turn_index))
-            p = [float(p0), float(p1), float(p2)]
-        except ValueError as exc:
-            raise MalformedRow(line_no, f"bad numeric field ({exc})") from None
-        if key in seen:
-            raise DuplicateKey(*key)
-        seen.add(key)
-        if any(not (x >= 0.0) for x in p):
-            raise ProbabilityInvariantViolation(f"line {line_no}: negative or NaN probability")
-        total = sum(p)
-        if abs(total - 1.0) > PROB_FILE_TOL:
-            raise ProbabilityInvariantViolation(
-                f"line {line_no}: probabilities sum to {total!r}"
-            )
-    raise AssertionError(f"{path}: the column checks failed on a file without a bad row")
 
 
 def write_proba(

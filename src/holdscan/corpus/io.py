@@ -9,7 +9,7 @@ Holds CSV:
     call_id,hold_start_ms,hold_end_ms
 
 Every input CSV, the predictions CSV of holdscan.classifier included, is
-read by read_csv's rules: UTF-8 with an optional byte-order mark, blank
+read once, by read_columns: UTF-8 with an optional byte-order mark, blank
 lines and comments skipped anywhere, the first other line the header. A
 comment is a record whose first physical line starts with '#' after
 optional whitespace; a row whose quoted first cell starts so is data. A
@@ -18,9 +18,10 @@ are ignored, and a shorter row is a MalformedRow with one message in
 every format. Every output CSV has write_csv's bytes: csv.writer's, but
 for a first cell that would start a comment line, which is quoted.
 
-Transcripts and predictions are read whole into columns (read_columns) and
-checked in array passes; read_csv, one row at a time, reads again only a
-file that fails them, to raise its first error with its line number.
+Each reader checks its columns in array passes, one per rule, and builds
+each bad row's error from the cells already read (row_errors): the first
+rule the row breaks, at its line. An integer cell goes through
+numeric_cells, so one outside the 64-bit range fails in every format.
 
 Fold plan JSON:
     {"k": k, "test_fold": t, "assignment": [[call_id, turn_index, fold], ...]}
@@ -32,22 +33,21 @@ import csv
 import io
 import json
 from contextlib import contextmanager
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar, Union
 
 import numpy as np
 
-from ..errors import DataValidationError, MalformedRow, MissingColumn
-from .model import (
-    CHANNELS,
-    Corpus,
-    FoldPlan,
-    HoldInterval,
-    PhraseTurn,
-    TurnTable,
-    turn_order_error,
+from ..errors import (
+    DataValidationError,
+    DuplicateTurnIndex,
+    MalformedRow,
+    MissingColumn,
+    NonMonotonicTimestamps,
 )
+from .model import CHANNELS, Corpus, FoldPlan, HoldInterval, TurnTable, check_turn
 
 PathLike = Union[str, Path]
 
@@ -59,95 +59,98 @@ HOLD_COLUMNS = ("call_id", "hold_start_ms", "hold_end_ms")
 T = TypeVar("T")
 
 
-def read_csv(
-    path: PathLike, columns: Sequence[str], optional: Sequence[str] = ()
-) -> Iterator[tuple[int, tuple[str, ...]] | MalformedRow]:
-    """Yield (physical line number, cells) for each data row of an input CSV.
-
-    cells is a tuple of the row's values of columns and then of optional,
-    in that order; an optional column the header lacks reads as "". A
-    row too short to hold every column read is yielded as a MalformedRow
-    in place of its pair, so a caller can report it and go on. Raises
-    MalformedRow when the file has no header and MissingColumn when the
-    header lacks one of columns.
-    """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader, rows, positions = _data_rows(fh.readlines(), columns, optional)
-        # An optional column the header lacks reads the empty cell appended to each row.
-        pad = -1 in positions
-        width = max(positions) + 1
-        pick = itemgetter(*positions)
-        for row in rows:
-            if len(row) < width:
-                message = f"expected at least {width} cells, got {len(row)}"
-                yield MalformedRow(reader.line_num, message)
-            else:
-                if pad:
-                    row.append("")
-                yield reader.line_num, pick(row)
-
-
 def read_columns(
     path: PathLike, columns: Sequence[str], optional: Sequence[str] = ()
-) -> Optional[list[Sequence[str]]]:
-    """The cells of an input CSV as one sequence per column read, in read_csv's
-    order and by its rules, or None when a row is too short (read_csv names it).
+) -> tuple[list[int], list[list[str]], dict[int, str]]:
+    """The data rows of an input CSV, read once, as columns.
 
-    Raises what read_csv raises for the header.
+    Returns each row's physical line number (the last line of its record),
+    the cells of columns and then of optional, one list per column, and
+    the reason of each row too short to hold every column read, by row
+    position; such a row reads "" in every column, and so does every row
+    in an optional column the header lacks. Raises MalformedRow when the
+    file has no header and MissingColumn when the header lacks one of
+    columns.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        _, rows, positions = _data_rows(fh.readlines(), columns, optional)
-        body = list(rows)
-    width = max(positions) + 1
-    if min(map(len, body), default=width) < width:
-        return None
-    return [list(map(itemgetter(p), body)) if p >= 0 else [""] * len(body) for p in positions]
-
-
-def _data_rows(
-    lines: list[str], columns: Sequence[str], optional: Sequence[str]
-) -> tuple[Any, Iterator[list[str]], list[int]]:
-    """A csv reader over an input CSV's lines, its rows after the header, and
-    the header position of each column read, -1 for an optional column it lacks.
-
-    Blank lines and comments are skipped. A comment is a record whose first
-    physical line starts with '#' after optional whitespace, so a row whose
-    quoted first cell starts with '#' is data.
-    """
-    reader = csv.reader(lines)
-    rows = _uncommented(reader, lines)
-    header = next(rows, None)
-    if header is None:
+        physical = fh.readlines()
+    reader = csv.reader(physical)
+    lines, rows = [], []
+    start = 0  # the line the next record starts on
+    for row in reader:
+        if row and not _starts_comment(physical[start]):
+            lines.append(reader.line_num)
+            rows.append(row)
+        start = reader.line_num
+    if not rows:
         raise MalformedRow(0, "file has no header row")
+    header, rows, lines = rows[0], rows[1:], lines[1:]
     missing = [c for c in columns if c not in header]
     if missing:
         raise MissingColumn(missing)
-    return reader, rows, [header.index(c) if c in header else -1 for c in (*columns, *optional)]
+    positions = [header.index(c) if c in header else -1 for c in (*columns, *optional)]
+    width = max(positions) + 1
+    short = {i: f"expected at least {width} cells, got {len(row)}"
+             for i, row in enumerate(rows) if len(row) < width}
+    for i in short:
+        rows[i] = [""] * width
+    cells = [list(map(itemgetter(p), rows)) if p >= 0 else [""] * len(rows) for p in positions]
+    return lines, cells, short
 
 
-def _uncommented(reader: Any, lines: list[str]) -> Iterator[list[str]]:
-    """The rows of reader, a csv reader over lines, without blank rows and
-    comments: records whose first line starts with '#' after optional
-    whitespace."""
-    start = 0  # the line the next record starts on
-    for row in reader:
-        if row and not lines[start].lstrip().startswith("#"):
-            yield row
-        start = reader.line_num
+def numeric_cells(
+    cells: Sequence[str], kind: type = int
+) -> tuple[np.ndarray, dict[int, str], dict[int, str]]:
+    """cells as int64 (kind int) or float64 (kind float); the message
+    kind() gives each cell it rejects, by row; and the reason of each
+    integer cell outside the 64-bit range, by row. A cell of either kind
+    reads -1. Cells convert one by one only when the whole column does not."""
+    n, dtype = len(cells), np.int64 if kind is int else np.float64
+    try:
+        return np.fromiter(map(kind, cells), dtype, n), {}, {}
+    except (ValueError, OverflowError):
+        pass
+    values = np.full(n, -1, dtype)
+    rejected, outside = {}, {}
+    for i, cell in enumerate(cells):
+        try:
+            value = kind(cell)
+        except ValueError as exc:
+            rejected[i] = str(exc)
+            continue
+        if kind is float or _INT64_MIN <= value <= _INT64_MAX:
+            values[i] = value
+        else:
+            outside[i] = "integer field outside the 64-bit range"
+    return values, rejected, outside
+
+
+def rows_where(mask: np.ndarray, reason: Callable[[int], T]) -> dict[int, T]:
+    """reason(row) for each row where mask is true."""
+    return {i: reason(i) for i in np.flatnonzero(mask).tolist()}
+
+
+def row_errors(
+    lines: list[int], rules: Iterable[Mapping[int, str | DataValidationError]]
+) -> dict[int, DataValidationError]:
+    """The error of each row a rule names, by row position, in file order.
+
+    rules come in order, each a reason by row, and a row's error is the
+    reason of the first rule that names it; a str reason is a MalformedRow
+    at the row's line.
+    """
+    reasons: dict[int, str | DataValidationError] = {}
+    for rule in rules:
+        for row, reason in rule.items():
+            reasons.setdefault(row, reason)
+    return {row: MalformedRow(lines[row], reason) if isinstance(reason, str) else reason
+            for row, reason in sorted(reasons.items())}
 
 
 def _starts_comment(text: object) -> bool:
     """Whether text, as a line, would be a comment: a str starting with '#'
     after optional whitespace."""
     return isinstance(text, str) and text.lstrip().startswith("#")
-
-
-def strict(items: Iterable[T | MalformedRow]) -> Iterator[T]:
-    """The items, raising the first MalformedRow among them instead of yielding it."""
-    for item in items:
-        if isinstance(item, MalformedRow):
-            raise item
-        yield item
 
 
 @contextmanager
@@ -204,67 +207,73 @@ _CHANNEL_CODE = {channel: i for i, channel in enumerate(CHANNELS)}
 _CHANNEL_CODE[""] = _CHANNEL_CODE["unknown"]
 
 
-def _parse_turn(line_no: int, cells: tuple[str, ...]) -> PhraseTurn:
-    call_id, turn_index, start_ms, end_ms, text, channel, raw = cells
-    try:
-        turn_index = int(turn_index)
-        start_ms = int(start_ms)
-        end_ms = int(end_ms)
-    except ValueError as exc:
-        raise MalformedRow(line_no, f"non-integer field ({exc})") from None
-    if not all(_INT64_MIN <= v <= _INT64_MAX for v in (turn_index, start_ms, end_ms)):
-        raise MalformedRow(line_no, "integer field outside the 64-bit range")
-    channel = channel.strip() or "unknown"
-    raw = raw.strip()
-    label: Optional[int] = None
-    if raw != "":
-        try:
-            label = int(raw)
-        except ValueError:
-            raise MalformedRow(line_no, f"label must be an integer, got {raw!r}") from None
-    try:
-        return PhraseTurn(
-            call_id=call_id,
-            turn_index=turn_index,
-            channel=channel,
-            start_ms=start_ms,
-            end_ms=end_ms,
-            text=text,
-            label=label,
-        )
-    except ValueError as exc:
-        raise MalformedRow(line_no, str(exc)) from None
+def _read_transcripts(
+    path: PathLike,
+) -> tuple[Optional[TurnTable], list[tuple[int, DataValidationError]]]:
+    """A transcript CSV's turn table and [], or None and every error as
+    (line number, error): each bad row's, in file order, then each call's
+    first turn-order break, in first-seen call order.
 
-
-def _turn_table(columns: list[Sequence[str]]) -> Optional[TurnTable]:
-    """The turn table of a transcript's columns, in array passes, or None
-    when a cell does not convert or a turn breaks a rule."""
+    Every rule is one array pass over the columns. A bad row's error is
+    the first rule it breaks: a short row, a non-integer turn_index,
+    start_ms or end_ms, one outside the 64-bit range, a non-integer label,
+    then check_turn's rules. Among the other rows, sorted by turn_index
+    within each call (repeats keep file order), a turn_index equal to the
+    one before is a DuplicateTurnIndex, and a start_ms below the one before
+    a NonMonotonicTimestamps. Raises what read_columns raises for the header.
+    """
+    lines, columns, short = read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
     call_col, index_col, start_col, end_col, text_col, channel_col, label_col = columns
-    n = len(call_col)
-    try:
-        turn_index = np.fromiter(map(int, index_col), np.int64, n)
-        start_ms = np.fromiter(map(int, start_col), np.int64, n)
-        end_ms = np.fromiter(map(int, end_col), np.int64, n)
-        channel = np.fromiter(map(_CHANNEL_CODE.__getitem__, map(str.strip, channel_col)),
-                              np.int8, n)
-        raw = list(map(str.strip, label_col))
-        label = np.fromiter((int(cell) if cell else -1 for cell in raw), np.int64, n)
-    except (ValueError, OverflowError, KeyError):
-        return None
+    n = len(lines)
+    (turn_index, index_bad, index_out), (start_ms, start_bad, start_out), \
+        (end_ms, end_bad, end_out) = map(numeric_cells, (index_col, start_col, end_col))
+    channel = np.fromiter(map(_CHANNEL_CODE.get, map(str.strip, channel_col), repeat(-1)),
+                          np.int8, n)
+    raw = list(map(str.strip, label_col))
     given = np.fromiter(map(bool, raw), bool, n)
-    if ((turn_index < 0).any() or (start_ms < 0).any() or (end_ms < start_ms).any()
-            or (given & ((label < 0) | (label > 2))).any()):
-        return None
-    call_ids = tuple(dict.fromkeys(call_col))
+    label, label_bad, label_out = numeric_cells([cell or "-1" for cell in raw])
+
+    def turn_error(i: int) -> str:
+        try:
+            check_turn(int(turn_index[i]), channel_col[i].strip() or "unknown",
+                       int(start_ms[i]), int(end_ms[i]), int(raw[i]) if raw[i] else None)
+        except ValueError as exc:
+            return str(exc)
+        raise AssertionError(f"row {i} breaks no rule of check_turn")
+
+    breaks_turn = ((turn_index < 0) | (start_ms < 0) | (end_ms < start_ms) | (channel < 0)
+                   | (given & ((label < 0) | (label > 2))))
+    bad = row_errors(lines, [
+        short,
+        *({i: f"non-integer field ({e})" for i, e in rejected.items()}
+          for rejected in (index_bad, start_bad, end_bad)),
+        {**index_out, **start_out, **end_out},
+        {i: f"label must be an integer, got {raw[i]!r}" for i in label_bad},
+        rows_where(breaks_turn, turn_error),
+    ])
+    errors = [(error.line_no, error) for error in bad.values()]
+
+    keep = np.ones(n, bool)
+    keep[list(bad)] = False
+    rows = np.flatnonzero(keep)
+    calls = list(map(call_col.__getitem__, rows.tolist()))
+    call_ids = tuple(dict.fromkeys(calls))
     position = {call_id: i for i, call_id in enumerate(call_ids)}
-    call_of_row = np.fromiter(map(position.__getitem__, call_col), np.int64, n)
-    order = np.lexsort((turn_index, call_of_row))
+    call_of_row = np.fromiter(map(position.__getitem__, calls), np.int64, len(calls))
+    by_key = np.lexsort((turn_index[rows], call_of_row))  # stable: repeats keep file order
+    order, call_of_row = rows[by_key], call_of_row[by_key]
     turn_index, start_ms = turn_index[order], start_ms[order]
-    same_call = call_of_row[order][1:] == call_of_row[order][:-1]
-    if (same_call & (turn_index[1:] == turn_index[:-1])).any():
-        return None
-    if (same_call & (start_ms[1:] < start_ms[:-1])).any():
-        return None
+    same_call = call_of_row[1:] == call_of_row[:-1]
+    repeated = same_call & (turn_index[1:] == turn_index[:-1])
+    breaks = np.flatnonzero(repeated | (same_call & (start_ms[1:] < start_ms[:-1])))
+    breaks = breaks[np.unique(call_of_row[breaks + 1], return_index=True)[1]]
+    for b in breaks.tolist():
+        call_id = call_ids[call_of_row[b + 1]]
+        error = (DuplicateTurnIndex(call_id, int(turn_index[b + 1])) if repeated[b]
+                 else NonMonotonicTimestamps(call_id))
+        errors.append((lines[order[b + 1]], error))
+    if errors:
+        return None, errors
     return TurnTable(
         call_ids=call_ids,
         offsets=np.concatenate(([0], np.cumsum(np.bincount(call_of_row, minlength=len(call_ids))))),
@@ -274,33 +283,7 @@ def _turn_table(columns: list[Sequence[str]]) -> Optional[TurnTable]:
         channel=channel[order],
         label=label[order],
         text=list(map(text_col.__getitem__, order.tolist())),
-    )
-
-
-def _transcript_errors(path: PathLike) -> Iterator[tuple[int, DataValidationError]]:
-    """(line number, error) of every bad row, in file order, then of the
-    first turn-order break of each call, in first-seen call order.
-
-    The first of them is what ingest_transcripts raises. Raises what
-    read_csv raises for the header.
-    """
-    by_call: dict[str, list[tuple[int, PhraseTurn]]] = {}
-    for row in read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS):
-        try:
-            if isinstance(row, MalformedRow):
-                raise row
-            turn = _parse_turn(*row)
-        except MalformedRow as exc:
-            yield exc.line_no, exc
-        else:
-            by_call.setdefault(turn.call_id, []).append((row[0], turn))
-    for rows in by_call.values():
-        rows.sort(key=lambda row: row[1].turn_index)  # stable: repeats keep file order
-        for (_, prev), (line_no, turn) in zip(rows, rows[1:]):
-            error = turn_order_error(prev, turn)
-            if error is not None:
-                yield line_no, error
-                break
+    ), []
 
 
 def ingest_transcripts(path: PathLike) -> Corpus:
@@ -308,18 +291,11 @@ def ingest_transcripts(path: PathLike) -> Corpus:
 
     Row order within a call is normalized by turn_index. Raises
     MissingColumn, MalformedRow, DuplicateTurnIndex or
-    NonMonotonicTimestamps on the first problem found.
-
-    The file is parsed into columns and checked in array passes; only a
-    file that fails them is read again row by row (_transcript_errors), to
-    raise its first error with its line number.
+    NonMonotonicTimestamps: the first error _read_transcripts finds.
     """
-    columns = read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
-    table = None if columns is None else _turn_table(columns)
-    if table is None:
-        for _, error in _transcript_errors(path):
-            raise error
-        raise AssertionError(f"{path}: the column checks failed on a file without a bad row")
+    table, errors = _read_transcripts(path)
+    if errors:
+        raise errors[0][1]
     return Corpus.of_table(table)
 
 
@@ -332,25 +308,38 @@ def validate_transcripts(path: PathLike) -> list[MalformedRow]:
     at line 1. Returns an empty list when the file would ingest cleanly.
     """
     try:
-        return [error if isinstance(error, MalformedRow) else MalformedRow(line_no, str(error))
-                for line_no, error in _transcript_errors(path)]
+        _, errors = _read_transcripts(path)
     except (MissingColumn, MalformedRow) as exc:
         return [MalformedRow(1, getattr(exc, "reason", str(exc)))]
+    return [error if isinstance(error, MalformedRow) else MalformedRow(line_no, str(error))
+            for line_no, error in errors]
 
 
 def ingest_holds(path: PathLike) -> dict[str, tuple[HoldInterval, ...]]:
     """Parse a holds CSV into per-call sorted hold intervals.
 
-    A hold that starts before the one preceding it in start order ends is
-    a MalformedRow at its own line.
+    The first bad row raises a MalformedRow: a short row, a non-integer
+    cell, one outside the 64-bit range, or a hold that does not end after
+    it starts. Then a hold that starts before the one preceding it in
+    start order ends is a MalformedRow at its own line.
     """
-    by_call: dict[str, list[tuple[HoldInterval, int]]] = {}
-    for line_no, (call_id, start, end) in strict(read_csv(path, HOLD_COLUMNS)):
+    lines, (call_col, start_col, end_col), short = read_columns(path, HOLD_COLUMNS)
+    (start, start_bad, start_out), (end, end_bad, end_out) = map(numeric_cells, (start_col, end_col))
+
+    def interval_error(i: int) -> str:
         try:
-            interval = HoldInterval(int(start), int(end))
+            HoldInterval(int(start[i]), int(end[i]))
         except ValueError as exc:
-            raise MalformedRow(line_no, str(exc)) from None
-        by_call.setdefault(call_id, []).append((interval, line_no))
+            return str(exc)
+        raise AssertionError(f"row {i} holds a valid interval")
+
+    for error in row_errors(lines, [short, start_bad, end_bad, {**start_out, **end_out},
+                                    rows_where(end <= start, interval_error)]).values():
+        raise error
+    by_call: dict[str, list[tuple[HoldInterval, int]]] = {}
+    for call_id, hold_start, hold_end, line_no in zip(call_col, start.tolist(), end.tolist(),
+                                                      lines):
+        by_call.setdefault(call_id, []).append((HoldInterval(hold_start, hold_end), line_no))
 
     result: dict[str, tuple[HoldInterval, ...]] = {}
     for call_id, holds in by_call.items():

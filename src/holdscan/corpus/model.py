@@ -59,17 +59,6 @@ def check_turn(turn_index: int, channel: str, start_ms: int, end_ms: int,
         raise ValueError(f"label must be one of {LABELS} or None, got {label!r}")
 
 
-def turn_order_error(
-    prev: PhraseTurn, turn: PhraseTurn
-) -> DuplicateTurnIndex | NonMonotonicTimestamps | None:
-    """The error of turn following prev in turn_index order, or None when the pair is in order."""
-    if turn.turn_index == prev.turn_index:
-        return DuplicateTurnIndex(turn.call_id, turn.turn_index)
-    if turn.start_ms < prev.start_ms:
-        return NonMonotonicTimestamps(turn.call_id)
-    return None
-
-
 @dataclass(frozen=True)
 class HoldInterval:
     """A hold registered in the telephony system, [hold_start_ms, hold_end_ms)."""
@@ -122,9 +111,10 @@ class Call:
                     raise ValueError(
                         f"call {self.call_id!r}: turn_index {turn.turn_index} out of order"
                     )
-                error = turn_order_error(prev, turn)
-                if error is not None:
-                    raise error
+                if turn.turn_index == prev.turn_index:
+                    raise DuplicateTurnIndex(turn.call_id, turn.turn_index)
+                if turn.start_ms < prev.start_ms:
+                    raise NonMonotonicTimestamps(turn.call_id)
             prev = turn
         check_holds(self.call_id, self.holds)
 

@@ -78,7 +78,7 @@ MUTANTS = [
      "return np.where(np.arange(len(table)) == table.offsets[order[0] + 1] - 1, "
      "(call_fold[table.call_of_row] + 1) % k, call_fold[table.call_of_row])"),
     ("ingest's array check for a repeated turn_index dropped", "src/holdscan/corpus/io.py",
-     "(same_call & (turn_index[1:] == turn_index[:-1])).any()", "False"),
+     "repeated = same_call & (turn_index[1:] == turn_index[:-1])", "repeated = same_call & False"),
     ("predictions-file renormalization skipped", CLASSIFIER,
      "probs[fix] /= total[fix, None]", "pass"),
     ("predictions writer leaves call ids unquoted", CLASSIFIER,
