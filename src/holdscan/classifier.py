@@ -10,10 +10,10 @@ check nothing, built only when read, and consumers take the array itself
 (np.asarray), which metrics.as_prob_array checks. A predictions file is
 keys plus one such array both ways: load_external_proba returns a
 KeyedProba, a mapping over one, and write_proba takes keys and an array.
-The file is read by holdscan.corpus.io's rules, as transcripts and holds
-are, and written in the bytes of its write_csv: blank lines and records
-whose first line starts with '#' are skipped, columns beyond the five
-read are ignored, and a row without a cell for each of them is a
+The file is read once by holdscan.corpus.io's read_columns, as
+transcripts and holds are, and written in the bytes of its write_csv:
+blank lines and comment lines are skipped, columns beyond the five read
+are ignored, and a row without a cell for each of them is a
 MalformedRow.
 
 Training is plain mini-batch gradient descent on class-weighted
@@ -77,12 +77,13 @@ import zlib
 from dataclasses import asdict, dataclass, fields
 from operator import itemgetter
 from pathlib import Path
+from collections import ChainMap
 from collections.abc import Mapping, Sequence
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .corpus.io import first_cells, numeric_cells, open_csv, read_columns, row_errors, rows_where
+from .corpus.io import first_cells, numeric_cells, open_csv, read_columns, row_errors
 from .corpus.model import TurnKey
 from .errors import (
     DuplicateKey,
@@ -876,8 +877,8 @@ def load_external_proba(path: PathLike) -> KeyedProba:
     turn_index, index_bad, index_out = numeric_cells(index_col)
     columns = [numeric_cells(column, float) for column in prob_cols]
     probs = np.stack([values for values, _, _ in columns], axis=1)
-    numeric = [{i: f"bad numeric field ({e})" for i, e in rejected.items()}
-               for rejected in (index_bad, *(rejected for _, rejected, _ in columns))]
+    # A row's first bad cell, in column order, names it.
+    numeric = ChainMap(index_bad, *(rejected for _, rejected, _ in columns))
     keys = list(zip(call_ids, turn_index.tolist()))
     row_of = dict(zip(keys, range(n)))
     repeats = {}
@@ -888,10 +889,13 @@ def load_external_proba(path: PathLike) -> KeyedProba:
     total = (probs[:, 0] + probs[:, 1]) + probs[:, 2]
     off = np.abs(total - 1.0)
     for error in row_errors(lines, [
-        short, *numeric, index_out, repeats,
-        rows_where(~(probs >= 0.0).all(axis=1), lambda i: ProbabilityInvariantViolation(
+        (short, short.get),
+        (numeric, lambda i: f"bad numeric field ({numeric[i]})"),
+        (index_out, index_out.get),
+        (repeats, repeats.get),
+        (~(probs >= 0.0).all(axis=1), lambda i: ProbabilityInvariantViolation(
             f"line {lines[i]}: negative or NaN probability")),
-        rows_where(off > PROB_FILE_TOL, lambda i: ProbabilityInvariantViolation(
+        (off > PROB_FILE_TOL, lambda i: ProbabilityInvariantViolation(
             f"line {lines[i]}: probabilities sum to {sum(probs[i].tolist())!r}")),
     ]).values():
         raise error

@@ -10,13 +10,14 @@ Holds CSV:
 
 Every input CSV, the predictions CSV of holdscan.classifier included, is
 read once, by read_columns: UTF-8 with an optional byte-order mark, blank
-lines and comments skipped anywhere, the first other line the header. A
-comment is a record whose first physical line starts with '#' after
-optional whitespace; a row whose quoted first cell starts so is data. A
-row needs a cell for each column holdscan reads; extra cells and columns
-are ignored, and a shorter row is a MalformedRow with one message in
-every format. Every output CSV has write_csv's bytes: csv.writer's, but
-for a first cell that would start a comment line, which is quoted.
+lines and comment lines skipped anywhere, the first other line the
+header. A comment is a line that starts with '#' after optional
+whitespace where a record would start; a line inside a quoted cell is
+text, and a row whose quoted first cell starts with '#' is data. A row
+needs a cell for each column holdscan reads; extra cells and columns are
+ignored, and a shorter row is a MalformedRow with one message in every
+format. Every output CSV has write_csv's bytes: csv.writer's, but for a
+first cell that would start a comment line, which is quoted.
 
 Each reader checks its columns in array passes, one per rule, and builds
 each bad row's error from the cells already read (row_errors): the first
@@ -32,11 +33,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import ChainMap
 from contextlib import contextmanager
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar, Union
 
 import numpy as np
 
@@ -68,20 +70,31 @@ def read_columns(
     the cells of columns and then of optional, one list per column, and
     the reason of each row too short to hold every column read, by row
     position; such a row reads "" in every column, and so does every row
-    in an optional column the header lacks. Raises MalformedRow when the
+    in an optional column the header lacks. Blank lines are skipped, and
+    so are comment lines: a line that starts with '#' after optional
+    whitespace where a record would start. Raises MalformedRow when the
     file has no header and MissingColumn when the header lacks one of
     columns.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         physical = fh.readlines()
-    reader = csv.reader(physical)
+    line_no = 0
+    between = True  # whether the csv reader asks for a record's first line
+
+    def source() -> Iterator[str]:
+        nonlocal line_no, between
+        for line_no, line in enumerate(physical, 1):
+            if between and _starts_comment(line):
+                continue
+            between = False
+            yield line
+
     lines, rows = [], []
-    start = 0  # the line the next record starts on
-    for row in reader:
-        if row and not _starts_comment(physical[start]):
-            lines.append(reader.line_num)
+    for row in csv.reader(source()):
+        if row:
+            lines.append(line_no)
             rows.append(row)
-        start = reader.line_num
+        between = True
     if not rows:
         raise MalformedRow(0, "file has no header row")
     header, rows, lines = rows[0], rows[1:], lines[1:]
@@ -114,37 +127,43 @@ def numeric_cells(
     rejected, outside = {}, {}
     for i, cell in enumerate(cells):
         try:
-            value = kind(cell)
+            values[i] = kind(cell)
         except ValueError as exc:
             rejected[i] = str(exc)
-            continue
-        if kind is float or _INT64_MIN <= value <= _INT64_MAX:
-            values[i] = value
-        else:
+        except OverflowError:
             outside[i] = "integer field outside the 64-bit range"
     return values, rejected, outside
 
 
-def rows_where(mask: np.ndarray, reason: Callable[[int], T]) -> dict[int, T]:
-    """reason(row) for each row where mask is true."""
-    return {i: reason(i) for i in np.flatnonzero(mask).tolist()}
-
-
 def row_errors(
-    lines: list[int], rules: Iterable[Mapping[int, str | DataValidationError]]
+    lines: list[int],
+    rules: Iterable[tuple[Iterable[int], Callable[[int], str | DataValidationError]]],
 ) -> dict[int, DataValidationError]:
     """The error of each row a rule names, by row position, in file order.
 
-    rules come in order, each a reason by row, and a row's error is the
-    reason of the first rule that names it; a str reason is a MalformedRow
-    at the row's line.
+    A rule is a pair: the rows that break it, as a bool mask over the rows
+    or as row positions (a dict gives its keys), and a function giving a
+    row's reason. rules come in order, and a row's reason is asked only of
+    the first rule that names it, so a reason may rely on every earlier
+    rule holding for its row. A str reason is a MalformedRow at the row's
+    line.
     """
     reasons: dict[int, str | DataValidationError] = {}
-    for rule in rules:
-        for row, reason in rule.items():
-            reasons.setdefault(row, reason)
+    for rows, reason in rules:
+        for row in np.flatnonzero(rows).tolist() if isinstance(rows, np.ndarray) else rows:
+            if row not in reasons:
+                reasons[row] = reason(row)
     return {row: MalformedRow(lines[row], reason) if isinstance(reason, str) else reason
             for row, reason in sorted(reasons.items())}
+
+
+def _message(check: Callable[..., object], *args: object) -> str:
+    """The message of the ValueError check(*args) raises."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{check.__name__}{args} raised no ValueError")
 
 
 def _starts_comment(text: object) -> bool:
@@ -201,7 +220,6 @@ def first_cells(values: Iterable[str]) -> dict[str, str]:
     return {value: _csv_line((value, ""))[:-3] for value in dict.fromkeys(values)}
 
 
-_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 # A channel cell, stripped, to its code in CHANNELS; an empty cell is "unknown".
 _CHANNEL_CODE = {channel: i for i, channel in enumerate(CHANNELS)}
 _CHANNEL_CODE[""] = _CHANNEL_CODE["unknown"]
@@ -212,15 +230,10 @@ def _read_transcripts(
 ) -> tuple[Optional[TurnTable], list[tuple[int, DataValidationError]]]:
     """A transcript CSV's turn table and [], or None and every error as
     (line number, error): each bad row's, in file order, then each call's
-    first turn-order break, in first-seen call order.
+    first turn-order break among the good rows, in first-seen call order.
 
-    Every rule is one array pass over the columns. A bad row's error is
-    the first rule it breaks: a short row, a non-integer turn_index,
-    start_ms or end_ms, one outside the 64-bit range, a non-integer label,
-    then check_turn's rules. Among the other rows, sorted by turn_index
-    within each call (repeats keep file order), a turn_index equal to the
-    one before is a DuplicateTurnIndex, and a start_ms below the one before
-    a NonMonotonicTimestamps. Raises what read_columns raises for the header.
+    A bad row's error is the first of the rules below that it breaks.
+    Raises what read_columns raises for the header.
     """
     lines, columns, short = read_columns(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS)
     call_col, index_col, start_col, end_col, text_col, channel_col, label_col = columns
@@ -231,31 +244,23 @@ def _read_transcripts(
                           np.int8, n)
     raw = list(map(str.strip, label_col))
     given = np.fromiter(map(bool, raw), bool, n)
-    label, label_bad, label_out = numeric_cells([cell or "-1" for cell in raw])
-
-    def turn_error(i: int) -> str:
-        try:
-            check_turn(int(turn_index[i]), channel_col[i].strip() or "unknown",
-                       int(start_ms[i]), int(end_ms[i]), int(raw[i]) if raw[i] else None)
-        except ValueError as exc:
-            return str(exc)
-        raise AssertionError(f"row {i} breaks no rule of check_turn")
-
+    label, label_bad, _ = numeric_cells([cell or "-1" for cell in raw])
     breaks_turn = ((turn_index < 0) | (start_ms < 0) | (end_ms < start_ms) | (channel < 0)
                    | (given & ((label < 0) | (label > 2))))
+    non_integer = ChainMap(index_bad, start_bad, end_bad)  # a row's first bad cell names it
+    outside = {**index_out, **start_out, **end_out}
     bad = row_errors(lines, [
-        short,
-        *({i: f"non-integer field ({e})" for i, e in rejected.items()}
-          for rejected in (index_bad, start_bad, end_bad)),
-        {**index_out, **start_out, **end_out},
-        {i: f"label must be an integer, got {raw[i]!r}" for i in label_bad},
-        rows_where(breaks_turn, turn_error),
+        (short, short.get),
+        (non_integer, lambda i: f"non-integer field ({non_integer[i]})"),
+        (outside, outside.get),
+        (label_bad, lambda i: f"label must be an integer, got {raw[i]!r}"),
+        (breaks_turn, lambda i: _message(
+            check_turn, int(turn_index[i]), channel_col[i].strip() or "unknown",
+            int(start_ms[i]), int(end_ms[i]), int(raw[i]) if raw[i] else None)),
     ])
     errors = [(error.line_no, error) for error in bad.values()]
 
-    keep = np.ones(n, bool)
-    keep[list(bad)] = False
-    rows = np.flatnonzero(keep)
+    rows = np.delete(np.arange(n), list(bad))
     calls = list(map(call_col.__getitem__, rows.tolist()))
     call_ids = tuple(dict.fromkeys(calls))
     position = {call_id: i for i, call_id in enumerate(call_ids)}
@@ -325,16 +330,12 @@ def ingest_holds(path: PathLike) -> dict[str, tuple[HoldInterval, ...]]:
     """
     lines, (call_col, start_col, end_col), short = read_columns(path, HOLD_COLUMNS)
     (start, start_bad, start_out), (end, end_bad, end_out) = map(numeric_cells, (start_col, end_col))
-
-    def interval_error(i: int) -> str:
-        try:
-            HoldInterval(int(start[i]), int(end[i]))
-        except ValueError as exc:
-            return str(exc)
-        raise AssertionError(f"row {i} holds a valid interval")
-
-    for error in row_errors(lines, [short, start_bad, end_bad, {**start_out, **end_out},
-                                    rows_where(end <= start, interval_error)]).values():
+    non_integer = ChainMap(start_bad, end_bad)
+    outside = {**start_out, **end_out}
+    for error in row_errors(lines, [
+        (short, short.get), (non_integer, non_integer.get), (outside, outside.get),
+        (end <= start, lambda i: _message(HoldInterval, int(start[i]), int(end[i]))),
+    ]).values():
         raise error
     by_call: dict[str, list[tuple[HoldInterval, int]]] = {}
     for call_id, hold_start, hold_end, line_no in zip(call_col, start.tolist(), end.tolist(),

@@ -37,6 +37,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 CLASSIFIER = "src/holdscan/classifier.py"
 TUNING = "src/holdscan/tuning.py"
+IO = "src/holdscan/corpus/io.py"
 
 MUTANTS = [
     ("gradient sign flipped", CLASSIFIER,
@@ -77,8 +78,15 @@ MUTANTS = [
      "return call_fold[table.call_of_row]",
      "return np.where(np.arange(len(table)) == table.offsets[order[0] + 1] - 1, "
      "(call_fold[table.call_of_row] + 1) % k, call_fold[table.call_of_row])"),
-    ("ingest's array check for a repeated turn_index dropped", "src/holdscan/corpus/io.py",
+    ("ingest's array check for a repeated turn_index dropped", IO,
      "repeated = same_call & (turn_index[1:] == turn_index[:-1])", "repeated = same_call & False"),
+    ("a later rule overwrites an earlier rule's reason", IO,
+     "            if row not in reasons:\n                reasons[row] = reason(row)\n",
+     "            reasons[row] = reason(row)\n"),
+    ("a '#' line is skipped inside a quoted record", IO,
+     "if between and _starts_comment(line):", "if _starts_comment(line):"),
+    ("the record boundary is never reset", IO,
+     "            rows.append(row)\n        between = True\n", "            rows.append(row)\n"),
     ("predictions-file renormalization skipped", CLASSIFIER,
      "probs[fix] /= total[fix, None]", "pass"),
     ("predictions writer leaves call ids unquoted", CLASSIFIER,

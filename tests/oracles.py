@@ -28,14 +28,16 @@ is bit-exact: a test compares whole results with ==, or their bytes.
   over all `hash_dim` buckets, and its probabilities scored on
   `per_text_featurize` features with them; the same bits as
   `classifier.predict_proba`.
-- `ingest_transcripts_by_row` and `load_external_proba_by_row`: the
-  transcript and predictions-file readers as they were before both became
-  columnar, one parsed object per row (verbatim, with their CSV reader,
-  but for its comment rule: it skips a record whose first physical line
-  starts with '#' after optional whitespace, found by tapping the lines
-  the csv module reads); the same corpus, the same probability bits, or
-  the same error class, message and line number as
-  `corpus.io.ingest_transcripts` and `classifier.load_external_proba`.
+- `ingest_transcripts_by_row`, `validate_transcripts_by_row` and
+  `load_external_proba_by_row`: the transcript and predictions-file
+  readers as they were before they became columnar, one parsed object
+  per row, with the 64-bit rule for every integer cell. Their CSV reader
+  has its own comment rule: where a record would start it drops a line
+  that starts with '#' after optional whitespace, then reads one record
+  with a fresh csv reader. The same corpus, the same probability bits,
+  the same `(line, reason)` list, or the same error class, message and
+  line number as `corpus.io.ingest_transcripts`,
+  `corpus.io.validate_transcripts` and `classifier.load_external_proba`.
 - `write_proba_by_csv_writer`: `classifier.write_proba` as it was when
   csv.writer wrote every row (verbatim, with the write_csv it called); the
   same bytes for every call id that does not start a comment line.
@@ -54,6 +56,7 @@ reference still adds a kill.
 from __future__ import annotations
 
 import csv
+import itertools
 import zlib
 from collections import Counter
 from operator import itemgetter
@@ -66,11 +69,13 @@ from holdscan.corpus import Call, Corpus, CorpusStats, PhraseTurn
 from holdscan.corpus.io import OPTIONAL_COLUMNS, REQUIRED_COLUMNS
 from holdscan.errors import (
     DuplicateKey,
+    DuplicateTurnIndex,
     EmptyInput,
     EmptyTrainingSet,
     LengthMismatch,
     MalformedRow,
     MissingColumn,
+    NonMonotonicTimestamps,
     ProbabilityInvariantViolation,
     Unlabeled,
     UnlabeledExample,
@@ -359,25 +364,25 @@ def per_text_featurize_many(texts, spec: FeatureSpec):
 
 
 def _read_csv(path, columns, optional=()):
+    """(last physical line, cells) of each data row, or a MalformedRow for a
+    short one. Where a record would start, a line that starts with '#' after
+    optional whitespace is dropped; then a fresh csv reader reads that one
+    record, and its line_num says how many lines the record took."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        seen = []  # every physical line the csv reader has asked for
-
-        def tap():
-            for line in fh:
-                seen.append(line)
-                yield line
-
-        reader = csv.reader(tap())
-
         def records():
-            """Each row with the first physical line of its record."""
-            start = 0
-            for row in reader:
-                yield row, seen[start]
-                start = len(seen)
+            line_no = 0
+            for line in fh:
+                line_no += 1
+                if line.lstrip().startswith("#"):
+                    continue
+                reader = csv.reader(itertools.chain([line], fh))
+                row = next(reader)
+                line_no += reader.line_num - 1
+                if row:
+                    yield line_no, row
 
-        rows = (row for row, first in records() if row and not first.lstrip().startswith("#"))
-        header = next(rows, None)
+        rows = records()
+        _, header = next(rows, (0, None))
         if header is None:
             raise MalformedRow(0, "file has no header row")
         missing = [c for c in columns if c not in header]
@@ -388,14 +393,13 @@ def _read_csv(path, columns, optional=()):
         pad = -1 in positions
         width = max(positions) + 1
         pick = itemgetter(*positions)
-        for row in rows:
+        for line_no, row in rows:
             if len(row) < width:
-                message = f"expected at least {width} cells, got {len(row)}"
-                yield MalformedRow(reader.line_num, message)
+                yield MalformedRow(line_no, f"expected at least {width} cells, got {len(row)}")
             else:
                 if pad:
                     row.append("")
-                yield reader.line_num, pick(row)
+                yield line_no, pick(row)
 
 
 def _strict(items):
@@ -413,6 +417,8 @@ def _parse_turn(line_no, cells):
         end_ms = int(end_ms)
     except ValueError as exc:
         raise MalformedRow(line_no, f"non-integer field ({exc})") from None
+    if not all(-2 ** 63 <= v < 2 ** 63 for v in (turn_index, start_ms, end_ms)):
+        raise MalformedRow(line_no, "integer field outside the 64-bit range")
     channel = channel.strip() or "unknown"
     raw = raw.strip()
     label: Optional[int] = None
@@ -450,6 +456,36 @@ def ingest_transcripts_by_row(path):
     return _build_corpus(_parse_turn(*row) for row in rows)
 
 
+def validate_transcripts_by_row(path):
+    """(line, reason) of every bad row, in file order, then of each call's
+    first turn-order break, in the order its first good row comes; a header
+    problem is the one entry, at line 1."""
+    try:
+        rows = list(_read_csv(path, REQUIRED_COLUMNS, OPTIONAL_COLUMNS))
+    except (MalformedRow, MissingColumn) as exc:
+        return [(1, exc.reason if isinstance(exc, MalformedRow) else str(exc))]
+    found, by_call = [], {}
+    for row in rows:
+        try:
+            if isinstance(row, MalformedRow):
+                raise row
+            turn = _parse_turn(*row)
+        except MalformedRow as exc:
+            found.append((exc.line_no, exc.reason))
+        else:
+            by_call.setdefault(turn.call_id, []).append((row[0], turn))
+    for call_id, turns in by_call.items():
+        turns.sort(key=lambda pair: pair[1].turn_index)
+        for (_, prev), (line_no, turn) in zip(turns, turns[1:]):
+            if turn.turn_index == prev.turn_index:
+                found.append((line_no, str(DuplicateTurnIndex(call_id, turn.turn_index))))
+                break
+            if turn.start_ms < prev.start_ms:
+                found.append((line_no, str(NonMonotonicTimestamps(call_id))))
+                break
+    return found
+
+
 def load_external_proba_by_row(path):
     result: dict[tuple[str, int], ProbTriple] = {}
     for line_no, (call_id, turn_index, p0, p1, p2) in _strict(_read_csv(path, PROBA_COLUMNS)):
@@ -458,6 +494,8 @@ def load_external_proba_by_row(path):
             p = [float(p0), float(p1), float(p2)]
         except ValueError as exc:
             raise MalformedRow(line_no, f"bad numeric field ({exc})") from None
+        if not -2 ** 63 <= key[1] < 2 ** 63:
+            raise MalformedRow(line_no, "integer field outside the 64-bit range")
         if key in result:
             raise DuplicateKey(*key)
         if any(not (x >= 0.0) for x in p):

@@ -363,6 +363,25 @@ class TestAudit:
         assert code == 2
         assert capsys.readouterr().err == f"error: line 4: call {call_id!r}: overlapping holds\n"
 
+    @pytest.mark.parametrize("fmt", ["holds", "proba"])
+    def test_integer_outside_int64_exits_two(self, corpus_dir, tmp_path, capsys, fmt):
+        corpus = ingest_transcripts(corpus_dir / "transcripts.csv")
+        call_id = corpus.table.call_ids[0]
+        holds, proba = corpus_dir / "holds.csv", tmp_path / "proba.csv"
+        smoothed_gold_proba(corpus, proba)
+        if fmt == "holds":
+            holds = tmp_path / "holds.csv"
+            holds.write_text(f"call_id,hold_start_ms,hold_end_ms\n{call_id},0,1000\n"
+                             f"{call_id},5000,99999999999999999999\n")
+        else:
+            proba.write_text(f"{proba.read_text()}{call_id},99999999999999999999,0.5,0.25,0.25\n")
+        line = len((holds if fmt == "holds" else proba).read_text().splitlines())
+        code = run(["audit", "--transcripts", str(corpus_dir / "transcripts.csv"),
+                    "--holds", str(holds), "--proba", str(proba), "--threshold", "0.5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: line {line}: integer field outside the 64-bit range\n")
+
     def test_needs_gold_or_proba(self, corpus_dir, tmp_path):
         """--gold or --proba with a threshold, not both, checked before the
         files are read; under --gold a threshold, from a flag or a config

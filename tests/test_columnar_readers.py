@@ -1,18 +1,23 @@
 """The columnar transcript and predictions readers against the row-by-row
 readers they replaced (tests/oracles.py), on generated valid and malformed
-CSVs: the same corpus, the same probability bits, or the same error class,
-message and line number."""
+CSVs: the same corpus, the same probability bits, the same validation list,
+or the same error class, message and line number."""
 
 import csv
 import io
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from holdscan.classifier import load_external_proba
-from holdscan.corpus import ingest_transcripts
+from holdscan.corpus import ingest_transcripts, validate_transcripts
 
-from oracles import ingest_transcripts_by_row, load_external_proba_by_row
+from oracles import (
+    ingest_transcripts_by_row,
+    load_external_proba_by_row,
+    validate_transcripts_by_row,
+)
 
 SETTINGS = settings(max_examples=300, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -25,7 +30,7 @@ TRANSCRIPT_HEADERS = [
     ["call_id", "turn_index", "start_ms", "text"],                          # lacks end_ms
 ]
 # (column, cell): cells int() and the channel and label rules accept in an
-# unusual spelling, and cells they reject. Integers stay inside int64.
+# unusual spelling, and cells they reject, integers outside int64 among them.
 ODD_CELLS = [
     ("turn_index", "1_000"), ("turn_index", " 7 "), ("turn_index", "+3"), ("turn_index", "-1"),
     ("turn_index", "x"), ("turn_index", "1.0"), ("turn_index", "0x10"), ("turn_index", "٣"),
@@ -34,6 +39,8 @@ ODD_CELLS = [
     ("label", " 1 "), ("label", "3"), ("label", "-1"), ("label", "x"), ("label", "1_0"),
     ("label", "١"), ("call_id", " a"), ("call_id", "#c"), ("call_id", "#c,d"),
     ("call_id", "#c\r\nd"),  # quoted by csv.writer, so data: one line, and two
+    ("turn_index", "-9223372036854775809"), ("start_ms", "9223372036854775808"),
+    ("end_ms", "9223372036854775807"), ("label", "99999999999999999999"),
 ]
 TEXTS = st.text(alphabet=st.sampled_from('ab ,"\n#\ré'), max_size=8)
 
@@ -118,6 +125,32 @@ def test_ingest_matches_the_row_by_row_reader(tmp_path, text):
     assert [call.holds for call in got.calls] == [call.holds for call in want.calls]
 
 
+@SETTINGS
+@given(text=csv_file(TRANSCRIPT_HEADERS, transcript_row()))
+def test_validate_matches_the_row_by_row_reader(tmp_path, text):
+    path = _write(tmp_path, text)
+    got = [(d.line_no, d.reason) for d in validate_transcripts(path)]
+    assert got == validate_transcripts_by_row(path)
+
+
+def _odd_file(tmp_path, header, good, odd):
+    """A CSV of header and the rows good and odd."""
+    return _write(tmp_path, "".join(_csv_line([row[name] for name in header])
+                                    for row in ({name: name for name in header}, good, odd)))
+
+
+@pytest.mark.parametrize("column, cell", ODD_CELLS)
+def test_each_odd_transcript_cell_matches_the_row_by_row_reader(tmp_path, column, cell):
+    """Every odd cell once, in one row, whatever the generated files hit."""
+    good = {"call_id": "a", "turn_index": "0", "channel": "agent", "start_ms": "0",
+            "end_ms": "10", "text": "t", "label": "0"}
+    odd = {**good, "turn_index": "1", "start_ms": "20", "end_ms": "30", column: cell}
+    path = _odd_file(tmp_path, TRANSCRIPT_HEADERS[0], good, odd)
+    assert _outcome(ingest_transcripts, path) == _outcome(ingest_transcripts_by_row, path)
+    got = [(d.line_no, d.reason) for d in validate_transcripts(path)]
+    assert got == validate_transcripts_by_row(path)
+
+
 PROBA_HEADERS = [
     *[["call_id", "turn_index", "p0", "p1", "p2"]] * 3,
     ["p2", "p1", "p0", "turn_index", "call_id", "note"],
@@ -127,6 +160,7 @@ ODD_PROBA_CELLS = [
     ("p0", "nan"), ("p1", "-0.0"), ("p2", "-0.1"), ("p0", "x"), ("p1", ""), ("p2", "inf"),
     ("p0", "1_0"), ("p1", " 0.5 "), ("turn_index", " 3 "), ("turn_index", "y"),
     ("call_id", "#c"), ("call_id", "#c,d"), ("call_id", "#c\nd"),
+    ("turn_index", "99999999999999999999"), ("turn_index", "-9223372036854775808"),
 ]
 
 
@@ -162,3 +196,13 @@ def test_load_external_proba_matches_the_row_by_row_reader(tmp_path, text):
     got_bits = np.array([tuple(got[key]) for key in got], dtype=np.float64).reshape(-1, 3)
     want_bits = np.array([tuple(want[key]) for key in want], dtype=np.float64).reshape(-1, 3)
     assert got_bits.tobytes() == want_bits.tobytes()
+
+
+@pytest.mark.parametrize("column, cell", ODD_PROBA_CELLS)
+def test_each_odd_proba_cell_matches_the_row_by_row_reader(tmp_path, column, cell):
+    good = {"call_id": "a", "turn_index": "0", "p0": "0.5", "p1": "0.25", "p2": "0.25"}
+    path = _odd_file(tmp_path, PROBA_HEADERS[0], good, {**good, "turn_index": "1", column: cell})
+    kind, want = _outcome(load_external_proba_by_row, path)
+    got_kind, got = _outcome(load_external_proba, path)
+    assert (got_kind, got if kind == "error" else list(got)) == \
+        (kind, want if kind == "error" else list(want))

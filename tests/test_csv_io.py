@@ -5,6 +5,7 @@ one writer, so each rule below is checked on all three formats.
 """
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,7 +148,8 @@ def test_a_quoted_hash_call_id_is_data_and_a_hash_line_a_comment(tmp_path):
 
 def test_line_numbers_count_comment_records_and_quoted_line_breaks(tmp_path):
     # The quoted text holds a CRLF, a CR and a line that starts with '#':
-    # its record is lines 4 to 6. The comment record is lines 7 and 8.
+    # its record is lines 4 to 6, and its '#' line is text. Line 7 is a
+    # comment line, so its quote opens no cell, and line 8 is a short row.
     _, header, _, _ = FORMATS["transcripts"]
     text = (f"{header}\r\n"
             "# made by hand\r\n"
@@ -159,12 +161,56 @@ def test_line_numbers_count_comment_records_and_quoted_line_breaks(tmp_path):
     path.write_text(text, encoding="utf-8", newline="")
     with pytest.raises(MalformedRow) as err:
         ingest_transcripts(path)
-    assert err.value.line_no == 9
-    assert [d.line_no for d in validate_transcripts(path)] == [9]
-    path.write_text(text.replace(",9\r\n", ",0\r\n"), encoding="utf-8", newline="")
+    assert (err.value.line_no, err.value.reason) == (8, "expected at least 7 cells, got 1")
+    assert [d.line_no for d in validate_transcripts(path)] == [8, 9]
+    text = text.replace('two lines"\r\n', "").replace(",9\r\n", ",0\r\n")
+    path.write_text(text, encoding="utf-8", newline="")
     corpus = ingest_transcripts(path)
     assert corpus.table.call_ids == ("#c2", "c3")
     assert corpus.table.text[1] == "one\r\n# two\rthree"
+
+
+# A second good row of each format, for files of more than one row.
+SECOND_ROWS = {"transcripts": "a,1,client,2000,3000,bye,0", "holds": "b,30000,40000",
+               "predictions": "a,1,0.5,0.25,0.25"}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_comment_line_with_an_open_quote_is_one_line(fmt, tmp_path):
+    """The comment's quote opens no cell, so the rows after it are data."""
+    read, header, row, _ = FORMATS[fmt]
+    body = f"{row}\n{SECOND_ROWS[fmt]}\n"
+    commented = write(tmp_path / "commented.csv", f'{header}\n# note,"unclosed\n{body}')
+    assert read(commented) == read(write(tmp_path / "plain.csv", f"{header}\n{body}"))
+    if fmt == "transcripts":
+        assert read(commented).n_turns() == 2
+        assert validate_transcripts(commented) == []
+
+
+@pytest.mark.parametrize("fmt, row", [("holds", "a,5000,99999999999999999999"),
+                                      ("holds", "a,-9223372036854775809,20000"),
+                                      ("predictions", "a,99999999999999999999,0.5,0.25,0.25")])
+def test_an_integer_outside_int64_is_a_malformed_row(fmt, row, tmp_path):
+    read, header, good, _ = FORMATS[fmt]
+    path = write(tmp_path / "wide.csv", f"{header}\n{good}\n{row}\n")
+    with pytest.raises(MalformedRow, match="^line 3: integer field outside the 64-bit range$"):
+        read(path)
+
+
+@pytest.mark.parametrize("read", [ingest_transcripts, validate_transcripts, ingest_holds,
+                                  load_external_proba])
+@pytest.mark.parametrize("bad", [False, True], ids=["clean", "bad"])
+def test_a_reader_opens_its_file_once(read, bad, tmp_path):
+    fmt = {ingest_holds: "holds", load_external_proba: "predictions"}.get(read, "transcripts")
+    _, header, row, _ = FORMATS[fmt]
+    short = f"{row.rpartition(',')[0]}\n" if bad else ""
+    path = write(tmp_path / "in.csv", f"{header}\n{row}\n{short}{SECOND_ROWS[fmt]}\n")
+    with mock.patch("builtins.open", wraps=open) as opened:
+        try:
+            read(path)
+        except MalformedRow:
+            assert bad
+    assert opened.call_count == 1
 
 
 @pytest.mark.parametrize("call_id", ["#a", " #b", "\t#c"])
