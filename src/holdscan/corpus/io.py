@@ -76,25 +76,24 @@ def read_columns(
     file has no header and MissingColumn when the header lacks one of
     columns.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        physical = fh.readlines()
-    line_no = 0
-    between = True  # whether the csv reader asks for a record's first line
-
-    def source() -> Iterator[str]:
-        nonlocal line_no, between
-        for line_no, line in enumerate(physical, 1):
-            if between and _starts_comment(line):
-                continue
-            between = False
-            yield line
-
     lines, rows = [], []
-    for row in csv.reader(source()):
-        if row:
-            lines.append(line_no)
-            rows.append(row)
-        between = True
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        line_no = 0
+        between = True  # whether the csv reader asks for a record's first line
+
+        def source() -> Iterator[str]:
+            nonlocal line_no, between
+            for line_no, line in enumerate(fh, 1):
+                if between and _starts_comment(line):
+                    continue
+                between = False
+                yield line
+
+        for row in csv.reader(source()):
+            if row:
+                lines.append(line_no)
+                rows.append(row)
+            between = True
     if not rows:
         raise MalformedRow(0, "file has no header row")
     header, rows, lines = rows[0], rows[1:], lines[1:]

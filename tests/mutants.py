@@ -86,7 +86,8 @@ MUTANTS = [
     ("a '#' line is skipped inside a quoted record", IO,
      "if between and _starts_comment(line):", "if _starts_comment(line):"),
     ("the record boundary is never reset", IO,
-     "            rows.append(row)\n        between = True\n", "            rows.append(row)\n"),
+     "                rows.append(row)\n            between = True\n",
+     "                rows.append(row)\n"),
     ("predictions-file renormalization skipped", CLASSIFIER,
      "probs[fix] /= total[fix, None]", "pass"),
     ("predictions writer leaves call ids unquoted", CLASSIFIER,
