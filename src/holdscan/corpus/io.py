@@ -84,7 +84,8 @@ def read_columns(
         def source() -> Iterator[str]:
             nonlocal line_no, between
             for line_no, line in enumerate(fh, 1):
-                if between and _starts_comment(line):
+                # _starts_comment's rule, inlined because it runs once per line.
+                if between and line.lstrip().startswith("#"):
                     continue
                 between = False
                 yield line
@@ -102,8 +103,9 @@ def read_columns(
         raise MissingColumn(missing)
     positions = [header.index(c) if c in header else -1 for c in (*columns, *optional)]
     width = max(positions) + 1
-    short = {i: f"expected at least {width} cells, got {len(row)}"
-             for i, row in enumerate(rows) if len(row) < width}
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    short = {i: f"expected at least {width} cells, got {lengths[i]}"
+             for i in np.flatnonzero(lengths < width).tolist()}
     for i in short:
         rows[i] = [""] * width
     cells = [list(map(itemgetter(p), rows)) if p >= 0 else [""] * len(rows) for p in positions]

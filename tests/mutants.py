@@ -84,7 +84,7 @@ MUTANTS = [
      "            if row not in reasons:\n                reasons[row] = reason(row)\n",
      "            reasons[row] = reason(row)\n"),
     ("a '#' line is skipped inside a quoted record", IO,
-     "if between and _starts_comment(line):", "if _starts_comment(line):"),
+     'if between and line.lstrip().startswith("#"):', 'if line.lstrip().startswith("#"):'),
     ("the record boundary is never reset", IO,
      "                rows.append(row)\n            between = True\n",
      "                rows.append(row)\n"),
