@@ -21,8 +21,9 @@ first cell that would start a comment line, which is quoted.
 
 Each reader checks its columns in array passes, one per rule, and builds
 each bad row's error from the cells already read (row_errors): the first
-rule the row breaks, at its line. An integer cell goes through
-numeric_cells, so one outside the 64-bit range fails in every format.
+rule the row breaks, at its line. Integer cells go through numeric_cells,
+so a turn_index, timestamp or hold bound outside the 64-bit range fails
+the same way in every format.
 
 Fold plan JSON:
     {"k": k, "test_fold": t, "assignment": [[call_id, turn_index, fold], ...]}

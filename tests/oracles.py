@@ -31,12 +31,12 @@ is bit-exact: a test compares whole results with ==, or their bytes.
 - `ingest_transcripts_by_row`, `validate_transcripts_by_row` and
   `load_external_proba_by_row`: the transcript and predictions-file
   readers as they were before they became columnar, one parsed object
-  per row, with the 64-bit rule for every integer cell. Their CSV reader
-  has its own comment rule: where a record would start it drops a line
-  that starts with '#' after optional whitespace, then reads one record
-  with a fresh csv reader. The same corpus, the same probability bits,
-  the same `(line, reason)` list, or the same error class, message and
-  line number as `corpus.io.ingest_transcripts`,
+  per row, with the 64-bit rule for every turn_index, start_ms and
+  end_ms. Their CSV reader has its own comment rule: where a record would
+  start it drops a line that starts with '#' after optional whitespace,
+  then reads one record with a fresh csv reader. The same corpus, the
+  same probability bits, the same `(line, reason)` list, or the same
+  error class, message and line number as `corpus.io.ingest_transcripts`,
   `corpus.io.validate_transcripts` and `classifier.load_external_proba`.
 - `write_proba_by_csv_writer`: `classifier.write_proba` as it was when
   csv.writer wrote every row (verbatim, with the write_csv it called); the
