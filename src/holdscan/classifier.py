@@ -42,19 +42,19 @@ every score equals the one dense (hash_dim, 3) weights would give, bit
 for bit.
 
 Featurization is feature hashing: each word token and character n-gram
-counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _map_blocks hands
-each block of 1024 distinct texts to a function, which featurizes it with
-_block_keys, in array passes, into its sorted (row << bits) | bucket keys
-and their counts: _featurize_many turns each block's keys into CSR rows
-(_block_csr) and stacks them, one row per text, and predict_proba scores
-each block into its rows of one (n_distinct, 3) array. A text's row
-depends on that text alone, so the blocks run on one thread per usable
-CPU, at most one per block; numpy's sorts, takes, bincounts and ufuncs
-release the GIL, and only the per-text Python (lowercase, split, join,
-the token dict, a crc32 per distinct word) runs one thread at a time.
-With one CPU or one block the calling thread does all the work and
-starts no thread. Each thread holds one block's arrays, so memory grows
-as threads x one block. A block's keys are uint32, which sort faster
+counts in bucket crc32(f"{tag}\\x00{gram}") % hash_dim. _map_blocks maps
+a function over the blocks of 1024 distinct texts, in block order; each
+function featurizes its block with _block_keys, in array passes, into
+sorted (row << bits) | bucket keys and their counts, and returns CSR rows
+(_block_csr, which _featurize_many stacks) or, in predict_proba, the
+block's (len(block), 3) probabilities, which it concatenates. A text's
+row depends on that text alone, so the blocks run on a ThreadPoolExecutor
+of one thread per usable CPU, at most one per block, shut down inside the
+call; numpy's sorts, takes, bincounts and ufuncs release the GIL, and only
+the per-text Python (lowercase, split, join, the token dict, a crc32 per
+distinct word) runs one thread at a time. With one CPU or one block no
+pool is made. Each thread holds one block's arrays at a time, so memory
+grows as threads x one block. A block's keys are uint32, which sort faster
 than int64, wherever 1024 rows fit beside hash_dim's bits (hash_dim up
 to 2**22); above that they are int64.
 
@@ -71,7 +71,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
@@ -224,7 +223,7 @@ class _Csr(NamedTuple):
 
 
 # Distinct texts featurized (and, in predict_proba, scored) together; bounds the
-# temporary arrays of one pass, of which each thread holds one.
+# temporary arrays of one pass, of which each pool thread holds one at a time.
 _BLOCK = 1024
 # Stored entries _remap rewrites at once; bounds its temporary array.
 _REMAP_SLICE = 1 << 16
@@ -244,7 +243,7 @@ def _usable_cpus() -> int:
 def _featurize_many(texts: Iterable[str], spec: FeatureSpec) -> _Csr:
     """One CSR row per text; each distinct text is featurized once."""
     distinct, rows = _distinct(texts)
-    blocks = _map_blocks(lambda start, block: _block_csr(block, spec), distinct)
+    blocks = _map_blocks(lambda block: _block_csr(block, spec), distinct)
     lengths = np.concatenate([np.diff(b.indptr) for b in blocks])
     feats = _Csr(np.concatenate(([0], np.cumsum(lengths))),
                  np.concatenate([b.indices for b in blocks]),
@@ -259,44 +258,24 @@ def _distinct(texts: Iterable[str]) -> tuple[list[str], np.ndarray]:
     return list(first), np.array(rows, dtype=np.int64)
 
 
-def _map_blocks(work: Callable[[int, Sequence[str]], object], distinct: Sequence[str]) -> list:
-    """[work(start, block) for each block of distinct texts], in block order.
+def _map_blocks(work: Callable[[Sequence[str]], object], distinct: Sequence[str]) -> list:
+    """[work(block) for each block of _BLOCK distinct texts], in block order.
 
-    The block from start is the _BLOCK texts from start; there is at least
-    one, possibly empty, so an empty batch gets the same dtypes. Blocks run
-    on one thread per usable CPU, at most one per block: thread t takes
-    blocks t, t + threads, ..., and the calling thread is thread 0, so with
-    one CPU or one block no thread is started. work may run on any of
-    them, so it writes nothing but its own block's output. Every thread is
-    joined before this returns or raises, and the error raised is the
-    earliest failing block's, as one thread raises it.
+    There is at least one block, possibly empty, so an empty batch gets the
+    same dtypes. With one usable CPU or one block the calling thread runs
+    them; otherwise a pool of one thread per CPU, at most one per block,
+    does, so work returns its block's output and writes nothing shared.
+    Every thread is joined before this returns or raises, and the error
+    raised is the earliest failing block's, as on one thread.
     """
-    starts = range(0, max(len(distinct), 1), _BLOCK)
-    results = [None] * len(starts)
-    failed: dict[int, Exception] = {}
+    blocks = [distinct[i : i + _BLOCK] for i in range(0, max(len(distinct), 1), _BLOCK)]
+    n_threads = min(_usable_cpus(), len(blocks))
+    if n_threads == 1:
+        return list(map(work, blocks))
+    from concurrent.futures.thread import ThreadPoolExecutor
 
-    def run(first: int, step: int) -> None:
-        for i in range(first, len(starts), step):
-            start = starts[i]
-            try:
-                results[i] = work(start, distinct[start : start + _BLOCK])
-            except Exception as exc:  # raised in the caller's thread, below
-                failed[i] = exc
-                return
-
-    n_threads = min(_usable_cpus(), len(starts))
-    threads = [threading.Thread(target=run, args=(t, n_threads)) for t in range(1, n_threads)]
-    try:
-        for thread in threads:
-            thread.start()
-        run(0, n_threads)
-    finally:
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
-    if failed:
-        raise failed[min(failed)]
-    return results
+    with ThreadPoolExecutor(n_threads) as pool:
+        return list(pool.map(work, blocks))
 
 
 def _block_keys(texts: Sequence[str], spec: FeatureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -724,11 +703,11 @@ def predict_proba(model: Checkpoint, turns: Sequence[str], spec: FeatureSpec) ->
     Each distinct text is featurized and scored once, in blocks of _BLOCK
     distinct texts, one block in flight per thread (_map_blocks), so no
     array grows with the batch's non-zeros. A block is scored from its
-    sorted keys (_keyed_logits), with no CSR matrix, and its probabilities
-    go to its own rows of one (n_distinct, 3) array. Every block's buckets
-    are sent to the model's weight rows by one rank table, built once; a
-    bucket the model never saw goes to a column of +0.0 appended to the
-    class-major weights, as its dense weight row would be.
+    sorted keys (_keyed_logits), with no CSR matrix, into its own
+    (len(block), 3) probabilities, concatenated in block order. Every
+    block's buckets are sent to the model's weight rows by one rank table,
+    built once; a bucket the model never saw goes to a column of +0.0
+    appended to the class-major weights, as its dense weight row would be.
     """
     if spec != model.feature_spec:
         raise SpecMismatch("supplied FeatureSpec differs from the one the model was trained with")
@@ -736,13 +715,12 @@ def predict_proba(model: Checkpoint, turns: Sequence[str], spec: FeatureSpec) ->
     rank = _rank_table(model.columns, spec.hash_dim)
     weights_t = np.zeros((3, len(model.columns) + 1))
     weights_t[:, :-1] = model.weights.T
-    probs = np.empty((len(distinct), 3))
 
-    def score(start: int, texts: Sequence[str]) -> None:
+    def score(texts: Sequence[str]) -> np.ndarray:
         logits = _keyed_logits(*_block_keys(texts, spec), len(texts), spec, rank, weights_t)
-        probs[start : start + len(texts)] = _softmax_rows(logits + model.bias)
+        return _softmax_rows(logits + model.bias)
 
-    _map_blocks(score, distinct)
+    probs = np.concatenate(_map_blocks(score, distinct))
     return ProbaRows(probs if len(distinct) == len(rows) else probs[rows])
 
 

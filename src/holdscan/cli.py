@@ -41,6 +41,7 @@ from .corpus import (
     FoldPlan,
     TurnKey,
     attach_holds,
+    check_transcripts,
     corpus_stats,
     fold_plan_payload,
     generate_synthetic,
@@ -49,7 +50,6 @@ from .corpus import (
     load_fold_plan,
     load_profile,
     stratified_split,
-    validate_transcripts,
     write_holds,
     write_transcripts,
 )
@@ -196,13 +196,8 @@ def _add_options(options):
 @click.argument("transcripts", type=click.Path(exists=True))
 def validate(transcripts):
     """Check a transcript CSV; exit 0 only when it ingests cleanly."""
-    try:
-        corpus = ingest_transcripts(transcripts)
-    except DataValidationError:
-        # Only a file that fails to ingest is read again, to list every bad row.
-        diagnostics = validate_transcripts(transcripts)
-        if not diagnostics:
-            raise
+    corpus, diagnostics = check_transcripts(transcripts)
+    if diagnostics:
         for diag in diagnostics:
             click.echo(str(diag))
         click.echo(f"{len(diagnostics)} invalid row(s)")

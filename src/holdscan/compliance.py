@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .corpus.model import Corpus, HoldInterval, TurnKey
-from .errors import MissingPredictions, Unlabeled
+from .errors import MissingPredictions
 from .violations import (
     MISSING_CLOSING,
     MISSING_OPENING,
@@ -146,10 +146,7 @@ def gold_predictions(corpus: Corpus) -> dict[TurnKey, int]:
     """Use gold labels as predictions (oracle mode for audits); Unlabeled
     names the first turn without a label."""
     table = corpus.table
-    unlabeled = np.flatnonzero(table.label < 0)
-    if unlabeled.size:
-        key = table.keys[unlabeled[0]]
-        raise Unlabeled(f"turn {key} has no label; --gold needs a labeled transcript")
+    table.require_labels("--gold needs a labeled transcript")
     return dict(zip(table.keys, table.label.tolist()))
 
 

@@ -16,6 +16,7 @@ from .model import (
 )
 from .io import (
     attach_holds,
+    check_transcripts,
     fold_plan_payload,
     ingest_holds,
     ingest_transcripts,
@@ -50,6 +51,7 @@ __all__ = [
     "TurnKey",
     "TurnTable",
     "attach_holds",
+    "check_transcripts",
     "corpus_stats",
     "fold_plan_payload",
     "generate_synthetic",

@@ -306,20 +306,26 @@ def ingest_transcripts(path: PathLike) -> Corpus:
     return Corpus.of_table(table)
 
 
-def validate_transcripts(path: PathLike) -> list[MalformedRow]:
-    """Collect every bad row instead of failing on the first.
+def check_transcripts(path: PathLike) -> tuple[Optional[Corpus], list[MalformedRow]]:
+    """A transcript CSV's Corpus and [], or None and every bad row, from one read.
 
     Bad rows come first, in file order, then one MalformedRow per call whose
     turn order breaks, at the first row that breaks it in turn_index order.
     A header-level problem (no header, missing columns) is the only entry,
-    at line 1. Returns an empty list when the file would ingest cleanly.
+    at line 1.
     """
     try:
-        _, errors = _read_transcripts(path)
+        table, errors = _read_transcripts(path)
     except (MissingColumn, MalformedRow) as exc:
-        return [MalformedRow(1, getattr(exc, "reason", str(exc)))]
-    return [error if isinstance(error, MalformedRow) else MalformedRow(line_no, str(error))
-            for line_no, error in errors]
+        return None, [MalformedRow(1, getattr(exc, "reason", str(exc)))]
+    return None if errors else Corpus.of_table(table), [
+        error if isinstance(error, MalformedRow) else MalformedRow(line_no, str(error))
+        for line_no, error in errors]
+
+
+def validate_transcripts(path: PathLike) -> list[MalformedRow]:
+    """check_transcripts's bad rows; [] when the file would ingest cleanly."""
+    return check_transcripts(path)[1]
 
 
 def ingest_holds(path: PathLike) -> dict[str, tuple[HoldInterval, ...]]:

@@ -12,7 +12,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ClassTooSmall, DuplicateTurnIndex, NonMonotonicTimestamps, UnknownCall
+from ..errors import ClassTooSmall, DuplicateTurnIndex, NonMonotonicTimestamps, Unlabeled, UnknownCall
 
 IRRELEVANT = 0
 OPENING = 1
@@ -219,6 +219,14 @@ class TurnTable:
             text=self.text[row],
             label=None if label < 0 else label,
         )
+
+    def require_labels(self, purpose: str) -> None:
+        """Raise Unlabeled naming the first unlabeled turn; purpose says why labels are needed."""
+        unlabeled = np.flatnonzero(self.label < 0)
+        if unlabeled.size:
+            row = unlabeled[0]
+            key = (self.call_ids[self.call_of_row[row]], int(self.turn_index[row]))
+            raise Unlabeled(f"turn {key} has no label; {purpose}")
 
 
 class Corpus:

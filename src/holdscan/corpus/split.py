@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ClassTooSmall, SplitInfeasible, Unlabeled
+from ..errors import ClassTooSmall, SplitInfeasible
 from .model import LABELS, Corpus, FoldPlan, TurnTable
 
 # Relative deviation of per-fold class proportions tolerated in
@@ -38,10 +38,7 @@ def stratified_split(
     if mode not in ("row", "call_grouped"):
         raise ValueError(f"mode must be 'row' or 'call_grouped', got {mode!r}")
     table = corpus.table
-    unlabeled = np.flatnonzero(table.label < 0)
-    if unlabeled.size:
-        key = table.keys[unlabeled[0]]
-        raise Unlabeled(f"turn {key} has no label; splitting requires a labeled corpus")
+    table.require_labels("splitting requires a labeled corpus")
 
     if mode == "row":
         fold_of = _split_rows(table, k, seed)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import Unlabeled
 from .model import CLOSING, LABELS, OPENING, Corpus
 
 
@@ -27,9 +26,7 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
     Every key and count is a Python int, in first-seen row or call order.
     """
     t = corpus.table
-    unlabeled = np.flatnonzero(t.label < 0)
-    if unlabeled.size:
-        raise Unlabeled(f"turn {t.keys[unlabeled[0]]} has no label; stats need a labeled corpus")
+    t.require_labels("stats need a labeled corpus")
     words_per_row: dict[int, Counter] = {label: Counter() for label in LABELS}
     for (label, words), rows in Counter(zip(t.label.tolist(),
                                             map(len, map(str.split, t.text)))).items():

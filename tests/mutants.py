@@ -94,6 +94,11 @@ MUTANTS = [
      "cells = map(first_cells(call_ids).__getitem__, call_ids)", "cells = iter(call_ids)"),
     ("key scorer counts every key once", CLASSIFIER,
      "terms *= counts.astype(np.float64)", "pass"),
+    ("blocks run one at a time", CLASSIFIER,
+     "n_threads = min(_usable_cpus(), len(blocks))", "n_threads = 1"),
+    ("pool never shut down", CLASSIFIER,
+     "    with ThreadPoolExecutor(n_threads) as pool:\n        return list(pool.map(work, blocks))\n",
+     "    return list(ThreadPoolExecutor(n_threads).map(work, blocks))\n"),
 ]
 
 # Survivors, by mutant name, with why no test needs to kill them.

@@ -65,10 +65,19 @@ class TestValidate:
         assert "rows per class" in out
 
     def test_clean_file_is_read_once(self, tmp_path):
-        path = tmp_path / "ok.csv"
-        path.write_text(HEADER + "a,0,agent,0,1000,hello,0\n")
-        with mock.patch.object(cli, "validate_transcripts", side_effect=AssertionError):
-            assert run(["validate", str(path)]) == 0
+        """A clean file, one with a bad row and one with a bad header: each
+        is opened once, whether it is summarized or its errors are listed."""
+        files = {
+            "ok.csv": (HEADER + "a,0,agent,0,1000,hello,0\n", 0),
+            "bad_label.csv": (HEADER + "a,0,agent,0,1000,hello,7\na,1,agent,1000,2000,x,0\n", 2),
+            "no_text.csv": (HEADER.replace(",text", "") + "a,0,agent,0,1000,0\n", 2),
+        }
+        for name, (content, code) in files.items():
+            path = tmp_path / name
+            path.write_text(content)
+            with mock.patch("builtins.open", wraps=open) as opened:
+                assert run(["validate", str(path)]) == code, name
+            assert [c.args[0] for c in opened.call_args_list].count(str(path)) == 1, name
 
     def test_bad_row_exits_two_and_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -3,6 +3,7 @@ import pytest
 from holdscan.corpus import (
     Corpus,
     attach_holds,
+    check_transcripts,
     ingest_holds,
     ingest_transcripts,
     validate_transcripts,
@@ -217,11 +218,13 @@ def test_validate_finds_the_breaking_row_in_turn_index_order(tmp_path):
 def test_validate_lists_bad_rows_before_bad_calls(tmp_path):
     path = write_csv(tmp_path, TWO_BAD_CALLS + "c,0,agent,9,1,x,0\n")
     assert [d.line_no for d in validate_transcripts(path)] == [8, 4, 7]
+    assert check_transcripts(path)[0] is None
 
 
 def test_validate_clean_file(tmp_path):
     path = write_csv(tmp_path, "a,0,agent,0,1000,ok,0\n")
     assert validate_transcripts(path) == []
+    assert check_transcripts(path) == (ingest_transcripts(path), [])
 
 
 def test_byte_order_mark_is_accepted(tmp_path):
