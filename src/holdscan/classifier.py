@@ -27,15 +27,20 @@ a C-contiguous (3, U) array, so a gather takes every class's weights in
 one call and each class's sums and updates run over a contiguous row. A
 Checkpoint and its model file hold the same weights as U rows of (U, 3),
 in C order, with their bucket numbers. Training features are one CSR
-matrix, one row per turn; training and the loss share one gather
-(logits), one softmax-gradient function and one in-order scatter
-(gradients, touching only the feature rows present in a batch). fit
-trains on chosen rows of such a matrix, so a cross-validation run
-featurizes its turns once and every fold is a set of rows; train
-featurizes texts and then uses the same kernels. predict_proba builds
-no feature matrix: it scores each block of distinct texts straight from
-the block's sorted keys (_keyed_logits) against the checkpoint's own
-weights, as (3, U), keeping only each block's (n, 3) probabilities. A
+matrix with one row per distinct text, plus text_of, the row of each
+example's text (_featurize_many); on templated calls, where scripts
+repeat, that is a few dozen rows for thousands of turns. fit copies the
+rows its examples read, a run of batches at a time, so every example
+reads the row it would read from a matrix of one row per example.
+Training and the loss share one gather (logits), one softmax-gradient
+function and one in-order scatter (gradients, touching only the feature
+rows present in a batch). fit trains on chosen examples of such a
+matrix, so a cross-validation run featurizes its distinct texts once and
+every fold is a set of examples; train featurizes texts and then uses
+the same kernels. predict_proba builds no feature matrix: it scores each
+block of distinct texts straight from the block's sorted keys
+(_keyed_logits) against the checkpoint's own weights, as (3, U), keeping
+only each block's (n, 3) probabilities. A
 row sums its terms in the order the gather sums its CSR row, and a
 bucket the model never saw is sent to one appended column of zeros, so
 every score equals the one dense (hash_dim, 3) weights would give, bit
@@ -53,10 +58,13 @@ of one thread per usable CPU, at most one per block, shut down inside the
 call; numpy's sorts, takes, bincounts and ufuncs release the GIL, and only
 the per-text Python (lowercase, split, join, the token dict, a crc32 per
 distinct word) runs one thread at a time. With one CPU or one block no
-pool is made. Each thread holds one block's arrays at a time, so memory
-grows as threads x one block. A block's keys are uint32, which sort faster
-than int64, wherever 1024 rows fit beside hash_dim's bits (hash_dim up
-to 2**22); above that they are int64.
+pool is made. Threads started together may all begin on one CPU and stay
+there, so each pool thread, as each fold worker of holdscan.tuning, first
+runs on the next usable CPU of a queue (_take_cpu) and then gets back the
+affinity mask it started with. Each thread holds one block's arrays at a
+time, so memory grows as threads x one block. A block's keys are uint32,
+which sort faster than int64, wherever 1024 rows fit beside hash_dim's
+bits (hash_dim up to 2**22); above that they are int64.
 
 zlib hashes each distinct word token; the character n-grams get the same
 crc32 bits from a vectorised kernel (_gram_registers), one array pass per
@@ -74,6 +82,7 @@ import os
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
+from itertools import cycle, islice
 from operator import itemgetter
 from pathlib import Path
 from collections import ChainMap
@@ -240,15 +249,42 @@ def _usable_cpus() -> int:
     return 1 if affinity is None else len(affinity(0))
 
 
-def _featurize_many(texts: Iterable[str], spec: FeatureSpec) -> _Csr:
-    """One CSR row per text; each distinct text is featurized once."""
-    distinct, rows = _distinct(texts)
+def _cpu_queue(queue, n_workers: int):
+    """queue, with a CPU id put in it for each of n_workers workers: the
+    usable CPUs in turn, cycled, so no worker waits for an id."""
+    for cpu in islice(cycle(sorted(os.sched_getaffinity(0))), n_workers):
+        queue.put(cpu)
+    return queue
+
+
+def _take_cpu(cpus) -> None:
+    """Run the calling thread on the next CPU of the queue cpus, then give it
+    back the affinity mask it started with.
+
+    A pool's workers, started together, may all begin on one CPU and stay
+    there while another idles; moving each to its own CPU once spreads
+    them, and the restored mask lets the kernel move them later. An
+    OSError is ignored, since a pool whose initializer raises is broken.
+    """
+    cpu = cpus.get()
+    try:
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, mask)
+    except OSError:
+        pass
+
+
+def _featurize_many(texts: Iterable[str], spec: FeatureSpec) -> tuple[_Csr, np.ndarray]:
+    """One CSR row per distinct text, in first-seen order, and text_of, the
+    row of each text; each distinct text is featurized once."""
+    distinct, text_of = _distinct(texts)
     blocks = _map_blocks(lambda block: _block_csr(block, spec), distinct)
     lengths = np.concatenate([np.diff(b.indptr) for b in blocks])
     feats = _Csr(np.concatenate(([0], np.cumsum(lengths))),
                  np.concatenate([b.indices for b in blocks]),
                  np.concatenate([b.data for b in blocks]))
-    return feats if len(distinct) == len(rows) else feats.take(rows)
+    return feats, text_of
 
 
 def _distinct(texts: Iterable[str]) -> tuple[list[str], np.ndarray]:
@@ -265,16 +301,19 @@ def _map_blocks(work: Callable[[Sequence[str]], object], distinct: Sequence[str]
     same dtypes. With one usable CPU or one block the calling thread runs
     them; otherwise a pool of one thread per CPU, at most one per block,
     does, so work returns its block's output and writes nothing shared.
-    Every thread is joined before this returns or raises, and the error
-    raised is the earliest failing block's, as on one thread.
+    Each pool thread starts on a CPU of its own (_take_cpu). Every thread
+    is joined before this returns or raises, and the error raised is the
+    earliest failing block's, as on one thread.
     """
     blocks = [distinct[i : i + _BLOCK] for i in range(0, max(len(distinct), 1), _BLOCK)]
     n_threads = min(_usable_cpus(), len(blocks))
     if n_threads == 1:
         return list(map(work, blocks))
     from concurrent.futures.thread import ThreadPoolExecutor
+    from queue import SimpleQueue
 
-    with ThreadPoolExecutor(n_threads) as pool:
+    with ThreadPoolExecutor(n_threads, initializer=_take_cpu,
+                            initargs=(_cpu_queue(SimpleQueue(), n_threads),)) as pool:
         return list(pool.map(work, blocks))
 
 
@@ -504,10 +543,11 @@ def weighted_ce_loss_and_grad(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Batch-mean class-weighted cross-entropy with analytic gradients.
 
-    feats holds one CSR row per example, as built by _featurize_many. The
-    loss term of an example with true class y is multiplied by
-    class_weights[y]; the batch loss is the plain mean of the weighted
-    terms (so scaling all weights scales the loss by the same factor).
+    feats holds one CSR row per example, such as _featurize_many's rows
+    taken through its text_of. The loss term of an example with true class
+    y is multiplied by class_weights[y]; the batch loss is the plain mean
+    of the weighted terms (so scaling all weights scales the loss by the
+    same factor).
     weights is (U, 3), as a Checkpoint holds it. Returns (loss,
     grad_weights, grad_bias); grad_weights is dense and (U, 3) too.
     """
@@ -533,22 +573,25 @@ def train(
 ) -> list[Checkpoint]:
     """Train on (text, label) examples; one Checkpoint per epoch, scored on validation.
 
-    Checks the labels, featurizes both sequences in one call, keeps the
-    buckets they use and runs fit on their rows, keeping every epoch's
-    Checkpoint.
+    Checks the labels, featurizes both sequences' distinct texts in one
+    call, keeps the buckets they use and runs fit on their rows, keeping
+    every epoch's Checkpoint.
     """
     labeled = list(examples) + list(validation)
     for text, label in labeled:
         if label is None or label not in (0, 1, 2):
             raise UnlabeledExample(f"example {text[:40]!r} has label {label!r}")
-    columns, feats = _compact(_featurize_many([t for t, _ in labeled], spec), spec.hash_dim)
+    feats, text_of = _featurize_many([t for t, _ in labeled], spec)
+    columns, feats = _compact(feats, spec.hash_dim)
     y = np.array([label for _, label in labeled])
     n = len(examples)
-    return list(fit(feats, columns, y, np.arange(n), np.arange(n, len(labeled)), config, spec))
+    return list(fit(feats, text_of, columns, y, np.arange(n), np.arange(n, len(labeled)),
+                    config, spec))
 
 
 def fit(
     feats: _Csr,
+    text_of: np.ndarray,
     columns: np.ndarray,
     y: np.ndarray,
     train_rows: np.ndarray,
@@ -558,10 +601,13 @@ def fit(
 ) -> Iterator[Checkpoint]:
     """Train the linear softmax model, yielding one Checkpoint per epoch.
 
-    Trains on the rows train_rows of feats and y (labels in {0, 1, 2}) and
-    scores each epoch's macro one-vs-rest ROC AUC on the rows val_rows.
-    feats' indices are ranks into columns, as _compact returns them, so the
-    weights are one row per column.
+    Trains on the examples train_rows (labels y, in {0, 1, 2}) and scores
+    each epoch's macro one-vs-rest ROC AUC on the examples val_rows.
+    Example i's features are row text_of[i] of feats, so a text that recurs
+    is one row, and only the rows a run of batches or the validation set
+    reads are copied out, in example order. feats' indices are ranks into
+    columns, as _compact returns them, so the weights are one row per
+    column.
     Deterministic given the rows, config and spec: the per-epoch shuffle of
     train_rows is driven solely by config.seed. Each epoch is trained when
     the next Checkpoint is asked for.
@@ -570,7 +616,7 @@ def fit(
         raise EmptyTrainingSet("training set is empty")
     if len(val_rows) == 0:
         raise EmptyInput("validation set is empty")
-    val_feats = feats.take(val_rows)
+    val_feats = feats.take(text_of[val_rows])
     y_val = y[val_rows]
 
     n = len(train_rows)
@@ -591,7 +637,7 @@ def fit(
         order = train_rows[rng.permutation(n)]
         for first in range(0, n, run):
             rows = order[first : first + run]
-            run_feats, run_y = feats.take(rows), y[rows]
+            run_feats, run_y = feats.take(text_of[rows]), y[rows]
             for start in range(0, len(rows), config.batch_size):
                 stop = start + config.batch_size
                 lr = config.learning_rate * (1.0 - step / total_steps)

@@ -1,7 +1,9 @@
 """Cross-validation protocol, shared threshold selection and sweep harness.
 
-A run featurizes the fold plan's labeled turns once, into one feature
-matrix whose rows run fold after fold; every fold is a range of its rows.
+A run featurizes the distinct texts of the fold plan's labeled turns
+once, into one feature matrix with a row per distinct text; the turns run
+fold after fold, each mapped to its text's row, so every fold is a range
+of turns.
 One fold is reserved for testing. Each remaining fold serves once as the
 validation fold for a model trained on the rows of all the others; the
 best epoch checkpoint per fold is picked by validation ROC AUC. A fold
@@ -34,10 +36,12 @@ from .classifier import (
     FeatureSpec,
     TrainConfig,
     _compact,
+    _cpu_queue,
     _Csr,
     _featurize_many,
     _gather,
     _softmax_rows,
+    _take_cpu,
     _usable_cpus,
     fit,
     select_best_checkpoint,
@@ -174,17 +178,21 @@ def tune_and_test(
 
 @dataclass(frozen=True)
 class FoldMatrix:
-    """A fold plan's labeled turns as one feature matrix, fold after fold.
+    """A fold plan's labeled turns, fold after fold, and one feature matrix
+    of their distinct texts.
 
-    Row i holds the features and label of a turn of fold fold_of[i]; within
-    a fold the turns are in key order, as FoldPlan.fold_rows lists them.
-    The features' indices are ranks into columns, the buckets any row uses,
-    so every fold model's weights have one row per column. feature_spec is
-    the spec the rows were featurized with, and so the one every model
-    trained on them uses.
+    Turn i has label labels[i], lies in fold fold_of[i] and has its text's
+    features in row text_of[i] of feats, which holds one row per distinct
+    text, in first-seen order; within a fold the turns are in key order, as
+    FoldPlan.fold_rows lists them. Training and scoring copy the rows of
+    the turns they read (fit). The features' indices are ranks into
+    columns, the buckets any row uses, so every fold model's weights have
+    one row per column. feature_spec is the spec the rows were featurized
+    with, and so the one every model trained on them uses.
     """
 
     feats: _Csr
+    text_of: np.ndarray
     columns: np.ndarray
     labels: np.ndarray
     fold_of: np.ndarray
@@ -193,19 +201,21 @@ class FoldMatrix:
     feature_spec: FeatureSpec
 
     def rows(self, *folds: int) -> np.ndarray:
-        """The rows of the given folds, in ascending order."""
+        """The turns of the given folds, in ascending order."""
         return np.flatnonzero(np.isin(self.fold_of, folds))
 
 
 def fold_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSpec) -> FoldMatrix:
-    """Featurize the plan's labeled turns, all in one call, and keep the buckets they use."""
+    """Featurize the distinct texts of the plan's labeled turns, all in one
+    call, and keep the buckets they use."""
     rows_by_fold = fold_plan.fold_rows(corpus)
     rows = np.concatenate(rows_by_fold)
     table = corpus.table
-    columns, feats = _compact(_featurize_many(map(table.text.__getitem__, rows.tolist()),
-                                              feature_spec), feature_spec.hash_dim)
+    feats, text_of = _featurize_many(map(table.text.__getitem__, rows.tolist()), feature_spec)
+    columns, feats = _compact(feats, feature_spec.hash_dim)
     return FoldMatrix(
         feats=feats,
+        text_of=text_of,
         columns=columns,
         labels=table.label[rows],
         fold_of=np.repeat(np.arange(fold_plan.k), [len(r) for r in rows_by_fold]),
@@ -225,6 +235,7 @@ def train_fold(matrix: FoldMatrix, v: int, config: TrainConfig) -> Iterator[Chec
     train_folds = [f for f in range(matrix.k) if f not in (v, matrix.test_fold)]
     return fit(
         matrix.feats,
+        matrix.text_of,
         matrix.columns,
         matrix.labels,
         matrix.rows(*train_folds),
@@ -243,11 +254,11 @@ def _checked_matrix(corpus: Corpus, fold_plan: FoldPlan, feature_spec: FeatureSp
 
 def _fold_model(matrix: FoldMatrix, v: int,
                 config: TrainConfig) -> tuple[Checkpoint, np.ndarray, np.ndarray]:
-    """Fold v's best checkpoint and the probabilities of v's rows and of the
-    test fold's rows, scored in one pass."""
+    """Fold v's best checkpoint and the probabilities of v's turns and of the
+    test fold's turns, scored in one pass."""
     best = select_best_checkpoint(train_fold(matrix, v, config))
     val_rows = matrix.rows(v)
-    scored = matrix.feats.take(np.r_[val_rows, matrix.rows(matrix.test_fold)])
+    scored = matrix.feats.take(matrix.text_of[np.r_[val_rows, matrix.rows(matrix.test_fold)]])
     probs = _softmax_rows(_gather(scored, best.weights.T) + best.bias)
     return (best, *np.split(probs, [len(val_rows)]))
 
@@ -256,9 +267,11 @@ def _fold_model(matrix: FoldMatrix, v: int,
 _worker_matrix: FoldMatrix | None = None
 
 
-def _init_worker(matrix: FoldMatrix) -> None:
+def _init_worker(matrix: FoldMatrix, cpus) -> None:
+    """Keep the matrix, and start on the next CPU of the queue cpus."""
     global _worker_matrix
     _worker_matrix = matrix
+    _take_cpu(cpus)
 
 
 def _fold_task(config: TrainConfig, v: int) -> tuple[Checkpoint, np.ndarray, np.ndarray]:
@@ -269,12 +282,15 @@ def _fold_task(config: TrainConfig, v: int) -> tuple[Checkpoint, np.ndarray, np.
 def _worker_count(n_tasks: int) -> int:
     """Worker processes for n_tasks fold tasks: one per usable CPU, at most
     one per task. 1 means in-process, as on platforms without CPU affinity
-    (macOS, where fork is unsafe) or without fork (Windows)."""
-    import multiprocessing
+    (macOS, where fork is unsafe) or without fork (Windows).
+    multiprocessing is imported only when a pool is possible."""
+    workers = min(_usable_cpus(), n_tasks)
+    if workers > 1:
+        import multiprocessing
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(_usable_cpus(), n_tasks)
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
 
 
 @contextmanager
@@ -287,9 +303,11 @@ def _fold_models(
     processes when more than one CPU is usable, and the results are the
     same bits as in-process. Fork hands each worker the matrix without
     pickling it, and the pool forks every worker before it starts any
-    thread. The pool lives inside this context, so its workers are joined
-    on success and on error. A worker's exception reaches the caller
-    (ChildProcessError if it died), and unstarted tasks are dropped.
+    thread. Each worker starts on a CPU of its own (_take_cpu), taking
+    its id from a queue filled here. The pool lives inside this context,
+    so its workers are joined on success and on error. A worker's
+    exception reaches the caller (ChildProcessError if it died), and
+    unstarted tasks are dropped.
     """
     workers = _worker_count(len(tasks))
     if workers == 1:
@@ -298,9 +316,9 @@ def _fold_models(
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker,
-                             initargs=(matrix,)) as pool:
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker,
+                             initargs=(matrix, _cpu_queue(fork.SimpleQueue(), workers))) as pool:
         try:
             yield pool.map(_fold_task, *zip(*tasks))
         except BrokenProcessPool as exc:

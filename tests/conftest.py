@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from holdscan.classifier import _featurize_many
 from holdscan.corpus import Call, Corpus, PhraseTurn, generate_synthetic
+
+
+def featurize_rows(texts, spec):
+    """One CSR row per text, in order: _featurize_many's rows of the distinct
+    texts, expanded through its text_of."""
+    feats, text_of = _featurize_many(texts, spec)
+    return feats.take(text_of)
 
 
 def make_turn(call_id, turn_index, label=0, text="hello there", start_ms=None, end_ms=None,

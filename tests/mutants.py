@@ -97,8 +97,19 @@ MUTANTS = [
     ("blocks run one at a time", CLASSIFIER,
      "n_threads = min(_usable_cpus(), len(blocks))", "n_threads = 1"),
     ("pool never shut down", CLASSIFIER,
-     "    with ThreadPoolExecutor(n_threads) as pool:\n        return list(pool.map(work, blocks))\n",
-     "    return list(ThreadPoolExecutor(n_threads).map(work, blocks))\n"),
+     "    with ThreadPoolExecutor(n_threads, initializer=_take_cpu,\n"
+     "                            initargs=(_cpu_queue(SimpleQueue(), n_threads),)) as pool:\n"
+     "        return list(pool.map(work, blocks))\n",
+     "    pool = ThreadPoolExecutor(n_threads, initializer=_take_cpu,\n"
+     "                              initargs=(_cpu_queue(SimpleQueue(), n_threads),))\n"
+     "    return list(pool.map(work, blocks))\n"),
+    ("fold matrix expands every row", TUNING,
+     "        feats=feats,\n        text_of=text_of,\n",
+     "        feats=feats.take(text_of),\n        text_of=np.arange(len(text_of)),\n"),
+    ("workers never spread", CLASSIFIER,
+     "        os.sched_setaffinity(0, {cpu})\n", ""),
+    ("affinity never restored", CLASSIFIER,
+     "        os.sched_setaffinity(0, mask)\n", ""),
 ]
 
 # Survivors, by mutant name, with why no test needs to kill them.

@@ -14,7 +14,6 @@ from holdscan.classifier import (
     FeatureSpec,
     ProbTriple,
     TrainConfig,
-    _featurize_many,
     weighted_ce_loss_and_grad,
 )
 from holdscan.cli import run_cli, run_pipeline
@@ -25,7 +24,7 @@ from holdscan.decision import DecisionRule, decide_batch
 from holdscan.metrics import binary_auc, confusion, macro_prf
 from holdscan.tuning import run_cross_validation, shared_threshold_search
 
-from conftest import flat_corpus, tree_bytes
+from conftest import featurize_rows, flat_corpus, tree_bytes
 from oracles import (
     exhaustive_threshold_search,
     random_prob_triple,
@@ -277,7 +276,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
 
 def test_criterion_9_gradient_check():
     spec = FeatureSpec(hash_dim=2 ** 10)
-    feats = _featurize_many(["wait here", "back now", "hello"], spec)
+    feats = featurize_rows(["wait here", "back now", "hello"], spec)
     y = [1, 2, 0]
     cw = (0.25, 1.0, 3.0)
     rng = np.random.default_rng(12)

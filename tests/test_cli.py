@@ -871,17 +871,42 @@ class TestConfigFile:
         assert code == 2
 
 
+def _probe(code, *args):
+    """The stdout of a fresh python -c code, importing this holdscan."""
+    src = str(Path(holdscan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
 def test_import_leaves_the_thread_pool_unloaded():
     """concurrent.futures is imported when fold models train on a worker
     pool, not when the CLI starts, so every command's start-up stays
     without it."""
-    src = str(Path(holdscan.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    probe = "import sys, holdscan.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         check=True).stdout
+    out = _probe("import sys, holdscan.cli; print('concurrent.futures' in sys.modules)")
     assert out.strip() == "False"
+
+
+_ONE_CPU_PROBE = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from holdscan.classifier import FeatureSpec, TrainConfig
+from holdscan.corpus import generate_synthetic, stratified_split
+from holdscan.tuning import run_cross_validation
+
+corpus, _ = generate_synthetic(30, 1)
+run = run_cross_validation(corpus, stratified_split(corpus, 4, seed=1), TrainConfig(epochs=1),
+                           FeatureSpec(hash_dim=2 ** 10))
+print(len(run.models), "multiprocessing" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the platform has no CPU affinity")
+def test_one_cpu_run_leaves_multiprocessing_unloaded():
+    """On one CPU no fold pool is possible, so run_cross_validation never
+    imports multiprocessing (5-14 ms)."""
+    assert _probe(_ONE_CPU_PROBE).split() == ["3", "False"]
 
 
 _NUMPY_MA_PROBE = """
@@ -922,11 +947,7 @@ def test_chains_never_import_numpy_ma(corpus_dir, tmp_path):
     """A trained pipeline with its fold tasks in-process, then predict,
     pipeline --external-proba and audit, never import numpy.ma, which costs
     ~20 ms a process; np.unique imports it on numpy 2.x."""
-    src = str(Path(holdscan.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE, str(corpus_dir), str(tmp_path)],
-                         env=env, capture_output=True, text=True, check=True).stdout
+    out = _probe(_NUMPY_MA_PROBE, str(corpus_dir), str(tmp_path))
     last = out.splitlines()[-1]  # the commands print their reports first
     if last == "loaded by import numpy":
         pytest.skip("import numpy alone loads numpy.ma on this numpy")

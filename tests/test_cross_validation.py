@@ -30,7 +30,7 @@ from holdscan.tuning import (
 )
 
 from conftest import flat_corpus, make_turn
-from oracles import dense_weights, reference_select_best
+from oracles import dense_weights, per_text_featurize, reference_select_best
 
 SPEC = FeatureSpec(hash_dim=2 ** 11)
 CONFIG = TrainConfig(epochs=2, seed=17)
@@ -322,13 +322,18 @@ def _counting(fn):
         yield counter
 
 
+def _featurized_texts(block_csr):
+    """The texts a _block_csr mock featurized, over all its calls."""
+    return [text for call in block_csr.call_args_list for text in call.args[0]]
+
+
 def test_cross_validation_featurizes_once_and_never_predicts():
     corpus = separable_corpus(n_per_class=30)
     plan = stratified_split(corpus, 4, seed=1)
-    with _fold_workers(1), _counting(classifier._featurize_many) as featurize, \
+    with _fold_workers(1), _counting(classifier._block_csr) as featurize, \
             _counting(classifier.predict_proba) as predict:
         run_cross_validation(corpus, plan, CONFIG, SPEC)
-    assert featurize.call_count == 1
+    assert sorted(_featurized_texts(featurize)) == sorted(set(corpus.table.text))
     assert predict.call_count == 0
 
 
@@ -336,21 +341,72 @@ def test_cross_validation_featurizes_once_and_never_predicts():
 def test_sweep_featurizes_once_for_the_whole_grid(grid):
     corpus = separable_corpus(n_per_class=30)
     plan = stratified_split(corpus, 3, seed=1)
-    with _fold_workers(1), _counting(classifier._featurize_many) as featurize, \
+    with _fold_workers(1), _counting(classifier._block_csr) as featurize, \
             _counting(classifier.predict_proba) as predict:
         sweep(corpus, plan, CONFIG, "learning_rate", grid, SPEC)
-    assert featurize.call_count == 1
+    assert sorted(_featurized_texts(featurize)) == sorted(set(corpus.table.text))
     assert predict.call_count == 0
 
 
 def test_pool_run_featurizes_in_the_parent_and_trains_in_workers():
     corpus = separable_corpus(n_per_class=30)
     plan = stratified_split(corpus, 4, seed=1)
-    with _fold_workers(2), _counting(classifier._featurize_many) as featurize, \
+    with _fold_workers(2), _counting(classifier._block_csr) as featurize, \
             _counting(classifier.fit) as fit:
         run_cross_validation(corpus, plan, CONFIG, SPEC)
-    assert featurize.call_count == 1
+    assert sorted(_featurized_texts(featurize)) == sorted(set(corpus.table.text))
     assert fit.call_count == 0
+
+
+def _plan_matrix(distinct):
+    """(corpus, k=4 plan, its FoldMatrix) of a 60-call corpus, its texts
+    templated or each made unique to its turn."""
+    corpus, _ = generate_synthetic(60, 2)
+    if distinct:
+        corpus = _distinct_texts(corpus)
+    plan = stratified_split(corpus, 4, seed=3, test_fold=1)
+    return corpus, plan, tuning.fold_matrix(corpus, plan, SPEC)
+
+
+@pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
+def test_fold_matrix_keeps_one_row_per_distinct_text(distinct):
+    """feats has one row per distinct labeled text, in first-seen turn order,
+    holding that text's counts; text_of sends every turn to its text's row."""
+    corpus, plan, matrix = _plan_matrix(distinct)
+    texts = [corpus.table.text[r] for r in np.concatenate(plan.fold_rows(corpus)).tolist()]
+    distinct_texts = list(dict.fromkeys(texts))
+    if distinct:
+        assert len(distinct_texts) == len(texts)
+    else:
+        assert len(distinct_texts) < len(texts) // 10  # templated texts repeat
+    assert len(matrix.feats.indptr) - 1 == len(distinct_texts)
+    assert len(matrix.text_of) == len(matrix.labels) == len(texts)
+    assert [distinct_texts[r] for r in matrix.text_of.tolist()] == texts
+    for r, text in enumerate(distinct_texts):
+        row = slice(matrix.feats.indptr[r], matrix.feats.indptr[r + 1])
+        got = dict(zip(matrix.columns[matrix.feats.indices[row]].tolist(),
+                       matrix.feats.data[row].tolist()))
+        assert got == per_text_featurize(text, SPEC)
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["in_process", "pool"])
+@pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
+def test_distinct_text_rows_train_as_per_turn_rows(distinct, workers):
+    """Fold models and probabilities from the matrix of distinct texts equal,
+    bit for bit, those from the same matrix expanded to one row per turn."""
+    _, _, matrix = _plan_matrix(distinct)
+    expanded = replace(matrix, feats=matrix.feats.take(matrix.text_of),
+                       text_of=np.arange(len(matrix.text_of)))
+    tasks = [(TrainConfig(epochs=3, seed=11), v) for v in (0, 2, 3)]
+    results = []
+    for m in (matrix, expanded):
+        with _fold_workers(workers), tuning._fold_models(m, tasks) as fold_models:
+            results.append(list(fold_models))
+    for (got, got_val, got_test), (want, want_val, want_test) in zip(*results):
+        assert (got.epoch, got.validation_auc) == (want.epoch, want.validation_auc)
+        for name in ("columns", "weights", "bias"):
+            assert _same_bits(getattr(got, name), getattr(want, name))
+        assert _same_bits(got_val, want_val) and _same_bits(got_test, want_test)
 
 
 # --- fold models on a worker pool against the in-process path ------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from holdscan import classifier
 from holdscan.classifier import FeatureSpec, _featurize_many
 
+from conftest import featurize_rows
 from oracles import per_text_featurize, per_text_featurize_many
 
 CHAR_ONLY = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=2, char_ngram_max=2, word_unigrams=False)
@@ -15,7 +16,7 @@ CHAR_ONLY = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=2, char_ngram_max=2, wo
 
 def row_counts(text, spec):
     """text's row of _featurize_many, as {bucket: count}."""
-    feats = _featurize_many([text], spec)
+    feats, _ = _featurize_many([text], spec)
     return dict(zip(feats.indices.tolist(), map(int, feats.data.tolist())))
 
 
@@ -25,15 +26,16 @@ def test_empty_text_all_zero():
 
 def test_featurize_many_rows_hold_sorted_counts():
     texts = ["go go", "", "hold on", "go go", ""]
-    feats = _featurize_many(texts, CHAR_ONLY)
-    assert feats.indptr[0] == 0 and len(feats.indptr) == len(texts) + 1
-    for i, text in enumerate(texts):
-        row = slice(feats.indptr[i], feats.indptr[i + 1])
+    feats, text_of = _featurize_many(texts, CHAR_ONLY)
+    assert text_of.dtype == np.int64 and text_of.tolist() == [0, 1, 2, 0, 1]
+    assert feats.indptr[0] == 0 and len(feats.indptr) == 4
+    for text, r in zip(texts, text_of.tolist()):
+        row = slice(feats.indptr[r], feats.indptr[r + 1])
         items = sorted(row_counts(text, CHAR_ONLY).items())
         assert feats.indices[row].tolist() == [b for b, _ in items]
         assert feats.data[row].tolist() == [float(c) for _, c in items]
     picked = feats.take(np.array([2, 1, 0]))
-    direct = _featurize_many(["hold on", "", "go go"], CHAR_ONLY)
+    direct = featurize_rows(["hold on", "", "go go"], CHAR_ONLY)
     assert all(np.array_equal(a, b) for a, b in zip(picked, direct))
 
 
@@ -119,7 +121,7 @@ def assert_same_csr(got, want):
 @given(TEXTS, SPECS, st.sampled_from([1, 3, classifier._BLOCK]))
 def test_matches_per_text_featurizer(texts, spec, block):
     with mock.patch.object(classifier, "_BLOCK", block):
-        got = _featurize_many(texts, spec)
+        got = featurize_rows(texts, spec)
     assert_same_csr(got, per_text_featurize_many(texts, spec))
     for text in texts:
         assert row_counts(text, spec) == per_text_featurize(text, spec)
@@ -138,7 +140,7 @@ def test_matches_per_text_featurizer_on_corpus_turns(small_synthetic):
              f"{WIDE_SUFFIXES[turn.turn_index % len(WIDE_SUFFIXES)]}"
              for turn in corpus.iter_turns()]
     for spec in (FeatureSpec(), FeatureSpec(hash_dim=2 ** 10, char_ngram_min=1, char_ngram_max=6)):
-        got = _featurize_many(texts, spec)
+        got = featurize_rows(texts, spec)
         assert_same_csr(got, per_text_featurize_many(texts, spec))
 
 
@@ -152,7 +154,7 @@ def test_lone_surrogate_fails_only_inside_a_gram():
     # In a block, a surrogate in a text too short for a gram does not taint the others.
     texts = ["\ud800", "hold on", "x\udfff"]
     spec = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=3, word_unigrams=False)
-    assert_same_csr(_featurize_many(texts, spec), per_text_featurize_many(texts, spec))
+    assert_same_csr(featurize_rows(texts, spec), per_text_featurize_many(texts, spec))
     with pytest.raises(UnicodeEncodeError):
         _featurize_many(["hold on", "ab\ud800"], spec)
 

@@ -17,6 +17,7 @@ import pytest
 from holdscan import classifier
 from holdscan.classifier import Checkpoint, FeatureSpec, _featurize_many, predict_proba
 
+from conftest import featurize_rows
 from oracles import per_text_featurize, per_text_featurize_many, per_text_proba
 
 CPUS = [1, 2, None]  # None: the real count, as under taskset -c 0 in CI
@@ -66,7 +67,7 @@ def test_threads_match_the_per_text_oracles(n_distinct, hash_dim):
     want_probs = per_text_proba(model, texts)
     for n in CPUS:
         with cpus(n):
-            feats = _featurize_many(texts, spec)
+            feats = featurize_rows(texts, spec)
             probs = np.array(predict_proba(model, texts, spec)).reshape(-1, 3)
         for got, want in zip(feats, want_feats):
             assert got.dtype == want.dtype and np.array_equal(got, want), n

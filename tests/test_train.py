@@ -21,6 +21,7 @@ from holdscan.classifier import (
 from holdscan.corpus import generate_synthetic
 from holdscan.errors import EmptyInput, EmptyTrainingSet, UnlabeledExample
 
+from conftest import featurize_rows
 from oracles import dense_weights, per_example_train, per_text_proba
 
 SPEC = FeatureSpec(hash_dim=2 ** 10)
@@ -58,7 +59,7 @@ def test_training_deterministic():
 
 
 def test_uniform_class_weight_scaling_scales_loss():
-    feats = _featurize_many(["aa bb", "cc dd", "ee"], SPEC)
+    feats = featurize_rows(["aa bb", "cc dd", "ee"], SPEC)
     y = [0, 1, 2]
     rng = np.random.default_rng(0)
     w = rng.normal(size=(SPEC.hash_dim, 3)) * 0.1
@@ -72,7 +73,7 @@ def test_uniform_class_weight_scaling_scales_loss():
 
 def test_gradient_matches_central_differences():
     spec = FeatureSpec(hash_dim=2 ** 10, char_ngram_min=2, char_ngram_max=3)
-    feats = _featurize_many(["hold on", "thanks", "ok"], spec)
+    feats = featurize_rows(["hold on", "thanks", "ok"], spec)
     y = [1, 2, 0]
     cw = (0.3, 1.0, 2.0)
     rng = np.random.default_rng(7)
@@ -109,7 +110,7 @@ def test_single_step_matches_reference_gradient():
     config = TrainConfig(epochs=1, batch_size=8, learning_rate=0.5, weight_decay=0.0, seed=3)
     ckpt = train(examples, config, SPEC, examples)[0]
 
-    feats = _featurize_many([t for t, _ in examples], SPEC)
+    feats = featurize_rows([t for t, _ in examples], SPEC)
     y = [label for _, label in examples]
     zero_w = np.zeros((SPEC.hash_dim, 3))
     zero_b = np.zeros(3)
@@ -257,15 +258,18 @@ def test_matches_per_example_trainer(case):
 
 
 def _fit_inputs(examples, spec: FeatureSpec):
-    """The examples' feature matrix and labels, 405 shuffled train rows and 53 validation rows.
+    """fit's inputs for the examples: the compacted rows of their distinct
+    texts, text_of, columns and labels, 405 shuffled train rows and 53
+    validation rows.
 
     The corpus has five scripted turns; each side gets some of them.
     """
-    feats = _featurize_many([t for t, _ in examples], spec)
+    feats, text_of = _featurize_many([t for t, _ in examples], spec)
+    columns, compact = _compact(feats, spec.hash_dim)
     y = np.array([label for _, label in examples])
     scripted, plain = np.flatnonzero(y > 0), np.flatnonzero(y == 0)
     train_rows = np.random.default_rng(5).permutation(np.concatenate([scripted[1::2], plain[:400]]))
-    return feats, y, train_rows, np.concatenate([scripted[::2], plain[400:450]])
+    return compact, text_of, columns, y, train_rows, np.concatenate([scripted[::2], plain[400:450]])
 
 
 @pytest.mark.parametrize("distinct", [False, True], ids=["templated", "distinct"])
@@ -276,8 +280,7 @@ def test_fit_matches_per_step_take(distinct, batch_size):
     that each step takes, bit for bit, at every batch size."""
     spec = FeatureSpec(hash_dim=2 ** 12)
     examples = _synthetic_examples(distinct)
-    feats, y, train_rows, val_rows = _fit_inputs(examples, spec)
-    columns, compact = _compact(feats, spec.hash_dim)
+    compact, text_of, columns, y, train_rows, val_rows = _fit_inputs(examples, spec)
     n = len(train_rows)
     if batch_size == "refold":
         config = _refold_config(n)
@@ -288,7 +291,8 @@ def test_fit_matches_per_step_take(distinct, batch_size):
     train_set, validation = [examples[r] for r in train_rows], [examples[r] for r in val_rows]
     want = per_example_train(train_set, config, spec, validation)
     assert [c.epoch for c in want] == list(range(1, config.epochs + 1))
-    _assert_same_checkpoints(list(fit(compact, columns, y, train_rows, val_rows, config, spec)), want)
+    _assert_same_checkpoints(
+        list(fit(compact, text_of, columns, y, train_rows, val_rows, config, spec)), want)
     _assert_same_checkpoints(train(train_set, config, spec, validation), want)
 
 
@@ -296,9 +300,9 @@ def test_checkpoints_hold_and_save_c_order_weights(tmp_path):
     """fit trains class-major weights but yields them as C-order (U, 3), so
     a model file stores them in C order, as before the layout changed."""
     spec = FeatureSpec(hash_dim=2 ** 12)
-    feats, y, train_rows, val_rows = _fit_inputs(_synthetic_examples(False), spec)
-    columns, compact = _compact(feats, spec.hash_dim)
-    for ckpt in fit(compact, columns, y, train_rows, val_rows, TrainConfig(epochs=2, seed=9), spec):
+    compact, text_of, columns, y, train_rows, val_rows = _fit_inputs(_synthetic_examples(False), spec)
+    for ckpt in fit(compact, text_of, columns, y, train_rows, val_rows,
+                    TrainConfig(epochs=2, seed=9), spec):
         assert ckpt.weights.shape == (len(columns), 3) and ckpt.weights.flags.c_contiguous
         save_checkpoint(tmp_path / "model.npz", ckpt)
         with np.load(tmp_path / "model.npz") as bundle:
@@ -313,7 +317,7 @@ def test_compact_ranks_buckets_as_unique_does(texts):
     examples = _synthetic_examples(distinct=texts == "distinct")[:200]
     corpus = {"with_empty": ["", *[t for t, _ in examples], ""], "all_empty": ["", ""]}.get(
         texts, [t for t, _ in examples])
-    feats = _featurize_many(corpus, spec)
+    feats, _ = _featurize_many(corpus, spec)
     want_columns, want_indices = np.unique(feats.indices, return_inverse=True)
     indptr, data = feats.indptr.copy(), feats.data.copy()
     with mock.patch.object(classifier, "_REMAP_SLICE", 100):  # several slices and a partial one
@@ -330,9 +334,9 @@ def test_saved_model_predicts_as_the_dense_model(distinct, tmp_path):
     of its dense weights bit for bit, with rows of -0.0 and subnormals too."""
     spec = FeatureSpec(hash_dim=2 ** 12)
     examples = _synthetic_examples(distinct)
-    feats, y, train_rows, val_rows = _fit_inputs(examples, spec)
-    columns, compact = _compact(feats, spec.hash_dim)
-    got = list(fit(compact, columns, y, train_rows, val_rows, TrainConfig(epochs=2, seed=9), spec))[-1]
+    compact, text_of, columns, y, train_rows, val_rows = _fit_inputs(examples, spec)
+    got = list(fit(compact, text_of, columns, y, train_rows, val_rows,
+                   TrainConfig(epochs=2, seed=9), spec))[-1]
     got.weights[::7] = [-0.0, 5e-324, -2.5e-310]  # a negative zero and two subnormals
     path = tmp_path / "model.npz"
     save_checkpoint(path, got)
@@ -349,7 +353,7 @@ def test_saved_model_predicts_as_the_dense_model(distinct, tmp_path):
 def test_csr_take_matches_row_by_row(n_rows):
     """take holds each asked-for row's entries, concatenated in the order asked for."""
     examples = _synthetic_examples(distinct=True)[:90] + [("", 0)]  # the last row is empty
-    feats = _featurize_many([t for t, _ in examples], FeatureSpec(hash_dim=2 ** 12))
+    feats = featurize_rows([t for t, _ in examples], FeatureSpec(hash_dim=2 ** 12))
     rows = np.random.default_rng(n_rows).integers(0, len(examples), n_rows)
     got = feats.take(rows)
     spans = [slice(feats.indptr[r], feats.indptr[r + 1]) for r in rows]
@@ -368,7 +372,7 @@ def test_csr_slice_equals_take(start, stop):
     """A slice is take over the same row range, array for array and dtype for
     dtype, for empty slices and a last partial batch (53 rows, stop past the end)."""
     examples = _synthetic_examples(distinct=True)[:53]
-    feats = _featurize_many([t for t, _ in examples], FeatureSpec(hash_dim=2 ** 12))
+    feats = featurize_rows([t for t, _ in examples], FeatureSpec(hash_dim=2 ** 12))
     got = feats.slice(start, stop)
     want = feats.take(np.arange(start, min(stop, 53)))
     for g, w in zip(got, want):
