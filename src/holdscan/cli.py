@@ -8,10 +8,14 @@ and every command is deterministic given its config and seed.
 
 Exit codes: 0 ok, 1 usage or IO problem, 2 data validation failure,
 3 numeric or protocol failure.
+
+Each command pauses the cyclic garbage collector, which library calls never
+touch: the data are acyclic, and a scoring chain's ~200 collections freed none.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import shutil
@@ -590,6 +594,8 @@ def run_pipeline(
 
 def run_cli(argv: list[str] | None = None) -> None:
     """Entry point with the documented exit-code mapping."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         cli.main(args=argv, prog_name="holdscan", standalone_mode=False)
     except click.exceptions.Exit as exc:
@@ -611,6 +617,9 @@ def run_cli(argv: list[str] | None = None) -> None:
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

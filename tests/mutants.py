@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CLASSIFIER = "src/holdscan/classifier.py"
 TUNING = "src/holdscan/tuning.py"
 IO = "src/holdscan/corpus/io.py"
+CLI = "src/holdscan/cli.py"
 
 MUTANTS = [
     ("gradient sign flipped", CLASSIFIER,
@@ -110,6 +111,10 @@ MUTANTS = [
      "        os.sched_setaffinity(0, {cpu})\n", ""),
     ("affinity never restored", CLASSIFIER,
      "        os.sched_setaffinity(0, mask)\n", ""),
+    ("collector never paused", CLI,
+     "    gc.disable()\n", ""),
+    ("collector left paused", CLI,
+     "        if gc_was_enabled:\n            gc.enable()\n", "        pass\n"),
 ]
 
 # Survivors, by mutant name, with why no test needs to kill them.

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -869,6 +870,47 @@ class TestConfigFile:
                     "--transcripts", str(corpus_dir / "transcripts.csv"),
                     "--folds", "4", "--seed", "1", "--out", str(tmp_path / "p.json")])
         assert code == 2
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic garbage collector paused, and run_cli
+    leaves the collector as it found it on every exit path."""
+
+    @pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
+    def gc_state(self, request):
+        was_enabled = gc.isenabled()
+        gc.enable() if request.param else gc.disable()
+        yield request.param
+        gc.enable() if was_enabled else gc.disable()
+
+    @pytest.mark.parametrize("case, code", [
+        ("clean", 0), ("usage_error", 1), ("bad_label", 2), ("uncaught", None),
+    ])
+    def test_state_is_restored_on_every_exit(self, tmp_path, gc_state, case, code):
+        """code None: the command raises an exception run_cli does not catch."""
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + f"a,0,agent,0,1000,hello,{7 if case == 'bad_label' else 0}\n")
+        argv = ["validate", "--wibble", str(path)] if case == "usage_error" else ["validate", str(path)]
+        if code is None:
+            with mock.patch.object(cli, "check_transcripts", side_effect=RuntimeError("boom")), \
+                    pytest.raises(RuntimeError, match="boom"):
+                run(argv)
+        else:
+            assert run(argv) == code
+        assert gc.isenabled() is gc_state
+
+    def test_command_body_runs_with_the_collector_paused(self, corpus_dir, tmp_path, gc_state):
+        seen = []
+
+        def ingest(path):
+            seen.append(gc.isenabled())
+            return ingest_transcripts(path)
+
+        with mock.patch.object(cli, "ingest_transcripts", side_effect=ingest):
+            assert run(["stats", "--transcripts", str(corpus_dir / "transcripts.csv"),
+                        "--out-dir", str(tmp_path / "stats")]) == 0
+        assert seen == [False]
+        assert gc.isenabled() is gc_state
 
 
 def _probe(code, *args):

@@ -75,8 +75,9 @@ def test_threads_match_the_per_text_oracles(n_distinct, hash_dim):
 
 
 def test_more_threads_than_cpus_with_short_switch_interval():
-    """Eight threads on small blocks, switching every microsecond, write every
-    block's rows into its own slice."""
+    """Eight threads on small blocks, switching every microsecond: the
+    executor's map returns each block's output in block order, and the
+    probabilities equal the per-text scorer's."""
     spec = FeatureSpec(hash_dim=2 ** 12)
     texts = texts_with_repeats(700)
     model = compact_model(texts, spec)
