@@ -58,13 +58,10 @@ of one thread per usable CPU, at most one per block, shut down inside the
 call; numpy's sorts, takes, bincounts and ufuncs release the GIL, and only
 the per-text Python (lowercase, split, join, the token dict, a crc32 per
 distinct word) runs one thread at a time. With one CPU or one block no
-pool is made. Threads started together may all begin on one CPU and stay
-there, so each pool thread, as each fold worker of holdscan.tuning, first
-runs on the next usable CPU of a queue (_take_cpu) and then gets back the
-affinity mask it started with. Each thread holds one block's arrays at a
-time, so memory grows as threads x one block. A block's keys are uint32,
-which sort faster than int64, wherever 1024 rows fit beside hash_dim's
-bits (hash_dim up to 2**22); above that they are int64.
+pool is made. Each thread holds one block's arrays at a time, so memory
+grows as threads x one block. A block's keys are uint32, which sort faster
+than int64, wherever 1024 rows fit beside hash_dim's bits (hash_dim up
+to 2**22); above that they are int64.
 
 zlib hashes each distinct word token; the character n-grams get the same
 crc32 bits from a vectorised kernel (_gram_registers), one array pass per
@@ -82,7 +79,6 @@ import os
 import zipfile
 import zlib
 from dataclasses import asdict, dataclass, fields
-from itertools import cycle, islice
 from operator import itemgetter
 from pathlib import Path
 from collections import ChainMap
@@ -244,35 +240,11 @@ _RUN_ROWS = 128
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot say (macOS)."""
+    """The CPUs this process may run on, which sizes both pools (_map_blocks,
+    tuning._fold_models); 1 where the platform cannot say (macOS, Windows),
+    so neither pool is made there."""
     affinity = getattr(os, "sched_getaffinity", None)
     return 1 if affinity is None else len(affinity(0))
-
-
-def _cpu_queue(queue, n_workers: int):
-    """queue, with a CPU id put in it for each of n_workers workers: the
-    usable CPUs in turn, cycled, so no worker waits for an id."""
-    for cpu in islice(cycle(sorted(os.sched_getaffinity(0))), n_workers):
-        queue.put(cpu)
-    return queue
-
-
-def _take_cpu(cpus) -> None:
-    """Run the calling thread on the next CPU of the queue cpus, then give it
-    back the affinity mask it started with.
-
-    A pool's workers, started together, may all begin on one CPU and stay
-    there while another idles; moving each to its own CPU once spreads
-    them, and the restored mask lets the kernel move them later. An
-    OSError is ignored, since a pool whose initializer raises is broken.
-    """
-    cpu = cpus.get()
-    try:
-        mask = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, mask)
-    except OSError:
-        pass
 
 
 def _featurize_many(texts: Iterable[str], spec: FeatureSpec) -> tuple[_Csr, np.ndarray]:
@@ -301,19 +273,16 @@ def _map_blocks(work: Callable[[Sequence[str]], object], distinct: Sequence[str]
     same dtypes. With one usable CPU or one block the calling thread runs
     them; otherwise a pool of one thread per CPU, at most one per block,
     does, so work returns its block's output and writes nothing shared.
-    Each pool thread starts on a CPU of its own (_take_cpu). Every thread
-    is joined before this returns or raises, and the error raised is the
-    earliest failing block's, as on one thread.
+    Every thread is joined before this returns or raises, and the error
+    raised is the earliest failing block's, as on one thread.
     """
     blocks = [distinct[i : i + _BLOCK] for i in range(0, max(len(distinct), 1), _BLOCK)]
     n_threads = min(_usable_cpus(), len(blocks))
     if n_threads == 1:
         return list(map(work, blocks))
     from concurrent.futures.thread import ThreadPoolExecutor
-    from queue import SimpleQueue
 
-    with ThreadPoolExecutor(n_threads, initializer=_take_cpu,
-                            initargs=(_cpu_queue(SimpleQueue(), n_threads),)) as pool:
+    with ThreadPoolExecutor(n_threads) as pool:
         return list(pool.map(work, blocks))
 
 

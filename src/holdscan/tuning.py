@@ -36,12 +36,10 @@ from .classifier import (
     FeatureSpec,
     TrainConfig,
     _compact,
-    _cpu_queue,
     _Csr,
     _featurize_many,
     _gather,
     _softmax_rows,
-    _take_cpu,
     _usable_cpus,
     fit,
     select_best_checkpoint,
@@ -267,11 +265,9 @@ def _fold_model(matrix: FoldMatrix, v: int,
 _worker_matrix: FoldMatrix | None = None
 
 
-def _init_worker(matrix: FoldMatrix, cpus) -> None:
-    """Keep the matrix, and start on the next CPU of the queue cpus."""
+def _init_worker(matrix: FoldMatrix) -> None:
     global _worker_matrix
     _worker_matrix = matrix
-    _take_cpu(cpus)
 
 
 def _fold_task(config: TrainConfig, v: int) -> tuple[Checkpoint, np.ndarray, np.ndarray]:
@@ -281,16 +277,11 @@ def _fold_task(config: TrainConfig, v: int) -> tuple[Checkpoint, np.ndarray, np.
 
 def _worker_count(n_tasks: int) -> int:
     """Worker processes for n_tasks fold tasks: one per usable CPU, at most
-    one per task. 1 means in-process, as on platforms without CPU affinity
-    (macOS, where fork is unsafe) or without fork (Windows).
-    multiprocessing is imported only when a pool is possible."""
-    workers = min(_usable_cpus(), n_tasks)
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return workers
+    one per task. 1 means in-process, as on every platform without
+    os.sched_getaffinity (macOS, where fork is unsafe, and Windows, which
+    has no fork); every platform that has it ("Unix, not Emscripten, not
+    WASI") can fork."""
+    return min(_usable_cpus(), n_tasks)
 
 
 @contextmanager
@@ -303,11 +294,9 @@ def _fold_models(
     processes when more than one CPU is usable, and the results are the
     same bits as in-process. Fork hands each worker the matrix without
     pickling it, and the pool forks every worker before it starts any
-    thread. Each worker starts on a CPU of its own (_take_cpu), taking
-    its id from a queue filled here. The pool lives inside this context,
-    so its workers are joined on success and on error. A worker's
-    exception reaches the caller (ChildProcessError if it died), and
-    unstarted tasks are dropped.
+    thread. The pool lives inside this context, so its workers are joined
+    on success and on error. A worker's exception reaches the caller
+    (ChildProcessError if it died), and unstarted tasks are dropped.
     """
     workers = _worker_count(len(tasks))
     if workers == 1:
@@ -318,7 +307,7 @@ def _fold_models(
 
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker,
-                             initargs=(matrix, _cpu_queue(fork.SimpleQueue(), workers))) as pool:
+                             initargs=(matrix,)) as pool:
         try:
             yield pool.map(_fold_task, *zip(*tasks))
         except BrokenProcessPool as exc:

@@ -951,6 +951,31 @@ def test_one_cpu_run_leaves_multiprocessing_unloaded():
     assert _probe(_ONE_CPU_PROBE).split() == ["3", "False"]
 
 
+_NO_AFFINITY_PROBE = """
+import os, sys
+if hasattr(os, "sched_getaffinity"):
+    del os.sched_getaffinity
+from holdscan.classifier import FeatureSpec, TrainConfig, _featurize_many, _usable_cpus
+from holdscan.corpus import generate_synthetic, stratified_split
+from holdscan.tuning import run_cross_validation
+
+spec = FeatureSpec(hash_dim=2 ** 10)
+_, text_of = _featurize_many([f"hold {i}" for i in range(2049)], spec)
+corpus, _ = generate_synthetic(30, 1)
+run = run_cross_validation(corpus, stratified_split(corpus, 4, seed=1), TrainConfig(epochs=1), spec)
+print(_usable_cpus(), len(text_of), len(run.models),
+      "concurrent.futures" in sys.modules, "multiprocessing" in sys.modules)
+"""
+
+
+def test_without_cpu_affinity_both_pools_run_in_process():
+    """Where os has no sched_getaffinity (macOS, Windows), one CPU is
+    usable, so three blocks of texts and three fold tasks run in-process
+    and neither pool module is imported. That is the only guard against a
+    fork pool on a platform without fork."""
+    assert _probe(_NO_AFFINITY_PROBE).split() == ["1", "2049", "3", "False", "False"]
+
+
 _NUMPY_MA_PROBE = """
 import json, sys
 from pathlib import Path

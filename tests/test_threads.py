@@ -1,9 +1,10 @@
 """Featurizing and scoring blocks of distinct texts on threads.
 
 Every case runs at one and two threads (the CPU count patched) and at the
-real CPU count, and must equal the per-text oracles bit for bit. Batch
-sizes straddle one and two blocks of 1024 texts; hash_dim runs from 2**10
-to 2**24: up to 2**22 a full block's keys are uint32, above it int64.
+real CPU count, and must equal the per-text oracles bit for bit; a
+barrier shows that two blocks are in flight at once. Batch sizes
+straddle one and two blocks of 1024 texts; hash_dim runs from 2**10 to
+2**24: up to 2**22 a full block's keys are uint32, above it int64.
 """
 
 import sys
@@ -90,6 +91,19 @@ def test_more_threads_than_cpus_with_short_switch_interval():
     finally:
         sys.setswitchinterval(interval)
     assert got.tobytes() == want.tobytes()
+
+
+def test_two_blocks_are_in_flight_at_once():
+    """Each block waits at a barrier for two parties, so one thread running
+    the blocks in turn breaks it after the timeout."""
+    barrier = threading.Barrier(2, timeout=10)
+
+    def work(block):
+        barrier.wait()
+        return "".join(block)
+
+    with cpus(2), mock.patch.object(classifier, "_BLOCK", 2):
+        assert classifier._map_blocks(work, list("abcd")) == ["ab", "cd"]
 
 
 def with_surrogates(at):
